@@ -6,6 +6,11 @@ Subcommands: ``plan`` (hyperparameter grid), ``synth`` (dataset generation),
 axle times), ``bench`` (raw vs spectrogram cost). Exit codes: 0 success,
 1 usage error, 2 data/validation error.
 
+``train`` writes ``run.json``, ``history.csv`` and the checkpoint
+``model.json`` + ``model.bin``, which alone describes the detector: ``eval``
+and ``detect`` take only its stem. The model's sample rate is the training
+data's; ``eval`` and ``detect`` refuse passages recorded at another rate.
+
 Every artifact-writing subcommand echoes its fully resolved configuration
 to ``run.json`` in the output directory, making reruns reproducible and
 byte-identical for a fixed seed. A flat ``key = value`` config file can
@@ -28,8 +33,8 @@ import numpy as np
 
 from . import __version__
 from .cwt import spectrogram_stack, write_stack
-from .data import Dataset, label_indices, load_dataset
-from .engine import ParamStore, load_checkpoint, save_checkpoint
+from .data import label_indices, load_dataset, shared_sample_rate
+from .engine import save_checkpoint
 from .errors import DataError, VaderError
 from .metrics import (
     LABEL_ERROR_THRESHOLD_CM,
@@ -39,7 +44,7 @@ from .metrics import (
     match_axles,
     pick_peaks,
 )
-from .model import VaderConfig, build_vader, infer, model_manifest
+from .model import VaderConfig, build_vader, infer, load_vader
 from .planner import (
     DEFAULT_KERNEL_SIZES,
     DEFAULT_POOL_SIZES,
@@ -283,7 +288,9 @@ def _cmd_train(args) -> int:
     _write_run_json(out_dir, "train", args)
     dataset = load_dataset(args.dataset)
     plan = SplitPlan.from_json(Path(args.split).read_text(encoding="utf-8"))
-    cfg = VaderConfig(hyper=_hyper_from_args(args), sample_rate=args.fs)
+    fold_ids = plan.fold_train_ids(args.fold) + plan.fold_val_ids(args.fold)
+    rate = shared_sample_rate(dataset.by_id(pid) for pid in fold_ids)
+    cfg = VaderConfig(hyper=_hyper_from_args(args), sample_rate=rate)
     schedule = TrainSchedule(
         max_epochs=args.epochs,
         batch_size=args.batch_size,
@@ -298,37 +305,12 @@ def _cmd_train(args) -> int:
     )
     save_checkpoint(out_dir / "model", network, store, seed=seed)
     (out_dir / "history.csv").write_text(history.to_csv(), encoding="utf-8")
-    (out_dir / "model_manifest.json").write_text(
-        json.dumps(model_manifest(network, cfg), indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
     best = history.best_epoch
     print(
         f"trained {len(history.train_loss)} epochs; best epoch {best} "
         f"(val F1 {history.val_f1[best]:.2f}) -> {out_dir / 'model'}"
     )
     return 0
-
-
-def _load_model(stem: str):
-    manifest_path = Path(str(stem) + "_manifest.json")
-    if not manifest_path.exists():
-        manifest_path = Path(stem).parent / "model_manifest.json"
-    desc = json.loads(manifest_path.read_text(encoding="utf-8"))
-    cfg = VaderConfig(
-        hyper=HyperParams(
-            input_kind=InputKind(desc["input_kind"]),
-            kernel_size=desc["kernel_size"],
-            pool_size=desc["pool_size"],
-            pool_steps=desc["pool_steps"],
-            base_width=desc["base_width"],
-        ),
-        sample_rate=desc["sample_rate"],
-        max_width=desc.get("max_width", 256),
-    )
-    network = build_vader(cfg)
-    store = ParamStore(network.params())
-    load_checkpoint(stem, network, store)
-    return network, cfg
 
 
 def _sensor_input(cfg: VaderConfig, channel):
@@ -357,13 +339,14 @@ def _cmd_eval(args) -> int:
     out_dir = Path(args.out)
     _write_run_json(out_dir, "eval", args)
     dataset = load_dataset(args.dataset)
-    network, cfg = _load_model(args.checkpoint)
+    network, cfg = load_vader(args.checkpoint)
     if args.split:
         plan = SplitPlan.from_json(Path(args.split).read_text(encoding="utf-8"))
         ids = plan.test_ids if args.ids == "test" else plan.fold_val_ids(int(args.ids))
     else:
         ids = [p.passage_id for p in dataset]
     passages = [dataset.by_id(pid) for pid in sorted(ids)]
+    shared_sample_rate(passages, cfg.sample_rate)
     peak_cfg = PeakConfig(args.min_confidence, args.min_distance)
 
     acc = MetricsAccumulator()
@@ -440,10 +423,11 @@ def _estimate_velocities(per_sensor: dict, positions: dict[str, float]) -> dict[
 
 def _cmd_detect(args) -> int:
     dataset = load_dataset(args.dataset)
-    network, cfg = _load_model(args.checkpoint)
+    network, cfg = load_vader(args.checkpoint)
     peak_cfg = PeakConfig(args.min_confidence, args.min_distance)
     positions = _parse_positions(args.sensor_positions)
     passages = [dataset.by_id(args.passage)] if args.passage else list(dataset)
+    shared_sample_rate(passages, cfg.sample_rate)
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -581,14 +565,12 @@ def build_parser() -> _Parser:
     p.add_argument("--pool-size", type=int, default=2)
     p.add_argument("--pool-steps", type=int, default=4)
     p.add_argument("--base-width", type=int, default=16)
-    p.add_argument("--fs", type=float, default=600.0)
     p.add_argument("--epochs", type=int, default=300)
     p.add_argument("--batch-size", type=int, default=16)
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--plateau-patience", type=int, default=3)
     p.add_argument("--lr-factor", type=float, default=0.3)
     p.add_argument("--stop-patience", type=int, default=6)
-    p.add_argument("--deterministic", action="store_true", help="single-threaded reference mode (the default execution model)")
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--out", default="train_out")
     p.set_defaults(func=_cmd_train)

@@ -30,6 +30,7 @@ from .errors import (
     DuplicateSampleIndex,
     OutOfRangeCrossing,
     ParseError,
+    SampleRateMismatch,
     ValidationError,
 )
 
@@ -111,6 +112,18 @@ def label_indices(passage: Passage, sensor_id: str) -> np.ndarray:
     ch = passage.channel(sensor_id)
     idx = [crossing_index(a.crossing_time, ch.sample_rate) for a in passage.axles[sensor_id]]
     return np.sort(np.asarray(idx, dtype=int))
+
+
+def shared_sample_rate(passages, expected: float | None = None) -> float | None:
+    """The one sample rate of all channels of ``passages``, or ``expected``
+    when there are none. Raises SampleRateMismatch when they mix rates or
+    differ from ``expected``, the rate a model was trained at."""
+    rates = {ch.sample_rate for p in passages for ch in p.channels}
+    if len(rates | {expected} - {None}) > 1:
+        model = "" if expected is None else f"; the model was trained at {expected} Hz"
+        found = ", ".join(f"{rate} Hz" for rate in sorted(rates))
+        raise SampleRateMismatch(f"passages are sampled at {found}{model}")
+    return next(iter(rates), expected)
 
 
 def validate_passage(p: Passage) -> list[str]:

@@ -1,9 +1,12 @@
 """Checkpoint format: flat little-endian float64 binary plus a JSON manifest.
 
-The manifest records the layer topology, parameter shapes, optimizer step
-counter and the RNG seed the run started from. Values are widened to
-float64 on save and narrowed back on load, which is lossless for float32
-training, so a save/load cycle is bit-exact.
+The manifest ``<stem>.json`` fully describes the saved network: the
+``model`` record it was built from (``Network.spec``), the layer topology,
+parameter shapes, optimizer step counter and the RNG seed the run started
+from. Loading refuses a network whose record, layers or parameters differ,
+and manifests older than version 2, which had no ``model`` record. Values
+are widened to float64 on save and narrowed back on load, which is
+lossless for float32 training, so a save/load cycle is bit-exact.
 """
 
 from __future__ import annotations
@@ -14,12 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ShapeMismatch
+from ..errors import CheckpointError, ShapeMismatch
 from .layers import Network
 from .optim import ParamStore
 
 MAGIC = "vader-checkpoint"
-VERSION = 1
+VERSION = 2
+#: Manifest entries that must equal those of the network being loaded into.
+_ARCHITECTURE = ("model", "layers", "params")
 
 
 def _manifest(network: Network, store: ParamStore | None, seed) -> dict:
@@ -30,6 +35,7 @@ def _manifest(network: Network, store: ParamStore | None, seed) -> dict:
         "dtype": np.dtype(network.dtype).name,
         "step": 0 if store is None else store.step_count,
         "has_adam": store is not None,
+        "model": network.spec,
         "layers": [
             {"name": n.name, "kind": n.layer.kind, "inputs": n.inputs, **n.layer.config()}
             for n in network.nodes
@@ -68,28 +74,48 @@ def save_checkpoint(stem, network: Network, store: ParamStore | None = None, see
     return json_path
 
 
+def read_manifest(stem) -> dict:
+    """Parse ``<stem>.json``; CheckpointError unless it is a complete manifest
+    of the current version."""
+    path = Path(stem).with_suffix(".json")
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint manifest")
+    if manifest.get("version") != VERSION:
+        raise CheckpointError(
+            f"{path}: checkpoint version {manifest.get('version')} is not {VERSION}; retrain the model"
+        )
+    missing = sorted({"step", "has_adam", *_ARCHITECTURE} - manifest.keys())
+    if missing:
+        raise CheckpointError(f"{path}: manifest lacks {', '.join(missing)}")
+    return manifest
+
+
 def load_checkpoint(stem, network: Network, store: ParamStore | None = None) -> dict:
     """Restore parameters (and moments, if present) into ``network``.
 
-    The target network must match the manifest's topology; returns the
-    manifest dict.
+    The manifest's model record, layers and parameter shapes must equal the
+    target network's (ShapeMismatch otherwise); returns the manifest dict.
     """
     stem = Path(stem)
-    manifest = json.loads(stem.with_suffix(".json").read_text(encoding="utf-8"))
-    if manifest.get("format") != MAGIC:
-        raise ShapeMismatch(f"{stem}: not a checkpoint manifest")
+    manifest = read_manifest(stem)
+    expected = _manifest(network, store, None)
+    for key in _ARCHITECTURE:
+        if manifest[key] != expected[key]:
+            raise ShapeMismatch(
+                f"{stem}: checkpoint {key} differ from the network's"
+                + (f" (saved {manifest[key]}, network {expected[key]})" if key == "model" else "")
+            )
     params = network.params()
-    recorded = manifest["params"]
-    if len(recorded) != len(params) or any(
-        list(p.shape) != r["shape"] or p.name != r["name"] for p, r in zip(params, recorded)
-    ):
-        raise ShapeMismatch(f"{stem}: checkpoint does not match the network topology")
     raw = stem.with_suffix(".bin").read_bytes()
-    flat = np.frombuffer(raw, dtype="<f8")
     sizes = [p.value.size for p in params]
     need = sum(sizes) * (3 if manifest["has_adam"] else 1)
-    if flat.size != need:
-        raise ShapeMismatch(f"{stem}: expected {need} values, found {flat.size}")
+    if len(raw) != 8 * need:
+        raise CheckpointError(f"{stem}: expected {8 * need} bytes of values, found {len(raw)}")
+    flat = np.frombuffer(raw, dtype="<f8")
 
     def take(offset, target):
         for arr, size in zip(target, sizes):

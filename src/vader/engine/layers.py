@@ -114,9 +114,6 @@ class Layer:
     def config(self) -> dict:
         return {}
 
-    def out_valid(self, valids):
-        return valids[0]
-
     def forward(self, xs, valids, want_cache):
         raise NotImplementedError
 
@@ -135,9 +132,11 @@ class Conv(Layer):
     on frequency."""
 
     kind = "conv"
+    #: Time upsampling factor; only TransposedConvTime sets it above 1.
+    stride = 1
 
     def __init__(self, c_in, c_out, kf, kt, freq_padding="same", name="conv", dtype=np.float32):
-        if kt % 2 != 1:
+        if self.stride == 1 and kt % 2 != 1:
             raise ValueError(f"time kernel extent must be odd, got {kt}")
         if freq_padding not in ("same", "valid"):
             raise ValueError(freq_padding)
@@ -197,35 +196,21 @@ class Conv(Layer):
         return [dx]
 
 
-class TransposedConvTime(Layer):
+class TransposedConvTime(Conv):
     """Transposed convolution upsampling the time axis by ``stride``;
-    frequency is processed stride-1 with 'same' padding."""
+    frequency is processed stride-1 with 'same' padding. Time kernels may
+    be even."""
 
     kind = "transposed_conv"
 
     def __init__(self, c_in, c_out, kf, kt, stride, name="tconv", dtype=np.float32):
         if stride < 2:
             raise ValueError(f"stride must be >= 2, got {stride}")
-        self.c_in, self.c_out, self.kf, self.kt, self.stride = c_in, c_out, kf, kt, stride
-        self.name = name
-        self.weight = Param(f"{name}.weight", np.zeros((c_out, c_in, kf, kt), dtype=dtype))
-        self.bias = Param(f"{name}.bias", np.zeros(c_out, dtype=dtype))
-
-    def init(self, rng):
-        fan_in = self.c_in * self.kf * self.kt
-        bound = np.sqrt(6.0 / fan_in)
-        self.weight.value[...] = rng.uniform(-bound, bound, self.weight.shape)
-
-    def params(self):
-        return [self.weight, self.bias]
+        self.stride = stride
+        super().__init__(c_in, c_out, kf, kt, name=name, dtype=dtype)
 
     def config(self):
-        return {
-            "c_in": self.c_in,
-            "c_out": self.c_out,
-            "kernel": [self.kf, self.kt],
-            "stride": self.stride,
-        }
+        return {**super().config(), "stride": self.stride}
 
     def _pads(self):
         pf_lo, pf_hi = (self.kf - 1) // 2, self.kf // 2
@@ -239,34 +224,12 @@ class TransposedConvTime(Layer):
         stuffed[..., :: self.stride] = x
         return stuffed
 
-    def out_valid(self, valids):
-        return valids[0] * self.stride
-
     def forward(self, xs, valids, want_cache):
-        (x,) = xs
-        stuffed = self._stuff(x)
-        pf_lo, pf_hi, pt_lo, pt_hi = self._pads()
-        y, _ = _conv_core(stuffed, self.weight.value, pf_lo, pf_hi, pt_lo, pt_hi)
-        y += self.bias.value[None, :, None, None]
-        cache = stuffed if want_cache else None
+        y, _, cache = super().forward([self._stuff(xs[0])], valids, want_cache)
         return y, valids[0] * self.stride, cache
 
     def backward(self, cache, dy):
-        stuffed = _require(cache)
-        pf_lo, pf_hi, pt_lo, pt_hi = self._pads()
-        kf, kt = self.kf, self.kt
-        xp = np.pad(stuffed, ((0, 0), (0, 0), (pf_lo, pf_hi), (pt_lo, pt_hi)))
-        N, _, Fp, Tp = xp.shape
-        fo, to = Fp - kf + 1, Tp - kt + 1
-        win = sliding_window_view(xp, (kf, kt), axis=(2, 3))
-        cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(N * fo * to, self.c_in * kf * kt)
-        dy_mat = dy.transpose(0, 2, 3, 1).reshape(-1, self.c_out)
-        self.weight.grad += (dy_mat.T @ cols).reshape(self.weight.shape)
-        self.bias.grad += dy.sum(axis=(0, 2, 3))
-        w_flip = np.ascontiguousarray(self.weight.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-        dstuffed, _ = _conv_core(
-            dy, w_flip, kf - 1 - pf_lo, kf - 1 - pf_hi, kt - 1 - pt_lo, kt - 1 - pt_hi
-        )
+        (dstuffed,) = super().backward(cache, dy)
         return [dstuffed[..., :: self.stride]]
 
 
@@ -283,9 +246,6 @@ class MaxPool(Layer):
     def config(self):
         return {"pool": [self.pool_f, self.pool_t]}
 
-    def out_valid(self, valids):
-        return -(-valids[0] // self.pool_t)
-
     def forward(self, xs, valids, want_cache):
         (x,) = xs
         N, C, F, T = x.shape
@@ -301,7 +261,7 @@ class MaxPool(Layer):
         arg = win.argmax(axis=-1)
         y = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
         cache = (arg, (N, C, F, T, fpad)) if want_cache else None
-        return y, self.out_valid(valids), cache
+        return y, -(-valids[0] // pt), cache
 
     def backward(self, cache, dy):
         arg, (N, C, F, T, fpad) = _require(cache)
@@ -420,9 +380,6 @@ class Concat(Layer):
 
     kind = "concat"
 
-    def out_valid(self, valids):
-        return np.minimum.reduce(valids)
-
     def forward(self, xs, valids, want_cache):
         base = xs[0].shape
         for x in xs[1:]:
@@ -430,7 +387,7 @@ class Concat(Layer):
                 raise ShapeMismatch(f"concat inputs disagree: {base} vs {x.shape}")
         y = np.concatenate(xs, axis=1)
         cache = [x.shape[1] for x in xs] if want_cache else None
-        return y, self.out_valid(valids), cache
+        return y, np.minimum.reduce(valids), cache
 
     def backward(self, cache, dy):
         widths = _require(cache)
@@ -444,14 +401,11 @@ class Concat(Layer):
 class Add(Layer):
     kind = "add"
 
-    def out_valid(self, valids):
-        return np.minimum.reduce(valids)
-
     def forward(self, xs, valids, want_cache):
         a, b = xs
         if a.shape != b.shape:
             raise ShapeMismatch(f"add inputs disagree: {a.shape} vs {b.shape}")
-        return a + b, self.out_valid(valids), ()
+        return a + b, np.minimum.reduce(valids), ()
 
     def backward(self, cache, dy):
         return [dy, dy.copy()]
@@ -509,13 +463,16 @@ class Network:
     """A topologically ordered DAG of layers with a single input and output.
 
     ``time_multiple`` records the pooling product the input length must be
-    padded to before calling :meth:`forward`.
+    padded to before calling :meth:`forward`. ``spec`` is the JSON-ready
+    record a builder made the graph from, saved with its checkpoints; it
+    stays empty for graphs built by hand.
     """
 
     def __init__(self, dtype=np.float32, time_multiple=1):
         self.nodes: list[Node] = []
         self.dtype = dtype
         self.time_multiple = time_multiple
+        self.spec: dict = {}
 
     def add(self, name: str, layer: Layer, inputs) -> int:
         self.nodes.append(Node(name, layer, list(inputs)))

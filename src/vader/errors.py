@@ -36,6 +36,11 @@ class ValidationError(DataError):
     """A loaded passage violates a structural invariant."""
 
 
+class SampleRateMismatch(DataError):
+    """Passages disagree on their sample rate, with each other or with the
+    rate a model was trained at."""
+
+
 # splits
 class EmptyDataset(DataError):
     """Split requested on a dataset with no passages."""
@@ -61,11 +66,16 @@ class NonPositiveFrequency(DataError):
 
 # nn engine
 class ShapeMismatch(VaderError):
-    """Tensor shapes are incompatible with the requested operation."""
+    """Tensor shapes are incompatible with the requested operation, or a
+    checkpoint describes a different network than it is loaded into."""
 
 
 class MissingForwardCache(VaderError):
     """backward() called without a preceding forward() on the same graph."""
+
+
+class CheckpointError(DataError):
+    """A checkpoint manifest is unreadable, incomplete or of an older format."""
 
 
 # model builder

@@ -21,7 +21,7 @@ convolution spans whatever frequency extent is left.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,15 +33,18 @@ from .engine import (
     GroupNorm,
     MaxPool,
     Network,
+    ParamStore,
     ReLU,
     ReduceMaxFreq,
     Sigmoid,
     TileFreq,
     TransposedConvTime,
     groupnorm_groups,
+    load_checkpoint,
     pad_time_to_multiple,
+    read_manifest,
 )
-from .errors import InvalidHyperParams, ShapeMismatch
+from .errors import CheckpointError, InvalidHyperParams, ShapeMismatch
 from .planner import HyperParams, InputKind, mrf
 
 #: Frequency bins and wavelet channels of the spectrogram input tensor.
@@ -57,19 +60,29 @@ class VaderConfig:
 
     hyper: HyperParams
     sample_rate: float = 600.0
-    max_width: int = MAX_WIDTH
 
     @property
     def widths(self) -> tuple[int, ...]:
         """Channel width per level, level 0 through the bottleneck."""
         return tuple(
-            min(self.hyper.base_width * 2**j, self.max_width)
+            min(self.hyper.base_width * 2**j, MAX_WIDTH)
             for j in range(self.hyper.pool_steps + 1)
         )
 
     @property
     def mrf(self) -> int:
         return mrf(self.hyper.kernel_size, self.hyper.pool_size, self.hyper.pool_steps)
+
+    def record(self) -> dict:
+        """JSON-ready form, which :meth:`from_record` turns back into the config."""
+        hyper = {**asdict(self.hyper), "input_kind": self.hyper.input_kind.value}
+        return {**hyper, "sample_rate": self.sample_rate}
+
+    @classmethod
+    def from_record(cls, rec: dict) -> VaderConfig:
+        hyper = {k: v for k, v in rec.items() if k != "sample_rate"}
+        hyper["input_kind"] = InputKind(hyper["input_kind"])
+        return cls(HyperParams(**hyper), sample_rate=float(rec["sample_rate"]))
 
 
 class _Builder:
@@ -134,7 +147,7 @@ def build_vader(cfg: VaderConfig, dtype=np.float32) -> Network:
     freq = SPEC_BINS if spectro else 1
 
     net = Network(dtype=dtype, time_multiple=m**p)
-    net.config = cfg
+    net.spec = cfg.record()
     b = _Builder(net, k)
 
     cur = b.conv_block(-1, c_in, widths[0], freq, "input", groups=1)
@@ -208,32 +221,24 @@ def max_kernel_time_span(network: Network) -> int:
     for i, node in enumerate(network.nodes):
         c = max(coverage[j] for j in node.inputs)
         layer = node.layer
-        if isinstance(layer, Conv):
+        if isinstance(layer, Conv):  # TransposedConvTime included
             widest = max(widest, layer.kt * c)
+            c //= layer.stride
         elif isinstance(layer, MaxPool):
             widest = max(widest, layer.pool_t * c)
             c *= layer.pool_t
-        elif isinstance(layer, TransposedConvTime):
-            widest = max(widest, layer.kt * c)
-            c //= layer.stride
         coverage[i] = c
     return widest
 
 
-def model_manifest(network: Network, cfg: VaderConfig) -> dict:
-    """JSON-ready description of one built model."""
-    return {
-        "input_kind": cfg.hyper.input_kind.value,
-        "kernel_size": cfg.hyper.kernel_size,
-        "pool_size": cfg.hyper.pool_size,
-        "pool_steps": cfg.hyper.pool_steps,
-        "base_width": cfg.hyper.base_width,
-        "max_width": cfg.max_width,
-        "sample_rate": cfg.sample_rate,
-        "mrf": cfg.mrf,
-        "param_count": network.param_count(),
-        "layers": [
-            {"name": n.name, "kind": n.layer.kind, "inputs": n.inputs, **n.layer.config()}
-            for n in network.nodes
-        ],
-    }
+def load_vader(stem) -> tuple[Network, VaderConfig]:
+    """Rebuild a detector from its checkpoint ``<stem>.json`` / ``<stem>.bin``
+    alone; the manifest's ``model`` record gives the config."""
+    record = read_manifest(stem)["model"]
+    try:
+        cfg = VaderConfig.from_record(record)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{stem}: unusable model record {record!r}: {exc!r}") from None
+    network = build_vader(cfg)
+    load_checkpoint(stem, network, ParamStore(network.params()))
+    return network, cfg

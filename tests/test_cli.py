@@ -3,12 +3,14 @@
 import csv
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vader.cli import main
+from vader.splits import SplitPlan
 
 
 def run(*argv):
@@ -65,6 +67,22 @@ def _train(root, out, **flags):
     return run(*argv)
 
 
+@pytest.fixture(scope="module")
+def trained(workspace, tmp_path_factory):
+    """Directory of one model trained on the workspace at 600 Hz."""
+    out = tmp_path_factory.mktemp("trained")
+    assert _train(workspace, out) == 0
+    return out
+
+
+def _copy_checkpoint(src, dst):
+    """Copy only the checkpoint of a trained model directory; returns its stem."""
+    dst.mkdir()
+    for name in ("model.json", "model.bin"):
+        shutil.copy(src / name, dst / name)
+    return dst / "model"
+
+
 def test_plan_csv_and_summary(tmp_path):
     out = tmp_path / "plan"
     assert run("plan", "--fs", "600", "--fl-certain", "5", "--fl-useful", "1", "--out", str(out)) == 0
@@ -107,19 +125,18 @@ def test_data_error_exits_2(tmp_path):
 def test_train_eval_detect_flow(workspace, tmp_path):
     out = tmp_path / "train"
     assert _train(workspace, out) == 0
-    assert (out / "model.bin").exists()
-    assert (out / "model.json").exists()
-    assert (out / "history.csv").exists()
-    assert (out / "model_manifest.json").exists()
+    assert sorted(f.name for f in out.iterdir()) == ["history.csv", "model.bin", "model.json", "run.json"]
     run_cfg = json.loads((out / "run.json").read_text())
     assert run_cfg["command"] == "train"
     assert run_cfg["config"]["seed"] == 7
+    # eval and detect need nothing but the checkpoint itself
+    stem = _copy_checkpoint(out, tmp_path / "checkpoint_only")
 
     eval_out = tmp_path / "eval"
     code = run(
         "eval",
         "--dataset", str(workspace / "data" / "passages"),
-        "--checkpoint", str(out / "model"),
+        "--checkpoint", str(stem),
         "--split", str(workspace / "split.json"),
         "--ids", "test",
         "--out", str(eval_out),
@@ -134,7 +151,7 @@ def test_train_eval_detect_flow(workspace, tmp_path):
     code = run(
         "detect",
         "--dataset", str(workspace / "data" / "passages"),
-        "--checkpoint", str(out / "model"),
+        "--checkpoint", str(stem),
         "--out", str(det),
     )
     assert code == 0
@@ -146,7 +163,7 @@ def test_train_idempotent_byte_identical(workspace, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert _train(workspace, a) == 0
     assert _train(workspace, b) == 0
-    for name in ("model.bin", "model.json", "history.csv", "model_manifest.json"):
+    for name in ("model.bin", "model.json", "history.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
@@ -220,3 +237,75 @@ def test_transform_writes_stacks(workspace, tmp_path):
     assert arr.shape[0] == 16 and arr.shape[1] == 6
     sidecar = json.loads((stacks[0].parent / (stacks[0].name + ".json")).read_text())
     assert sidecar["passage_id"] == "passage_00000"
+
+
+@pytest.mark.parametrize("command", ["eval", "detect"])
+def test_eval_detect_refuse_other_sample_rate(trained, tmp_path, capsys, command):
+    """The model was trained at 600 Hz; the planner's rule makes it a
+    different detector on passages recorded at 300 Hz."""
+    data = tmp_path / "data300"
+    assert run(
+        "synth", "--n", "3", "--distribution", "3:1.0", "--speed-range", "35:55",
+        "--spacing-range", "3:6", "--fs", "300", "--seed", "2", "--out", str(data),
+    ) == 0
+    capsys.readouterr()
+    code = run(
+        command, "--dataset", str(data / "passages"), "--checkpoint", str(trained / "model"),
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == 2
+    assert "300.0 Hz" in capsys.readouterr().err
+
+
+def test_train_refuses_mixed_sample_rates(workspace, tmp_path, capsys):
+    data = tmp_path / "mixed"
+    shutil.copytree(workspace / "data" / "passages", data)
+    plan = SplitPlan.from_json((workspace / "split.json").read_text())
+    meta_path = data / plan.fold_train_ids(0)[0] / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["sample_rate"] = 300.0
+    meta_path.write_text(json.dumps(meta))
+    code = run(
+        "train", "--dataset", str(data), "--split", str(workspace / "split.json"),
+        "--kernel-size", "5", "--pool-steps", "2", "--base-width", "4", "--epochs", "1",
+        "--out", str(tmp_path / "train"),
+    )
+    assert code == 2
+    assert "300.0 Hz" in capsys.readouterr().err
+    assert not (tmp_path / "train" / "model.json").exists()
+
+
+def _edit_manifest(stem, edit):
+    path = stem.with_suffix(".json")
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+CHECKPOINT_DAMAGE = {
+    "truncated_json": lambda stem: stem.with_suffix(".json").write_text(
+        stem.with_suffix(".json").read_text()[:200]
+    ),
+    "not_json": lambda stem: stem.with_suffix(".json").write_bytes(b"\x89PNG not a manifest"),
+    "no_model": lambda stem: _edit_manifest(stem, lambda m: m.pop("model")),
+    "no_params": lambda stem: _edit_manifest(stem, lambda m: m.pop("params")),
+    "bad_model": lambda stem: _edit_manifest(stem, lambda m: m["model"].update(input_kind="audio")),
+    "version_1": lambda stem: _edit_manifest(stem, lambda m: (m.pop("model"), m.update(version=1))),
+    "no_bin": lambda stem: stem.with_suffix(".bin").unlink(),
+    "short_bin": lambda stem: stem.with_suffix(".bin").write_bytes(stem.with_suffix(".bin").read_bytes()[:-3]),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(CHECKPOINT_DAMAGE))
+def test_malformed_checkpoint_exits_2(workspace, trained, tmp_path, capsys, damage):
+    stem = _copy_checkpoint(trained, tmp_path / "ckpt")
+    CHECKPOINT_DAMAGE[damage](stem)
+    code = run(
+        "eval", "--dataset", str(workspace / "data" / "passages"), "--checkpoint", str(stem),
+        "--out", str(tmp_path / "eval"),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    if damage == "version_1":
+        assert "retrain" in err

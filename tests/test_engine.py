@@ -174,3 +174,22 @@ def test_checkpoint_topology_mismatch(tmp_path):
     other = build_vader(VaderConfig(HyperParams(InputKind.RAW, 5, 2, 1, base_width=4)))
     with pytest.raises(ShapeMismatch):
         load_checkpoint(tmp_path / "model", other)
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        VaderConfig(HyperParams(InputKind.RAW, 9, 4, 4, base_width=16)),
+        VaderConfig(HyperParams(InputKind.RAW, 9, 2, 4, base_width=16), sample_rate=100.0),
+    ],
+    ids=["pool_size", "sample_rate"],
+)
+def test_checkpoint_architecture_mismatch(tmp_path, other):
+    """A different pool size or sample rate leaves every parameter shape
+    unchanged; the manifest's layers and model record still tell them apart."""
+    net = build_vader(VaderConfig(HyperParams(InputKind.RAW, 9, 2, 4, base_width=16), sample_rate=600.0))
+    save_checkpoint(tmp_path / "model", net, seed=0)
+    target = build_vader(other)
+    assert [p.shape for p in target.params()] == [p.shape for p in net.params()]
+    with pytest.raises(ShapeMismatch):
+        load_checkpoint(tmp_path / "model", target)

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from vader.cwt import spectrogram_stack
-from vader.engine import Conv
+from vader.engine import Conv, read_manifest, save_checkpoint
 from vader.errors import InvalidHyperParams, ShapeMismatch
 from vader.model import (
     VaderConfig,
     build_vader,
     infer,
+    load_vader,
     max_kernel_time_span,
-    model_manifest,
     network_input,
 )
 from vader.planner import HyperParams, InputKind
@@ -119,15 +119,21 @@ def test_network_input_shapes():
         network_input(np.zeros((4, 4, 20)))
 
 
-def test_manifest_contents():
-    cfg = _cfg(k=9, m=2, p=4, base=8)
+def test_checkpoint_manifest_describes_model(tmp_path):
+    cfg = VaderConfig(HyperParams(InputKind.RAW, 9, 2, 4, base_width=8), sample_rate=300.0)
     net = build_vader(cfg)
-    manifest = model_manifest(net, cfg)
-    assert manifest["mrf"] == 144
-    assert manifest["param_count"] == net.param_count()
-    assert manifest["kernel_size"] == 9
+    net.init_params(4)
+    save_checkpoint(tmp_path / "model", net, seed=4)
+    manifest = read_manifest(tmp_path / "model")
+    assert VaderConfig.from_record(manifest["model"]) == cfg
+    assert cfg.mrf == 144
+    assert sum(int(np.prod(p["shape"])) for p in manifest["params"]) == net.param_count()
     kinds = {layer["kind"] for layer in manifest["layers"]}
     assert {"conv", "max_pool", "group_norm", "relu", "sigmoid", "concat", "add", "transposed_conv"} <= kinds
+    loaded, loaded_cfg = load_vader(tmp_path / "model")
+    assert loaded_cfg == cfg
+    for a, b in zip(net.params(), loaded.params()):
+        assert np.array_equal(a.value, b.value)
 
 
 def test_batched_forward_matches_single_on_detector():
