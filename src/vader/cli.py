@@ -13,9 +13,10 @@ data's; ``eval`` and ``detect`` refuse passages recorded at another rate.
 
 Every artifact-writing subcommand echoes its fully resolved configuration
 to ``run.json`` in the output directory, making reruns reproducible and
-byte-identical for a fixed seed. A flat ``key = value`` config file can
-seed any subcommand's options (flags win); ``VADER_SEED`` provides the seed
-when no flag or file sets one.
+byte-identical for a fixed seed. It is written once the inputs are read and
+validated (by ``train`` after training), so a run failing on input leaves
+none. A flat ``key = value`` config file can seed any subcommand's options
+(flags win); ``VADER_SEED`` provides the seed when no flag or file sets one.
 """
 
 from __future__ import annotations
@@ -131,6 +132,10 @@ def _parse_fraction(text: str) -> float:
     return float(text)
 
 
+def _parse_ids(text: str) -> str | int:
+    return text if text == "test" else int(text)
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v)
 
@@ -163,7 +168,6 @@ def _hyper_from_args(args) -> HyperParams:
 
 def _cmd_plan(args) -> int:
     out_dir = Path(args.out)
-    _write_run_json(out_dir, "plan", args)
     entries = plan_grid(
         kernel_sizes=args.kernel_sizes,
         pool_sizes=args.pool_sizes,
@@ -172,6 +176,7 @@ def _cmd_plan(args) -> int:
         f_low_certain=args.fl_certain,
         f_low_useful=args.fl_useful,
     )
+    _write_run_json(out_dir, "plan", args)
     csv_path = out_dir / "plan.csv"
     with csv_path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -208,7 +213,6 @@ def _cmd_synth(args) -> int:
     seed = _resolve_seed(args)
     args.seed = seed
     out_dir = Path(args.out)
-    _write_run_json(out_dir, "synth", args)
     cfg = DatasetConfig(
         speed_range=args.speed_range,
         spacing_range=args.spacing_range,
@@ -223,6 +227,7 @@ def _cmd_synth(args) -> int:
     dataset = generate_dataset(
         args.n, args.distribution, out_dir / "passages", seed=seed, config=cfg
     )
+    _write_run_json(out_dir, "synth", args)
     hist = dataset.axle_count_histogram()
     print(f"wrote {len(dataset)} passages under {out_dir / 'passages'}")
     print("axle-count histogram: " + ", ".join(f"{k}: {v}" for k, v in hist.items()))
@@ -256,9 +261,9 @@ def _cmd_split(args) -> int:
 
 def _cmd_transform(args) -> int:
     out_dir = Path(args.out)
-    _write_run_json(out_dir, "transform", args)
     dataset = load_dataset(args.dataset)
     passages = [dataset.by_id(args.passage)] if args.passage else list(dataset)
+    _write_run_json(out_dir, "transform", args)
     n_written = 0
     for passage in passages:
         for ch in passage.channels:
@@ -285,7 +290,6 @@ def _cmd_train(args) -> int:
     seed = _resolve_seed(args)
     args.seed = seed
     out_dir = Path(args.out)
-    _write_run_json(out_dir, "train", args)
     dataset = load_dataset(args.dataset)
     plan = SplitPlan.from_json(Path(args.split).read_text(encoding="utf-8"))
     fold_ids = plan.fold_train_ids(args.fold) + plan.fold_val_ids(args.fold)
@@ -305,6 +309,7 @@ def _cmd_train(args) -> int:
     )
     save_checkpoint(out_dir / "model", network, store, seed=seed)
     (out_dir / "history.csv").write_text(history.to_csv(), encoding="utf-8")
+    _write_run_json(out_dir, "train", args)
     best = history.best_epoch
     print(
         f"trained {len(history.train_loss)} epochs; best epoch {best} "
@@ -337,12 +342,11 @@ def _evaluate_passage(network, cfg, passage, peak_cfg):
 
 def _cmd_eval(args) -> int:
     out_dir = Path(args.out)
-    _write_run_json(out_dir, "eval", args)
     dataset = load_dataset(args.dataset)
     network, cfg = load_vader(args.checkpoint)
     if args.split:
         plan = SplitPlan.from_json(Path(args.split).read_text(encoding="utf-8"))
-        ids = plan.test_ids if args.ids == "test" else plan.fold_val_ids(int(args.ids))
+        ids = plan.test_ids if args.ids == "test" else plan.fold_val_ids(args.ids)
     else:
         ids = [p.passage_id for p in dataset]
     passages = [dataset.by_id(pid) for pid in sorted(ids)]
@@ -361,6 +365,7 @@ def _cmd_eval(args) -> int:
         for sensor_id, at_200, at_37 in rows:
             acc.add(sensor_id, at_200, at_37)
     report = acc.report()
+    _write_run_json(out_dir, "eval", args)
     (out_dir / "metrics.json").write_text(
         json.dumps(report.to_dict(), indent=1, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -456,7 +461,6 @@ def _cmd_bench(args) -> int:
     seed = _resolve_seed(args)
     args.seed = seed
     out_dir = Path(args.out)
-    _write_run_json(out_dir, "bench", args)
     rng = np.random.Generator(np.random.PCG64(seed))
     signal = rng.normal(size=args.n_samples).astype(np.float32)
 
@@ -492,6 +496,7 @@ def _cmd_bench(args) -> int:
         "spectrogram_input_bytes": stack_bytes,
         "memory_ratio": stack_bytes / raw_bytes,
     }
+    _write_run_json(out_dir, "bench", args)
     (out_dir / "bench.json").write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     print(
         f"raw {raw_time*1e3:.1f} ms vs transform+spectrogram {spec_time*1e3:.1f} ms "
@@ -580,7 +585,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--checkpoint", required=True, help="checkpoint stem (without .bin/.json)")
     p.add_argument("--split", default=None)
-    p.add_argument("--ids", default="test", help="'test' or a fold index (with --split)")
+    p.add_argument("--ids", type=_parse_ids, default="test", help="'test' or a fold index (with --split)")
     p.add_argument("--min-confidence", type=float, default=0.25)
     p.add_argument("--min-distance", type=int, default=20)
     p.add_argument("--workers", type=int, default=1)

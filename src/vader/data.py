@@ -22,6 +22,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from .errors import (
     OutOfRangeCrossing,
     ParseError,
     SampleRateMismatch,
+    UnknownId,
     ValidationError,
 )
 
@@ -108,10 +110,10 @@ def build_label_vector(crossings, sample_rate: float, n_samples: int) -> np.ndar
 
 
 def label_indices(passage: Passage, sensor_id: str) -> np.ndarray:
-    """Sorted label sample indices for one sensor of a passage."""
+    """Sorted label sample indices of one sensor: the ones of its label vector."""
     ch = passage.channel(sensor_id)
-    idx = [crossing_index(a.crossing_time, ch.sample_rate) for a in passage.axles[sensor_id]]
-    return np.sort(np.asarray(idx, dtype=int))
+    times = [a.crossing_time for a in passage.axles[sensor_id]]
+    return np.flatnonzero(build_label_vector(times, ch.sample_rate, ch.n_samples))
 
 
 def shared_sample_rate(passages, expected: float | None = None) -> float | None:
@@ -193,11 +195,14 @@ class Dataset:
     def __iter__(self):
         return iter(self.passages)
 
+    @cached_property
+    def _by_id(self) -> dict[str, Passage]:
+        return {p.passage_id: p for p in reversed(self.passages)}  # the first of equal ids wins
+
     def by_id(self, passage_id: str) -> Passage:
-        for p in self.passages:
-            if p.passage_id == passage_id:
-                return p
-        raise KeyError(passage_id)
+        if passage_id not in self._by_id:
+            raise UnknownId(f"no passage {passage_id!r} in {self.root}")
+        return self._by_id[passage_id]
 
     def axle_count_index(self) -> dict[str, int]:
         """passage_id -> axle count, the only view splitting needs."""

@@ -11,33 +11,23 @@ to summation rounding (ulp level; only reduction trees differ).
 Layers are stateless between calls: ``forward`` returns an opaque cache that
 ``backward`` consumes, so inference (``want_cache=False``) is reentrant and
 training owns its parameters exclusively.
+
+Both convolutions run one tap loop (kn2row). The padded input is copied once
+into a channel-major plane of ``N * rows`` padded frequency rows of ``R``
+padded time steps, plus ``kt`` slack columns. Kernel tap ``(i, j)`` is then
+one matrix product on the contiguous columns ``x[:, a:a+L]``: forward adds
+``W_ij @ x[:, a:a+L]`` to output columns ``b, b+s, ...``; backward adds
+``W_ij.T @ dy`` to ``dx[:, a:a+L]`` and sets ``dW_ij = dy @ x[:, a:a+L].T``.
+``Conv`` has ``s = 1`` and the time tap in ``a``; ``TransposedConvTime`` has
+``s = stride``, the time tap in ``b`` and output rows ``s * R`` long, so no
+zero-stuffed copy is made.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import MissingForwardCache, ShapeMismatch
-
-__all__ = [
-    "Param",
-    "Layer",
-    "Conv",
-    "TransposedConvTime",
-    "MaxPool",
-    "GroupNorm",
-    "ReLU",
-    "Sigmoid",
-    "Concat",
-    "Add",
-    "ReduceMaxFreq",
-    "TileFreq",
-    "Network",
-    "zero_invalid",
-    "pad_time_to_multiple",
-    "groupnorm_groups",
-]
 
 #: Sigmoid outputs are clipped into this open interval so the probability
 #: contract stays strict even where float arithmetic would saturate.
@@ -86,25 +76,6 @@ def groupnorm_groups(channels: int) -> int:
     return g
 
 
-def _conv_core(x, weight, pf_lo, pf_hi, pt_lo, pt_hi):
-    """Stride-1 2D correlation of (N,C,F,T) with (Cout,Cin,KF,KT) weights."""
-    c_out, c_in, kf, kt = weight.shape
-    if x.shape[1] != c_in:
-        raise ShapeMismatch(f"input has {x.shape[1]} channels, kernel expects {c_in}")
-    xp = np.pad(x, ((0, 0), (0, 0), (pf_lo, pf_hi), (pt_lo, pt_hi)))
-    N, _, Fp, Tp = xp.shape
-    if Fp < kf or Tp < kt:
-        raise ShapeMismatch(f"padded input {Fp}x{Tp} smaller than kernel {kf}x{kt}")
-    fo, to = Fp - kf + 1, Tp - kt + 1
-    if kf == 1 and kt == 1:
-        cols = xp.transpose(0, 2, 3, 1).reshape(N * fo * to, c_in)
-    else:
-        win = sliding_window_view(xp, (kf, kt), axis=(2, 3))
-        cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(N * fo * to, c_in * kf * kt)
-    y = cols @ weight.reshape(c_out, -1).T
-    return y.reshape(N, fo, to, c_out).transpose(0, 3, 1, 2), cols
-
-
 class Layer:
     kind = "layer"
 
@@ -125,6 +96,12 @@ def _require(cache):
     if cache is None:
         raise MissingForwardCache("backward() needs a forward() pass with want_cache=True")
     return cache
+
+
+def _window(plane, n, rows, width, win):
+    """The ``(C, N, F, T)`` block ``win`` of a ``(C, columns)`` plane whose
+    columns hold ``n * rows`` rows of ``width``."""
+    return plane[:, : n * rows * width].reshape(len(plane), n, rows, width)[(..., *win)]
 
 
 class Conv(Layer):
@@ -162,38 +139,67 @@ class Conv(Layer):
             "freq_padding": self.freq_padding,
         }
 
-    def _pads(self):
+    def _time_layout(self):
+        """Zeros before and after each input row; output start in its row."""
         pt = (self.kt - 1) // 2
-        if self.freq_padding == "same":
-            return (self.kf - 1) // 2, self.kf // 2, pt, pt
-        return 0, 0, pt, pt
+        return pt, pt, 0
+
+    def _offsets(self, i, j, width):
+        """Input and output plane offsets ``(a, b)`` of tap ``(i, j)``."""
+        return i * width + j, 0
+
+    def _layout(self, shape):
+        """``(N, rows, width)`` of the planes for an input of ``shape``, and
+        the input's and the output's ``(freq, time)`` window in their rows."""
+        N, C, F, T = shape
+        if C != self.c_in:
+            raise ShapeMismatch(f"input has {C} channels, kernel expects {self.c_in}")
+        f0, f1 = ((self.kf - 1) // 2, self.kf // 2) if self.freq_padding == "same" else (0, 0)
+        (lo, hi, start), rows = self._time_layout(), F + f0 + f1
+        if rows < self.kf:
+            raise ShapeMismatch(f"{rows} padded frequency rows, kernel spans {self.kf}")
+        x_win = (slice(f0, f0 + F), slice(lo, lo + T))
+        y_win = (slice(0, rows - self.kf + 1), slice(start, start + self.stride * T))
+        return N, rows, T + lo + hi, x_win, y_win
+
+    def _taps(self, n, rows, width):
+        """The one tap loop: tap ``(i, j)`` reads input plane columns ``a + k``
+        and writes output plane columns ``b + stride*k``, ``k < L``, which
+        output phase ``b % stride`` holds contiguously."""
+        L = (n * rows - self.kf + 1) * width
+        for i in range(self.kf):
+            for j in range(self.kt):
+                a, b = self._offsets(i, j, width)
+                yield i, j, slice(a, a + L), b % self.stride, slice(b // self.stride, b // self.stride + L)
 
     def forward(self, xs, valids, want_cache):
         (x,) = xs
-        pf_lo, pf_hi, pt_lo, pt_hi = self._pads()
-        y, _ = _conv_core(x, self.weight.value, pf_lo, pf_hi, pt_lo, pt_hi)
-        y += self.bias.value[None, :, None, None]
-        cache = x if want_cache else None
-        return y, valids[0], cache
+        lay = N, rows, width, x_win, y_win = self._layout(x.shape)
+        s, size = self.stride, N * rows * width + self.kt  # kt slack columns for the last taps
+        xp = np.zeros((self.c_in, size), dtype=x.dtype)
+        _window(xp, N, rows, width, x_win)[...] = x.transpose(1, 0, 2, 3)
+        w = np.ascontiguousarray(self.weight.value.transpose(2, 3, 0, 1))
+        y = np.zeros((s, self.c_out, size), dtype=x.dtype)
+        for i, j, cols, phase, out in self._taps(N, rows, width):
+            y[phase, :, out] += w[i, j] @ xp[:, cols]
+        y = _window(y.transpose(1, 2, 0).reshape(self.c_out, -1), N, rows, s * width, y_win)
+        y = np.add(y.transpose(1, 0, 2, 3), self.bias.value[:, None, None], order="C")
+        return y, valids[0] * s, (xp, lay) if want_cache else None
 
     def backward(self, cache, dy):
-        x = _require(cache)
-        pf_lo, pf_hi, pt_lo, pt_hi = self._pads()
-        xp = np.pad(x, ((0, 0), (0, 0), (pf_lo, pf_hi), (pt_lo, pt_hi)))
-        N, _, Fp, Tp = xp.shape
-        kf, kt = self.kf, self.kt
-        fo, to = Fp - kf + 1, Tp - kt + 1
-        if kf == 1 and kt == 1:
-            cols = xp.transpose(0, 2, 3, 1).reshape(N * fo * to, self.c_in)
-        else:
-            win = sliding_window_view(xp, (kf, kt), axis=(2, 3))
-            cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(N * fo * to, self.c_in * kf * kt)
-        dy_mat = dy.transpose(0, 2, 3, 1).reshape(-1, self.c_out)
-        self.weight.grad += (dy_mat.T @ cols).reshape(self.weight.shape)
+        xp, (N, rows, width, x_win, y_win) = _require(cache)
+        s, size = self.stride, xp.shape[1]
+        dyp = np.zeros((self.c_out, s * size), dtype=dy.dtype)
+        _window(dyp, N, rows, s * width, y_win)[...] = dy.transpose(1, 0, 2, 3)
+        dyp = np.ascontiguousarray(dyp.reshape(self.c_out, size, s).transpose(2, 0, 1))
+        w = np.ascontiguousarray(self.weight.value.transpose(2, 3, 0, 1))
+        dw, dxp = np.empty_like(w), np.zeros_like(xp)
+        for i, j, cols, phase, out in self._taps(N, rows, width):
+            np.matmul(dyp[phase, :, out], xp[:, cols].T, out=dw[i, j])
+            dxp[:, cols] += w[i, j].T @ dyp[phase, :, out]
+        self.weight.grad += dw.transpose(2, 3, 0, 1)
         self.bias.grad += dy.sum(axis=(0, 2, 3))
-        w_flip = np.ascontiguousarray(self.weight.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-        dx, _ = _conv_core(dy, w_flip, kf - 1 - pf_lo, kf - 1 - pf_hi, kt - 1 - pt_lo, kt - 1 - pt_hi)
-        return [dx]
+        return [np.ascontiguousarray(_window(dxp, N, rows, width, x_win).transpose(1, 0, 2, 3))]
 
 
 class TransposedConvTime(Conv):
@@ -208,29 +214,23 @@ class TransposedConvTime(Conv):
             raise ValueError(f"stride must be >= 2, got {stride}")
         self.stride = stride
         super().__init__(c_in, c_out, kf, kt, name=name, dtype=dtype)
+        # Tap j takes input column c to output column stride*c + crop - j, as
+        # correlating the zero-stuffed input padded by `crop` would; output
+        # rows start `top - crop` early, so every offset b = top - j >= 0.
+        self._crop = (kt + stride - 2) // 2
+        self._top = max(self._crop, kt - 1)
 
     def config(self):
         return {**super().config(), "stride": self.stride}
 
-    def _pads(self):
-        pf_lo, pf_hi = (self.kf - 1) // 2, self.kf // 2
-        total_t = self.kt + self.stride - 2
-        pt_lo = total_t // 2
-        return pf_lo, pf_hi, pt_lo, total_t - pt_lo
+    def _time_layout(self):
+        # The last inputs of a row may spill into the next output row, but
+        # only into its first `start` columns, which precede the output.
+        start = self._top - self._crop
+        return 0, -(-start // self.stride), start
 
-    def _stuff(self, x):
-        N, C, F, T = x.shape
-        stuffed = np.zeros((N, C, F, (T - 1) * self.stride + 1), dtype=x.dtype)
-        stuffed[..., :: self.stride] = x
-        return stuffed
-
-    def forward(self, xs, valids, want_cache):
-        y, _, cache = super().forward([self._stuff(xs[0])], valids, want_cache)
-        return y, valids[0] * self.stride, cache
-
-    def backward(self, cache, dy):
-        (dstuffed,) = super().backward(cache, dy)
-        return [dstuffed[..., :: self.stride]]
+    def _offsets(self, i, j, width):
+        return i * width, self._top - j
 
 
 class MaxPool(Layer):
@@ -527,7 +527,7 @@ class Network:
         out = acts[len(self.nodes) - 1]
         if not want_cache:
             return out
-        return out, _Context(acts, valids, caches)
+        return out, _Context(valids, caches)
 
     def backward(self, ctx, dy: np.ndarray) -> np.ndarray:
         """Accumulate parameter gradients; returns the input gradient."""
@@ -555,9 +555,8 @@ class Network:
 
 
 class _Context:
-    __slots__ = ("acts", "valids", "caches")
+    __slots__ = ("valids", "caches")
 
-    def __init__(self, acts, valids, caches):
-        self.acts = acts
+    def __init__(self, valids, caches):
         self.valids = valids
         self.caches = caches

@@ -33,7 +33,11 @@ class ParseError(DataError):
 
 
 class ValidationError(DataError):
-    """A loaded passage violates a structural invariant."""
+    """A loaded passage or split plan violates a structural invariant."""
+
+
+class UnknownId(DataError):
+    """A passage id or fold index names nothing in the dataset or split plan."""
 
 
 class SampleRateMismatch(DataError):

@@ -10,7 +10,7 @@ The standard thresholds are 200 cm (minimum assumed axle separation) and
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -210,6 +210,19 @@ class SensorTally:
         self.fn_37 += at_37.fn
         self.errors_cm.extend(p.error_cm for p in at_200.pairs)
 
+    def summary(self) -> dict:
+        """Counts at 200 cm, F1 at 200 cm and 37 cm, mean spatial error, MSA."""
+        ds = float(np.mean(self.errors_cm)) if self.errors_cm else 0.0
+        return {
+            "tp": self.tp_200,
+            "fp": self.fp_200,
+            "fn": self.fn_200,
+            "f1_200": f1(self.tp_200, self.fp_200, self.fn_200),
+            "f1_37": f1(self.tp_37, self.fp_37, self.fn_37),
+            "mean_spatial_error_cm": ds,
+            "msa": msa(ds),
+        }
+
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -222,13 +235,7 @@ class MetricsReport:
     per_sensor: dict[str, dict]
 
     def to_dict(self) -> dict:
-        return {
-            "f1_200": self.f1_200,
-            "f1_37": self.f1_37,
-            "mean_spatial_error_cm": self.mean_spatial_error_cm,
-            "msa": self.msa,
-            "per_sensor": self.per_sensor,
-        }
+        return asdict(self)
 
 
 class MetricsAccumulator:
@@ -236,37 +243,18 @@ class MetricsAccumulator:
 
     def __init__(self):
         self._sensors: dict[str, SensorTally] = {}
+        self._total = SensorTally()
 
     def add(self, sensor_id: str, at_200: MatchResult, at_37: MatchResult) -> None:
         self._sensors.setdefault(sensor_id, SensorTally()).add(at_200, at_37)
+        self._total.add(at_200, at_37)
 
     def report(self) -> MetricsReport:
-        tot = SensorTally()
-        per_sensor = {}
-        for sensor_id in sorted(self._sensors):
-            t = self._sensors[sensor_id]
-            tot.tp_200 += t.tp_200
-            tot.fp_200 += t.fp_200
-            tot.fn_200 += t.fn_200
-            tot.tp_37 += t.tp_37
-            tot.fp_37 += t.fp_37
-            tot.fn_37 += t.fn_37
-            tot.errors_cm.extend(t.errors_cm)
-            ds = float(np.mean(t.errors_cm)) if t.errors_cm else 0.0
-            per_sensor[sensor_id] = {
-                "tp": t.tp_200,
-                "fp": t.fp_200,
-                "fn": t.fn_200,
-                "f1_200": f1(t.tp_200, t.fp_200, t.fn_200),
-                "f1_37": f1(t.tp_37, t.fp_37, t.fn_37),
-                "mean_spatial_error_cm": ds,
-                "msa": msa(ds),
-            }
-        ds_all = float(np.mean(tot.errors_cm)) if tot.errors_cm else 0.0
+        tot = self._total.summary()
         return MetricsReport(
-            f1_200=f1(tot.tp_200, tot.fp_200, tot.fn_200),
-            f1_37=f1(tot.tp_37, tot.fp_37, tot.fn_37),
-            mean_spatial_error_cm=ds_all,
-            msa=msa(ds_all),
-            per_sensor=per_sensor,
+            f1_200=tot["f1_200"],
+            f1_37=tot["f1_37"],
+            mean_spatial_error_cm=tot["mean_spatial_error_cm"],
+            msa=tot["msa"],
+            per_sensor={sid: self._sensors[sid].summary() for sid in sorted(self._sensors)},
         )

@@ -73,18 +73,6 @@ class HyperParams:
 
 
 @dataclass(frozen=True)
-class ObjectSizeSpec:
-    """Largest object of interest expressed in samples."""
-
-    sample_rate: float
-    lowest_frequency: float
-
-    @property
-    def size(self) -> int:
-        return object_size(self.sample_rate, self.lowest_frequency)
-
-
-@dataclass(frozen=True)
 class PlanEntry:
     hyper: HyperParams
     mrf: int

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDataset, SingleClassDataset, TieForModalCount
+from .errors import EmptyDataset, SingleClassDataset, TieForModalCount, UnknownId, ValidationError
 
 N_FOLDS = 5
 #: Default holdout fraction for the stratified scenario.
@@ -44,15 +44,20 @@ class SplitPlan:
     folds: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
-        assert len(self.folds) == N_FOLDS
+        if len(self.folds) != N_FOLDS:
+            raise ValidationError(f"split plan has {len(self.folds)} folds, expected {N_FOLDS}")
         pools = [set(f) for f in self.folds] + [set(self.test_ids)]
         total = sum(len(s) for s in pools)
-        assert len(set().union(*pools)) == total, "overlapping split members"
+        if len(set().union(*pools)) != total:
+            raise ValidationError("split plan puts a passage in more than one fold or test set")
 
     def fold_val_ids(self, fold: int) -> tuple[str, ...]:
+        if not 0 <= fold < N_FOLDS:
+            raise UnknownId(f"fold {fold} outside 0..{N_FOLDS - 1}")
         return self.folds[fold]
 
     def fold_train_ids(self, fold: int) -> tuple[str, ...]:
+        self.fold_val_ids(fold)  # range check
         ids: list[str] = []
         for i, f in enumerate(self.folds):
             if i != fold:
@@ -76,13 +81,17 @@ class SplitPlan:
 
     @staticmethod
     def from_json(text: str) -> "SplitPlan":
-        payload = json.loads(text)
-        return SplitPlan(
-            scenario=Scenario(payload["scenario"]),
-            seed=int(payload["seed"]),
-            test_ids=tuple(payload["test"]),
-            folds=tuple(tuple(f) for f in payload["folds"]),
-        )
+        """Parse :meth:`to_json` output; anything else raises ValidationError."""
+        try:
+            payload = json.loads(text)
+            return SplitPlan(
+                scenario=Scenario(payload["scenario"]),
+                seed=int(payload["seed"]),
+                test_ids=tuple(payload["test"]),
+                folds=tuple(tuple(f) for f in payload["folds"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise ValidationError(f"not a split plan: {exc!r}") from None
 
 
 def _axle_index(dataset) -> dict[str, int]:

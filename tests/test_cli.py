@@ -273,6 +273,45 @@ def test_train_refuses_mixed_sample_rates(workspace, tmp_path, capsys):
     assert code == 2
     assert "300.0 Hz" in capsys.readouterr().err
     assert not (tmp_path / "train" / "model.json").exists()
+    assert not (tmp_path / "train" / "run.json").exists()
+
+
+def test_fold_out_of_range_exits_2_without_run_json(workspace, trained, tmp_path, capsys):
+    out = tmp_path / "train"
+    assert _train(workspace, out, fold=7) == 2
+    assert "fold 7" in capsys.readouterr().err
+    assert not (out / "run.json").exists()
+    code = run(
+        "eval", "--dataset", str(workspace / "data" / "passages"), "--checkpoint", str(trained / "model"),
+        "--split", str(workspace / "split.json"), "--ids", "9", "--out", str(tmp_path / "eval"),
+    )
+    assert code == 2
+    assert "fold 9" in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "run.json").exists()
+    code = run(
+        "eval", "--dataset", str(workspace / "data" / "passages"), "--checkpoint", str(trained / "model"),
+        "--split", str(workspace / "split.json"), "--ids", "nine", "--out", str(tmp_path / "eval"),
+    )
+    assert code == 1
+
+
+def test_malformed_split_exits_2(workspace, tmp_path):
+    split = tmp_path / "split.json"
+    split.write_text('{"scenario": "stratified"}')
+    assert run(
+        "train", "--dataset", str(workspace / "data" / "passages"), "--split", str(split),
+        "--out", str(tmp_path / "train"),
+    ) == 2
+    assert not (tmp_path / "train" / "run.json").exists()
+
+
+def test_unknown_passage_exits_2(workspace, trained, tmp_path, capsys):
+    code = run(
+        "detect", "--dataset", str(workspace / "data" / "passages"), "--checkpoint", str(trained / "model"),
+        "--passage", "nope", "--out", str(tmp_path / "d.csv"),
+    )
+    assert code == 2
+    assert "'nope'" in capsys.readouterr().err
 
 
 def _edit_manifest(stem, edit):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from vader.data import (
     AxleRecord,
+    Dataset,
     Passage,
     SensorChannel,
     build_label_vector,
@@ -23,6 +24,7 @@ from vader.errors import (
     DuplicateSampleIndex,
     OutOfRangeCrossing,
     ParseError,
+    UnknownId,
     ValidationError,
 )
 
@@ -128,6 +130,21 @@ def test_label_indices_sorted(tiny_passage):
     idx = label_indices(tiny_passage, "s0")
     assert list(idx) == sorted(idx)
     assert idx.size == tiny_passage.axle_count
+
+
+def test_label_indices_clamp_last_half_sample():
+    # 0.96 s at 10 Hz rounds to sample 10 of a 10-sample series
+    ch = SensorChannel("s0", np.zeros(10), 10.0)
+    p = Passage("p", (ch,), {"s0": (AxleRecord(0.3, 0.05), AxleRecord(0.96, 0.05))}, axle_count=2)
+    assert list(label_indices(p, "s0")) == [3, 9]
+    assert list(np.flatnonzero(build_label_vector([0.3, 0.96], 10.0, 10))) == [3, 9]
+
+
+def test_dataset_by_id(tiny_passage):
+    ds = Dataset(root="mem", passages=(tiny_passage,))
+    assert ds.by_id("tiny") is tiny_passage
+    with pytest.raises(UnknownId):
+        ds.by_id("nope")
 
 
 def test_empty_dataset_dir(tmp_path):

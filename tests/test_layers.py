@@ -216,3 +216,89 @@ def test_network_valid_propagation_batch_equals_single():
     assert np.allclose(yb[0, :, :, :18], ya[0], rtol=0, atol=1e-12)
     yb_single = net.forward(b.reshape(1, 1, 1, -1))
     assert np.allclose(yb[1], yb_single[0], rtol=0, atol=1e-12)
+
+
+# -------------------------------------------------- plain-loop reference
+
+
+def _ref_correlate(xp, w):
+    """Direct sum over taps: y[n, o, f, t] = sum w[o, c, i, j] xp[n, c, f+i, t+j]."""
+    _, _, kf, kt = w.shape
+    fo, to = xp.shape[2] - kf + 1, xp.shape[3] - kt + 1
+    y = np.zeros((xp.shape[0], w.shape[0], fo, to))
+    for i in range(kf):
+        for j in range(kt):
+            y += np.einsum("oc,ncft->noft", w[:, :, i, j], xp[:, :, i : i + fo, j : j + to])
+    return y
+
+
+def _ref_correlate_grads(xp, w, dy):
+    """Weight and padded-input gradients of :func:`_ref_correlate`."""
+    _, _, kf, kt = w.shape
+    fo, to = dy.shape[2:]
+    dw = np.zeros_like(w)
+    dxp = np.zeros_like(xp)
+    for i in range(kf):
+        for j in range(kt):
+            dw[:, :, i, j] = np.einsum("noft,ncft->oc", dy, xp[:, :, i : i + fo, j : j + to])
+            dxp[:, :, i : i + fo, j : j + to] += np.einsum("oc,noft->ncft", w[:, :, i, j], dy)
+    return dw, dxp
+
+
+def _reference(layer, x, dy):
+    """Output and (dx, dW, db) of ``layer`` by padding, explicit zero-stuffing
+    for the transposed case, and :func:`_ref_correlate`."""
+    kf, kt, s = layer.kf, layer.kt, layer.stride
+    pf = ((kf - 1) // 2, kf // 2) if layer.freq_padding == "same" else (0, 0)
+    if s == 1:
+        pt = ((kt - 1) // 2,) * 2
+        stuffed = x
+    else:
+        total = kt + s - 2
+        pt = (total // 2, total - total // 2)
+        stuffed = np.zeros(x.shape[:3] + ((x.shape[3] - 1) * s + 1,))
+        stuffed[..., ::s] = x
+    xp = np.pad(stuffed, ((0, 0), (0, 0), pf, pt))
+    w = layer.weight.value
+    y = _ref_correlate(xp, w) + layer.bias.value[None, :, None, None]
+    dw, dxp = _ref_correlate_grads(xp, w, dy)
+    dstuffed = dxp[:, :, pf[0] : xp.shape[2] - pf[1], pt[0] : xp.shape[3] - pt[1]]
+    return y, dstuffed[..., ::s], dw, dy.sum(axis=(0, 2, 3))
+
+
+REFERENCE_CASES = {
+    "conv_k1": lambda: Conv(3, 4, 1, 1, name="c", dtype=np.float64),
+    "conv_k3": lambda: Conv(3, 4, 1, 3, name="c", dtype=np.float64),
+    "conv_k9": lambda: Conv(2, 5, 1, 9, name="c", dtype=np.float64),
+    "conv_f3_same": lambda: Conv(2, 3, 3, 5, "same", name="c", dtype=np.float64),
+    "conv_f4_same": lambda: Conv(2, 3, 4, 3, "same", name="c", dtype=np.float64),
+    "conv_f3_valid": lambda: Conv(2, 3, 3, 3, "valid", name="c", dtype=np.float64),
+    "conv_f5_valid_head": lambda: Conv(3, 1, 5, 1, "valid", name="c", dtype=np.float64),
+    **{
+        f"tconv_s{s}_k{kt}_f{kf}": (
+            lambda s=s, kt=kt, kf=kf: TransposedConvTime(3, 2, kf, kt, stride=s, name="t", dtype=np.float64)
+        )
+        for s in (2, 3, 4)
+        for kt in (1, 2, 3, 4, 5, 9)
+        for kf in (1, 3)
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_conv_matches_plain_loop_reference(case):
+    layer = REFERENCE_CASES[case]()
+    rng = np.random.default_rng(7)
+    layer.init(rng)
+    layer.bias.value[...] = rng.normal(size=layer.c_out)
+    F = 5 if layer.kf > 1 else 1
+    valid = np.array([13, 9, 4])
+    x = zero_invalid(rng.normal(size=(3, layer.c_in, F, 13)), valid)
+    y, out_valid, cache = layer.forward([x], [valid], want_cache=True)
+    assert np.array_equal(out_valid, valid * layer.stride)
+    dy = zero_invalid(rng.normal(size=y.shape), out_valid)
+    (dx,) = layer.backward(cache, dy)
+    ref_y, ref_dx, ref_dw, ref_db = _reference(layer, x, dy)
+    for got, want in ((y, ref_y), (dx, ref_dx), (layer.weight.grad, ref_dw), (layer.bias.grad, ref_db)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-10

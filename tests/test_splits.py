@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from vader.errors import EmptyDataset, SingleClassDataset, TieForModalCount
+from vader.errors import (
+    DataError,
+    EmptyDataset,
+    SingleClassDataset,
+    TieForModalCount,
+    UnknownId,
+    ValidationError,
+)
 from vader.splits import (
+    N_FOLDS,
     Scenario,
     SplitPlan,
     dgps_split,
@@ -139,3 +147,36 @@ def test_fold_train_val_disjoint():
 def test_split_works_on_dataset_object(small_dataset):
     plan = stratified_split(small_dataset, 1 / 6, seed=0)
     assert len(plan.all_ids()) == len(small_dataset)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "not json",
+        "[1, 2]",
+        '{"scenario": "stratified", "seed": 0, "test": []}',
+        '{"scenario": "random", "seed": 0, "test": [], "folds": [[], [], [], [], []]}',
+        '{"scenario": "stratified", "seed": 0, "test": [], "folds": [[], [], []]}',
+        '{"scenario": "stratified", "seed": 0, "test": ["a"], "folds": [["a"], [], [], [], []]}',
+        '{"scenario": "stratified", "seed": 0, "test": [], "folds": 7}',
+    ],
+    ids=["not_json", "not_object", "no_folds", "bad_scenario", "three_folds", "overlap", "folds_int"],
+)
+def test_split_plan_from_json_rejects_malformed(text):
+    with pytest.raises(ValidationError):
+        SplitPlan.from_json(text)
+
+
+def test_split_plan_checks_without_assert():
+    # raised explicitly, so the check survives python -O
+    with pytest.raises(ValidationError):
+        SplitPlan(Scenario.STRATIFIED, 0, (), ((),) * (N_FOLDS - 1))
+
+
+@pytest.mark.parametrize("fold", [-1, N_FOLDS, 7])
+def test_fold_outside_range_is_typed(fold):
+    plan = stratified_split(_index({4: 30, 8: 30}), 1 / 6, seed=0)
+    for method in (plan.fold_val_ids, plan.fold_train_ids):
+        with pytest.raises(UnknownId) as info:
+            method(fold)
+        assert isinstance(info.value, DataError)
