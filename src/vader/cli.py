@@ -6,10 +6,13 @@ Subcommands: ``plan`` (hyperparameter grid), ``synth`` (dataset generation),
 axle times), ``bench`` (raw vs spectrogram cost). Exit codes: 0 success,
 1 usage error, 2 data/validation error.
 
-``train`` writes ``run.json``, ``history.csv`` and the checkpoint
-``model.json`` + ``model.bin``, which alone describes the detector: ``eval``
-and ``detect`` take only its stem. The model's sample rate is the training
-data's; ``eval`` and ``detect`` refuse passages recorded at another rate.
+``train`` writes ``run.json``, ``history.csv`` and the weights-only
+checkpoint ``model.json`` + ``model.bin``, which alone describes the
+detector: ``eval`` and ``detect`` take only its stem. The model's sample
+rate is the training data's; ``eval`` and ``detect`` refuse passages
+recorded at another rate. Both run each sensor through ``model.infer``;
+``eval`` scores it with ``metrics.score_series``, as training validation
+does.
 
 Every artifact-writing subcommand echoes its fully resolved configuration
 to ``run.json`` in the output directory, making reruns reproducible and
@@ -27,7 +30,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -37,14 +39,7 @@ from .cwt import spectrogram_stack, write_stack
 from .data import label_indices, load_dataset, shared_sample_rate
 from .engine import save_checkpoint
 from .errors import DataError, VaderError
-from .metrics import (
-    LABEL_ERROR_THRESHOLD_CM,
-    SPATIAL_THRESHOLD_CM,
-    MetricsAccumulator,
-    PeakConfig,
-    match_axles,
-    pick_peaks,
-)
+from .metrics import MetricsAccumulator, PeakConfig, pick_peaks, score_series
 from .model import VaderConfig, build_vader, infer, load_vader
 from .planner import (
     DEFAULT_KERNEL_SIZES,
@@ -96,12 +91,24 @@ def _apply_config_defaults(parser, args, file_values: dict[str, str], argv) -> N
             continue
         action = known[key]
         if action.type is not None:
-            value = action.type(raw)
+            try:
+                value = action.type(raw)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise UsageError(f"{key} = {raw!r}: {exc}") from None
         elif isinstance(action, argparse._StoreTrueAction):
             value = raw.lower() in ("1", "true", "yes", "on")
         else:
             value = raw
         setattr(args, key, value)
+
+
+def _checked(make, *args, **kwargs):
+    """``make(*args, **kwargs)``, whose ValueError on an out-of-range option
+    value is a usage error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _resolve_seed(args) -> int:
@@ -126,10 +133,15 @@ def _write_run_json(out_dir: Path, command: str, args) -> None:
 
 
 def _parse_fraction(text: str) -> float:
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return float(num) / float(den)
-    return float(text)
+    """'1/6' or '0.2', strictly between 0 and 1."""
+    num, _, den = text.partition("/")
+    try:
+        value = float(num) / float(den or 1)
+    except (ValueError, ZeroDivisionError):
+        value = float("nan")
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"expected a fraction strictly between 0 and 1, got {text!r}")
+    return value
 
 
 def _parse_ids(text: str) -> str | int:
@@ -138,6 +150,19 @@ def _parse_ids(text: str) -> str | int:
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v)
+
+
+def _parse_float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _parse_positions(text: str) -> dict[str, float]:
+    """'s0=4.1,s1=12.3' -> {sensor id: position in m}."""
+    out = {}
+    for part in filter(None, text.split(",")):
+        sensor_id, pos = part.split("=")
+        out[sensor_id.strip()] = float(pos)
+    return out
 
 
 def _parse_distribution(text: str) -> dict[int, float]:
@@ -154,7 +179,8 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def _hyper_from_args(args) -> HyperParams:
-    return HyperParams(
+    return _checked(
+        HyperParams,
         input_kind=InputKind(args.input_kind),
         kernel_size=args.kernel_size,
         pool_size=args.pool_size,
@@ -168,7 +194,8 @@ def _hyper_from_args(args) -> HyperParams:
 
 def _cmd_plan(args) -> int:
     out_dir = Path(args.out)
-    entries = plan_grid(
+    entries = _checked(
+        plan_grid,
         kernel_sizes=args.kernel_sizes,
         pool_sizes=args.pool_sizes,
         pool_steps=args.pool_steps,
@@ -219,7 +246,7 @@ def _cmd_synth(args) -> int:
         frequency_range=args.frequency_range,
         noise_std=args.noise_std,
         bridge=BridgeConfig(
-            sensor_positions=tuple(float(p) for p in args.sensor_positions.split(",")),
+            sensor_positions=args.sensor_positions,
             sample_rate=args.fs,
             click_gain=args.click_gain,
         ),
@@ -242,7 +269,7 @@ def _cmd_split(args) -> int:
     args.seed = seed
     dataset = load_dataset(args.dataset)
     if args.scenario == Scenario.STRATIFIED.value:
-        plan = stratified_split(dataset, test_fraction=_parse_fraction(args.fraction), seed=seed)
+        plan = stratified_split(dataset, test_fraction=args.fraction, seed=seed)
     else:
         plan = dgps_split(dataset, seed=seed, modal_axles=args.modal_axles)
     out = Path(args.out)
@@ -295,7 +322,8 @@ def _cmd_train(args) -> int:
     fold_ids = plan.fold_train_ids(args.fold) + plan.fold_val_ids(args.fold)
     rate = shared_sample_rate(dataset.by_id(pid) for pid in fold_ids)
     cfg = VaderConfig(hyper=_hyper_from_args(args), sample_rate=rate)
-    schedule = TrainSchedule(
+    schedule = _checked(
+        TrainSchedule,
         max_epochs=args.epochs,
         batch_size=args.batch_size,
         initial_lr=args.lr,
@@ -304,10 +332,8 @@ def _cmd_train(args) -> int:
         stop_patience=args.stop_patience,
     )
     log = print if args.verbose else None
-    network, store, history = train(
-        cfg, dataset, plan, args.fold, schedule, seed=seed, log=log
-    )
-    save_checkpoint(out_dir / "model", network, store, seed=seed)
+    network, _, history = train(cfg, dataset, plan, args.fold, schedule, seed=seed, log=log)
+    save_checkpoint(out_dir / "model", network, seed=seed)  # weights only
     (out_dir / "history.csv").write_text(history.to_csv(), encoding="utf-8")
     _write_run_json(out_dir, "train", args)
     best = history.best_epoch
@@ -318,26 +344,7 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _sensor_input(cfg: VaderConfig, channel):
-    if cfg.hyper.input_kind is InputKind.SPECTROGRAM:
-        return spectrogram_stack(channel.samples)
-    return channel
-
-
 # ---------------------------------------------------------------- eval
-
-
-def _evaluate_passage(network, cfg, passage, peak_cfg):
-    rows = []
-    for ch in passage.channels:
-        probs = infer(network, _sensor_input(cfg, ch))
-        peaks = pick_peaks(probs, peak_cfg)
-        labels = label_indices(passage, ch.sensor_id)
-        vels = np.asarray([a.velocity for a in passage.axles[ch.sensor_id]])
-        at_200 = match_axles(peaks, labels, vels, SPATIAL_THRESHOLD_CM)
-        at_37 = match_axles(peaks, labels, vels, LABEL_ERROR_THRESHOLD_CM)
-        rows.append((ch.sensor_id, at_200, at_37))
-    return rows
 
 
 def _cmd_eval(args) -> int:
@@ -351,19 +358,14 @@ def _cmd_eval(args) -> int:
         ids = [p.passage_id for p in dataset]
     passages = [dataset.by_id(pid) for pid in sorted(ids)]
     shared_sample_rate(passages, cfg.sample_rate)
-    peak_cfg = PeakConfig(args.min_confidence, args.min_distance)
+    peak_cfg = _checked(PeakConfig, args.min_confidence, args.min_distance)
 
     acc = MetricsAccumulator()
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(
-                pool.map(lambda p: _evaluate_passage(network, cfg, p, peak_cfg), passages)
-            )
-    else:
-        results = [_evaluate_passage(network, cfg, p, peak_cfg) for p in passages]
-    for rows in results:
-        for sensor_id, at_200, at_37 in rows:
-            acc.add(sensor_id, at_200, at_37)
+    for passage in passages:
+        for ch in passage.channels:
+            labels = label_indices(passage, ch.sensor_id)
+            vels = [a.velocity for a in passage.axles[ch.sensor_id]]
+            acc.add(ch.sensor_id, *score_series(infer(network, ch), labels, vels, peak_cfg))
     report = acc.report()
     _write_run_json(out_dir, "eval", args)
     (out_dir / "metrics.json").write_text(
@@ -396,16 +398,6 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------- detect
 
 
-def _parse_positions(text: str | None) -> dict[str, float]:
-    if not text:
-        return {}
-    out = {}
-    for part in text.split(","):
-        sensor_id, pos = part.split("=")
-        out[sensor_id.strip()] = float(pos)
-    return out
-
-
 def _estimate_velocities(per_sensor: dict, positions: dict[str, float]) -> dict[int, float]:
     """Per-axle speed from detection time differences between the two most
     distant positioned sensors; needs equal detection counts on both."""
@@ -429,8 +421,7 @@ def _estimate_velocities(per_sensor: dict, positions: dict[str, float]) -> dict[
 def _cmd_detect(args) -> int:
     dataset = load_dataset(args.dataset)
     network, cfg = load_vader(args.checkpoint)
-    peak_cfg = PeakConfig(args.min_confidence, args.min_distance)
-    positions = _parse_positions(args.sensor_positions)
+    peak_cfg = _checked(PeakConfig, args.min_confidence, args.min_distance)
     passages = [dataset.by_id(args.passage)] if args.passage else list(dataset)
     shared_sample_rate(passages, cfg.sample_rate)
     out = Path(args.out)
@@ -442,10 +433,9 @@ def _cmd_detect(args) -> int:
         for passage in passages:
             per_sensor = {}
             for ch in passage.channels:
-                probs = infer(network, _sensor_input(cfg, ch))
-                peaks = pick_peaks(probs, peak_cfg)
+                peaks = pick_peaks(infer(network, ch), peak_cfg)
                 per_sensor[ch.sensor_id] = peaks / ch.sample_rate
-            velocities = _estimate_velocities(per_sensor, positions)
+            velocities = _estimate_velocities(per_sensor, args.sensor_positions)
             for sensor_id in sorted(per_sensor):
                 for i, t in enumerate(per_sensor[sensor_id]):
                     v = repr(velocities[i]) if i in velocities else ""
@@ -464,29 +454,20 @@ def _cmd_bench(args) -> int:
     rng = np.random.Generator(np.random.PCG64(seed))
     signal = rng.normal(size=args.n_samples).astype(np.float32)
 
-    raw_cfg = VaderConfig(HyperParams(InputKind.RAW, args.kernel_size, args.pool_size, args.pool_steps, args.base_width))
-    spec_cfg = VaderConfig(HyperParams(InputKind.SPECTROGRAM, args.kernel_size, args.pool_size, args.pool_steps, args.base_width))
-    raw_net = build_vader(raw_cfg)
-    raw_net.init_params(seed)
-    spec_net = build_vader(spec_cfg)
-    spec_net.init_params(seed)
-
-    infer(raw_net, signal)  # warmup
-    t0 = time.perf_counter()
-    for _ in range(args.repeats):
-        infer(raw_net, signal)
-    raw_time = (time.perf_counter() - t0) / args.repeats
-
-    stack = spectrogram_stack(signal)
-    infer(spec_net, stack)  # warmup
-    t0 = time.perf_counter()
-    for _ in range(args.repeats):
-        stack = spectrogram_stack(signal)
-        infer(spec_net, stack)
-    spec_time = (time.perf_counter() - t0) / args.repeats
+    seconds = {}
+    for kind in InputKind:  # a spectrogram detector's time includes the transform
+        hyper = _checked(HyperParams, kind, args.kernel_size, args.pool_size, args.pool_steps, args.base_width)
+        net = build_vader(VaderConfig(hyper))
+        net.init_params(seed)
+        infer(net, signal)  # warmup
+        t0 = time.perf_counter()
+        for _ in range(args.repeats):
+            infer(net, signal)
+        seconds[kind] = (time.perf_counter() - t0) / args.repeats
+    raw_time, spec_time = seconds[InputKind.RAW], seconds[InputKind.SPECTROGRAM]
 
     raw_bytes = signal.nbytes
-    stack_bytes = stack.nbytes
+    stack_bytes = spectrogram_stack(signal).nbytes
     result = {
         "n_samples": args.n_samples,
         "raw_inference_s": raw_time,
@@ -539,7 +520,7 @@ def build_parser() -> _Parser:
     p.add_argument("--frequency-range", type=_parse_range, default=(5.0, 6.9))
     p.add_argument("--noise-std", type=float, default=0.1)
     p.add_argument("--click-gain", type=float, default=BridgeConfig.click_gain)
-    p.add_argument("--sensor-positions", default="8.2")
+    p.add_argument("--sensor-positions", type=_parse_float_list, default="8.2", help="sensor positions in m, e.g. '4.1,12.3'")
     p.add_argument("--fs", type=float, default=600.0)
     p.add_argument("--out", default="synth_out")
     p.set_defaults(func=_cmd_synth)
@@ -548,7 +529,7 @@ def build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--scenario", choices=[s.value for s in Scenario], default=Scenario.STRATIFIED.value)
-    p.add_argument("--fraction", default="1/6", help="test fraction (stratified)")
+    p.add_argument("--fraction", type=_parse_fraction, default="1/6", help="test fraction (stratified)")
     p.add_argument("--modal-axles", type=int, default=None, help="tie override (dgps)")
     p.add_argument("--out", default="split.json")
     p.set_defaults(func=_cmd_split)
@@ -588,7 +569,6 @@ def build_parser() -> _Parser:
     p.add_argument("--ids", type=_parse_ids, default="test", help="'test' or a fold index (with --split)")
     p.add_argument("--min-confidence", type=float, default=0.25)
     p.add_argument("--min-distance", type=int, default=20)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="eval_out")
     p.set_defaults(func=_cmd_eval)
 
@@ -601,7 +581,8 @@ def build_parser() -> _Parser:
     p.add_argument("--min-distance", type=int, default=20)
     p.add_argument(
         "--sensor-positions",
-        default=None,
+        type=_parse_positions,
+        default="",
         help="sensor geometry for velocity estimation, e.g. 's0=4.1,s1=12.3'",
     )
     p.add_argument("--out", default="detections.csv")

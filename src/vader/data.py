@@ -197,7 +197,7 @@ class Dataset:
 
     @cached_property
     def _by_id(self) -> dict[str, Passage]:
-        return {p.passage_id: p for p in reversed(self.passages)}  # the first of equal ids wins
+        return {p.passage_id: p for p in self.passages}
 
     def by_id(self, passage_id: str) -> Passage:
         if passage_id not in self._by_id:
@@ -272,17 +272,21 @@ def load_dataset(root) -> Dataset:
     """Load and validate every passage directory under ``root``.
 
     Raises ParseError on malformed files and ValidationError on the first
-    passage violating an invariant.
+    passage violating an invariant or reusing another directory's passage id.
     """
     root = Path(root)
+    dirs: dict[str, Path] = {}  # passage_id -> its directory
     passages = []
     for pdir in sorted(d for d in root.iterdir() if d.is_dir()) if root.exists() else []:
         if not (pdir / "meta.json").exists():
             continue
         passage = _load_passage(pdir)
         violations = validate_passage(passage)
+        if passage.passage_id in dirs:
+            violations.append(f"passage id {passage.passage_id!r} already used by {dirs[passage.passage_id]}")
         if violations:
             raise ValidationError(f"{pdir}: " + "; ".join(violations))
+        dirs[passage.passage_id] = pdir
         passages.append(passage)
     return Dataset(root=str(root), passages=tuple(passages))
 

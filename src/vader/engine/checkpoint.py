@@ -95,7 +95,8 @@ def read_manifest(stem) -> dict:
 
 
 def load_checkpoint(stem, network: Network, store: ParamStore | None = None) -> dict:
-    """Restore parameters (and moments, if present) into ``network``.
+    """Restore parameters into ``network``, and the optimizer moments into
+    ``store`` when one is given and the checkpoint holds them.
 
     The manifest's model record, layers and parameter shapes must equal the
     target network's (ShapeMismatch otherwise); returns the manifest dict.
@@ -125,9 +126,7 @@ def load_checkpoint(stem, network: Network, store: ParamStore | None = None) -> 
         return offset
 
     offset = take(0, [p.value for p in params])
-    if manifest["has_adam"]:
-        if store is None:
-            raise ShapeMismatch(f"{stem}: checkpoint has optimizer state but no store given")
+    if manifest["has_adam"] and store is not None:
         offset = take(offset, store.m)
         take(offset, store.v)
         store.step_count = int(manifest["step"])

@@ -501,7 +501,7 @@ class Network:
     def forward(self, x: np.ndarray, valid=None, want_cache=False):
         """Run the graph; returns the output array, and with ``want_cache``
         a context to hand to :meth:`backward`."""
-        x = np.ascontiguousarray(x, dtype=self.dtype)
+        x = np.array(x, dtype=self.dtype, order="C")  # a private copy, zeroed below
         if x.ndim != 4:
             raise ShapeMismatch(f"expected (N, C, F, T) input, got shape {x.shape}")
         if x.shape[-1] % self.time_multiple:
@@ -512,7 +512,7 @@ class Network:
             valid = np.full(x.shape[0], x.shape[-1], dtype=np.int64)
         else:
             valid = np.asarray(valid, dtype=np.int64)
-        x = zero_invalid(x.copy() if not x.flags.writeable else x, valid)
+        x = zero_invalid(x, valid)
         acts: dict[int, np.ndarray] = {-1: x}
         valids: dict[int, np.ndarray] = {-1: valid}
         caches: list = []

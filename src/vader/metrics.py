@@ -148,6 +148,15 @@ def match_axles(
     return MatchResult(tp=tp, fp=int(peaks.size - tp), fn=int(labels.size - tp), pairs=tuple(pairs))
 
 
+def score_series(probs, label_indices, velocities, peak_cfg: PeakConfig = PeakConfig()):
+    """Peaks of one probability series matched against a sensor's labelled
+    crossings at SPATIAL_THRESHOLD_CM and at LABEL_ERROR_THRESHOLD_CM: the
+    ``(at_200, at_37)`` pair :meth:`MetricsAccumulator.add` takes."""
+    peaks = pick_peaks(probs, peak_cfg)
+    at_200 = match_axles(peaks, label_indices, velocities, SPATIAL_THRESHOLD_CM)
+    return at_200, match_axles(peaks, label_indices, velocities, LABEL_ERROR_THRESHOLD_CM)
+
+
 def f1(tp: int, fp: int, fn: int) -> float:
     """F1 score in percent.
 

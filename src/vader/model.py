@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .cwt import spectrogram_stack
 from .data import SensorChannel
 from .engine import (
     Add,
@@ -33,7 +34,6 @@ from .engine import (
     GroupNorm,
     MaxPool,
     Network,
-    ParamStore,
     ReLU,
     ReduceMaxFreq,
     Sigmoid,
@@ -185,12 +185,14 @@ def build_vader(cfg: VaderConfig, dtype=np.float32) -> Network:
     return net
 
 
-def network_input(channel_or_stack, dtype=np.float32) -> np.ndarray:
-    """Convert a sensor channel or spectrogram stack to a (1, C, F, T) array."""
-    if isinstance(channel_or_stack, SensorChannel):
-        arr = channel_or_stack.samples
-    else:
-        arr = np.asarray(channel_or_stack)
+def network_input(source, input_kind: InputKind = InputKind.RAW, dtype=np.float32) -> np.ndarray:
+    """The (1, C, F, T) input of a detector of ``input_kind`` for a sensor
+    channel, a bare series or a (16, 6, n) spectrogram stack. A channel or
+    series is wavelet-transformed for a spectrogram detector; a stack is
+    taken as it is."""
+    arr = source.samples if isinstance(source, SensorChannel) else np.asarray(source)
+    if arr.ndim == 1 and input_kind is InputKind.SPECTROGRAM:
+        arr = spectrogram_stack(arr)
     if arr.ndim == 1:
         return arr.reshape(1, 1, 1, -1).astype(dtype)
     if arr.ndim == 3 and arr.shape[0] == SPEC_BINS and arr.shape[1] == SPEC_CHANNELS:
@@ -200,13 +202,20 @@ def network_input(channel_or_stack, dtype=np.float32) -> np.ndarray:
     )
 
 
-def infer(network: Network, channel_or_stack) -> np.ndarray:
-    """Probability of an axle above the sensor, one value per input sample."""
-    x = network_input(channel_or_stack, dtype=network.dtype)
+def forward_series(network: Network, x: np.ndarray) -> np.ndarray:
+    """Pad one (1, C, F, T) input to the network's time multiple, run it and
+    crop the probabilities back to its T samples."""
     n = x.shape[-1]
-    x = pad_time_to_multiple(x, network.time_multiple)
-    y = network.forward(x, valid=np.array([n]))
+    y = network.forward(pad_time_to_multiple(x, network.time_multiple), valid=np.array([n]))
     return y[0, 0, 0, :n]
+
+
+def infer(network: Network, source) -> np.ndarray:
+    """Probability of an axle above the sensor, one value per input sample,
+    for any ``source`` :func:`network_input` takes; the input kind is the
+    detector's own (raw for a hand-built graph)."""
+    kind = InputKind(network.spec.get("input_kind", InputKind.RAW.value))
+    return forward_series(network, network_input(source, kind, network.dtype))
 
 
 def max_kernel_time_span(network: Network) -> int:
@@ -240,5 +249,5 @@ def load_vader(stem) -> tuple[Network, VaderConfig]:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{stem}: unusable model record {record!r}: {exc!r}") from None
     network = build_vader(cfg)
-    load_checkpoint(stem, network, ParamStore(network.params()))
+    load_checkpoint(stem, network)
     return network, cfg

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import Dataset
 from .errors import EmptyDataset, SingleClassDataset, TieForModalCount, UnknownId, ValidationError
 
 N_FOLDS = 5
@@ -94,12 +95,6 @@ class SplitPlan:
             raise ValidationError(f"not a split plan: {exc!r}") from None
 
 
-def _axle_index(dataset) -> dict[str, int]:
-    if hasattr(dataset, "axle_count_index"):
-        return dataset.axle_count_index()
-    return dict(dataset)
-
-
 def _strata(index: dict[str, int]) -> dict[int, list[str]]:
     strata: dict[int, list[str]] = {}
     for pid in sorted(index):
@@ -129,14 +124,14 @@ def _deal_into_folds(ids: list[str], start: int) -> list[list[str]]:
     return folds
 
 
-def stratified_split(dataset, test_fraction: float = DEFAULT_TEST_FRACTION, seed: int = 0) -> SplitPlan:
+def stratified_split(dataset: Dataset, test_fraction: float = DEFAULT_TEST_FRACTION, seed: int = 0) -> SplitPlan:
     """Proportional holdout per axle-count stratum plus five stratified folds.
 
     The test set size is ``round(N * test_fraction)`` overall, apportioned to
     strata by largest remainder so every stratum stays within one passage of
     proportionality.
     """
-    index = _axle_index(dataset)
+    index = dataset.axle_count_index()
     if not index:
         raise EmptyDataset("cannot split an empty dataset")
     if not 0.0 < test_fraction < 1.0:
@@ -178,13 +173,13 @@ def stratified_split(dataset, test_fraction: float = DEFAULT_TEST_FRACTION, seed
     )
 
 
-def dgps_split(dataset, seed: int = 0, modal_axles: int | None = None) -> SplitPlan:
+def dgps_split(dataset: Dataset, seed: int = 0, modal_axles: int | None = None) -> SplitPlan:
     """Folds over the modal axle count; every other passage goes to test.
 
     A tie for the most common axle count raises TieForModalCount unless a
     ``modal_axles`` override picks the winner explicitly.
     """
-    index = _axle_index(dataset)
+    index = dataset.axle_count_index()
     if not index:
         raise EmptyDataset("cannot split an empty dataset")
     strata = _strata(index)

@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cwt import spectrogram_stack
 from .data import Dataset, build_label_vector, label_indices
-from .engine import LossConfig, ParamStore, adam_step, focal_loss, pad_time_to_multiple
+from .engine import LossConfig, ParamStore, adam_step, focal_loss
 from .errors import EmptyFold
-from .metrics import PeakConfig, f1 as f1_score, match_axles, pick_peaks
-from .model import VaderConfig, build_vader, network_input
+from .metrics import MetricsAccumulator, PeakConfig, score_series
+from .model import VaderConfig, build_vader, forward_series, network_input
 from .planner import InputKind
 from .splits import SplitPlan
 
@@ -34,7 +33,6 @@ class TrainSchedule:
     plateau_patience: int = 3
     lr_factor: float = 0.3
     stop_patience: int = 6
-    monitor_threshold_cm: float = 200.0
 
     def __post_init__(self):
         if min(self.max_epochs, self.batch_size, self.plateau_patience, self.stop_patience) < 1:
@@ -84,10 +82,6 @@ def build_samples(dataset: Dataset, ids, input_kind: InputKind, dtype=np.float32
     for pid in sorted(ids):
         passage = dataset.by_id(pid)
         for ch in passage.channels:
-            if input_kind is InputKind.SPECTROGRAM:
-                x = network_input(spectrogram_stack(ch.samples), dtype)[0]
-            else:
-                x = network_input(ch, dtype)[0]
             bits = build_label_vector(
                 [a.crossing_time for a in passage.axles[ch.sensor_id]],
                 ch.sample_rate,
@@ -97,7 +91,7 @@ def build_samples(dataset: Dataset, ids, input_kind: InputKind, dtype=np.float32
                 Sample(
                     passage_id=pid,
                     sensor_id=ch.sensor_id,
-                    x=x,
+                    x=network_input(ch, input_kind, dtype)[0],
                     labels=bits,
                     label_idx=label_indices(passage, ch.sensor_id),
                     velocities=np.asarray(
@@ -146,24 +140,18 @@ def make_batches(samples: list[Sample], batch_size: int, rng, time_multiple: int
         yield assemble_batch(chosen, time_multiple, dtype)
 
 
-def evaluate_samples(network, samples, loss_cfg: LossConfig, threshold_cm: float, peak_cfg=PeakConfig()):
-    """Mean loss and matched-detection F1 over a list of samples."""
+def evaluate_samples(network, samples, loss_cfg: LossConfig, peak_cfg=PeakConfig()):
+    """Mean loss and matched-detection F1 at 200 cm over a list of samples."""
     total_loss = 0.0
     total_count = 0
-    tp = fp = fn = 0
+    acc = MetricsAccumulator()
     for s in samples:
-        x = pad_time_to_multiple(s.x[None, ...], network.time_multiple)
-        probs = network.forward(x, valid=np.array([s.x.shape[-1]]))[0, 0, 0, : s.x.shape[-1]]
+        probs = forward_series(network, s.x[None, ...])
         loss, _ = focal_loss(probs.astype(np.float64), s.labels, loss_cfg)
         total_loss += loss * s.labels.size
         total_count += s.labels.size
-        peaks = pick_peaks(probs, peak_cfg)
-        res = match_axles(peaks, s.label_idx, s.velocities, threshold_cm)
-        tp += res.tp
-        fp += res.fp
-        fn += res.fn
-    mean_loss = total_loss / max(total_count, 1)
-    return mean_loss, f1_score(tp, fp, fn)
+        acc.add(s.sensor_id, *score_series(probs, s.label_idx, s.velocities, peak_cfg))
+    return total_loss / max(total_count, 1), acc.report().f1_200
 
 
 def train(
@@ -179,8 +167,8 @@ def train(
 ):
     """Train one fold; returns ``(network, store, history)``.
 
-    The monitored score is validation F1 at the schedule's threshold (a
-    custom ``monitor(epoch, network) -> float`` can replace it). After
+    The monitored score is validation F1 at 200 cm (a custom
+    ``monitor(epoch, network) -> float`` can replace it). After
     ``plateau_patience`` epochs without strict improvement the learning rate
     is multiplied by ``lr_factor``; after ``stop_patience`` epochs training
     stops. The returned network carries the weights of the best epoch.
@@ -223,9 +211,7 @@ def train(
             loss_sum += loss * n_valid
             count_sum += n_valid
 
-        val_loss, val_f1 = evaluate_samples(
-            network, val_samples, loss_cfg, schedule.monitor_threshold_cm
-        )
+        val_loss, val_f1 = evaluate_samples(network, val_samples, loss_cfg)
         score = monitor(epoch, network) if monitor is not None else val_f1
         history.train_loss.append(loss_sum / max(count_sum, 1))
         history.val_loss.append(val_loss)

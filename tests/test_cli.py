@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from vader.cli import main
+from vader.engine import ParamStore, save_checkpoint
+from vader.model import load_vader
 from vader.splits import SplitPlan
 
 
@@ -167,23 +169,21 @@ def test_train_idempotent_byte_identical(workspace, tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-def test_eval_workers_match_serial(workspace, tmp_path):
-    out = tmp_path / "train"
-    assert _train(workspace, out) == 0
+def test_train_writes_weights_only(workspace, trained, tmp_path):
+    """``train`` saves no optimizer moments; a checkpoint that holds them, as
+    earlier versions of ``train`` wrote, still evaluates to the same report."""
+    network, _ = load_vader(trained / "model")
+    assert (trained / "model.bin").stat().st_size == 8 * network.param_count()
+    assert not json.loads((trained / "model.json").read_text())["has_adam"]
+    with_moments = tmp_path / "with_moments" / "model"
+    save_checkpoint(with_moments, network, ParamStore(network.params()), seed=7)
     reports = []
-    for i, workers in enumerate(("1", "3")):
-        eval_out = tmp_path / f"eval{i}"
-        assert (
-            run(
-                "eval",
-                "--dataset", str(workspace / "data" / "passages"),
-                "--checkpoint", str(out / "model"),
-                "--workers", workers,
-                "--out", str(eval_out),
-            )
-            == 0
-        )
-        reports.append((eval_out / "metrics.json").read_text())
+    for i, stem in enumerate((trained / "model", with_moments)):
+        assert run(
+            "eval", "--dataset", str(workspace / "data" / "passages"), "--checkpoint", str(stem),
+            "--out", str(tmp_path / f"eval{i}"),
+        ) == 0
+        reports.append((tmp_path / f"eval{i}" / "metrics.json").read_text())
     assert reports[0] == reports[1]
 
 
@@ -293,6 +293,52 @@ def test_fold_out_of_range_exits_2_without_run_json(workspace, trained, tmp_path
         "--split", str(workspace / "split.json"), "--ids", "nine", "--out", str(tmp_path / "eval"),
     )
     assert code == 1
+
+
+MALFORMED_VALUES = {
+    "fraction_not_a_number": ["split", "--fraction", "abc"],
+    "fraction_zero_denominator": ["split", "--fraction", "1/0"],
+    "fraction_zero": ["split", "--fraction", "0"],
+    "detect_position_without_sensor": ["detect", "--sensor-positions", "s0"],
+    "synth_position_not_a_number": ["synth", "--sensor-positions", "a"],
+    "eval_min_confidence_above_1": ["eval", "--min-confidence", "2"],
+    "train_lr_factor_above_1": ["train", "--lr-factor", "2"],
+    "train_kernel_size_0": ["train", "--kernel-size", "0"],
+    "bench_pool_size_1": ["bench", "--pool-size", "1"],
+    "plan_empty_kernel_sizes": ["plan", "--kernel-sizes", ","],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_VALUES))
+def test_malformed_value_is_usage_error(workspace, trained, tmp_path, capsys, case):
+    argv = MALFORMED_VALUES[case] + ["--out", str(tmp_path / "out")]
+    if argv[0] in ("split", "train", "eval", "detect"):
+        argv += ["--dataset", str(workspace / "data" / "passages")]
+    if argv[0] in ("eval", "detect"):
+        argv += ["--checkpoint", str(trained / "model")]
+    if argv[0] == "train":
+        argv += ["--split", str(workspace / "split.json")]
+    assert run(*argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_malformed_config_value_is_usage_error(workspace, tmp_path, capsys):
+    cfg = tmp_path / "split.cfg"
+    cfg.write_text("fraction = 1/0\n")
+    out = tmp_path / "split.json"
+    assert run("split", "--config", str(cfg), "--dataset", str(workspace / "data" / "passages"), "--out", str(out)) == 1
+    assert "fraction" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_duplicate_passage_id_exits_2(workspace, tmp_path, capsys):
+    data = tmp_path / "dup"
+    shutil.copytree(workspace / "data" / "passages", data)
+    shutil.copytree(data / "passage_00000", data / "passage_copy")
+    assert run("split", "--dataset", str(data), "--out", str(tmp_path / "split.json")) == 2
+    assert "passage_copy" in capsys.readouterr().err
+    assert not (tmp_path / "split.json").exists()
 
 
 def test_malformed_split_exits_2(workspace, tmp_path):

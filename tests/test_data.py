@@ -1,6 +1,7 @@
 """Core data model: label vectors, validation, and dataset round-trips."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -200,6 +201,15 @@ def test_load_missing_sensor_file(tmp_path, tiny_passage):
     (root / "tiny" / "sensor_s1.csv").unlink()
     with pytest.raises(ParseError):
         load_dataset(root)
+
+
+def test_load_rejects_duplicate_passage_id(tmp_path, tiny_passage):
+    root = save_dataset([tiny_passage], tmp_path / "ds")
+    shutil.copytree(root / "tiny", root / "tiny_copy")
+    with pytest.raises(ValidationError) as err:
+        load_dataset(root)
+    assert str(root / "tiny_copy") in str(err.value)
+    assert f"'tiny' already used by {root / 'tiny'}" in str(err.value)
 
 
 def test_load_bad_meta_json(tmp_path, tiny_passage):

@@ -161,6 +161,20 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert np.array_equal(a, b)
 
 
+def test_checkpoint_with_moments_loads_weights_without_store(tmp_path):
+    net = _small_net()
+    store = ParamStore(net.params())
+    for p in net.params():
+        p.grad[...] = 1.0
+    adam_step(store, 0.001)
+    save_checkpoint(tmp_path / "model", net, store, seed=17)
+    net2 = _small_net()
+    net2.init_params(99)
+    assert load_checkpoint(tmp_path / "model", net2)["has_adam"]
+    for a, b in zip(net.params(), net2.params()):
+        assert np.array_equal(a.value, b.value)
+
+
 def test_checkpoint_hash_stability(tmp_path):
     net = _small_net()
     h1 = hashlib.sha256(checkpoint_bytes(net)).hexdigest()

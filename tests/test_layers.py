@@ -218,6 +218,19 @@ def test_network_valid_propagation_batch_equals_single():
     assert np.allclose(yb[1], yb_single[0], rtol=0, atol=1e-12)
 
 
+def test_forward_leaves_caller_input_unchanged():
+    """The padded tail is zeroed in a private copy, not in the caller's array."""
+    net = Network(dtype=np.float32)
+    net.add("c", Conv(1, 1, 1, 3, name="c", dtype=np.float32), [-1])
+    net.init_params(0)
+    x = np.ones((1, 1, 1, 8), np.float32)
+    y = net.forward(x, valid=[4])
+    assert np.array_equal(x, np.ones((1, 1, 1, 8), np.float32))
+    zeroed = x.copy()
+    zeroed[..., 4:] = 0
+    assert np.array_equal(y, net.forward(zeroed, valid=[4]))
+
+
 # -------------------------------------------------- plain-loop reference
 
 

@@ -16,6 +16,7 @@ from vader.metrics import (
     mean_spatial_error,
     msa,
     pick_peaks,
+    score_series,
 )
 
 
@@ -256,6 +257,15 @@ def test_msa_of_matched_errors_in_range():
         res = match_axles(peaks, labels, np.full(6, 0.05), 200.0)
         if res.pairs:
             assert 0.0 <= msa(mean_spatial_error(res.pairs)) <= 100.0
+
+
+def test_score_series_matches_peaks_at_both_thresholds():
+    probs = np.zeros(300)
+    probs[[100, 210]] = 0.9  # 210 is 10 samples * 5 cm off its label at 200
+    at_200, at_37 = score_series(probs, [100, 200], [0.05, 0.05])
+    assert (at_200.tp, at_200.fp, at_200.fn) == (2, 0, 0)
+    assert (at_37.tp, at_37.fp, at_37.fn) == (1, 1, 1)
+    assert [p.error_cm for p in at_200.pairs] == [0.0, 50.0]
 
 
 def test_accumulator_report(tiny_passage):

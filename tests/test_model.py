@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from vader.cwt import spectrogram_stack
+from vader.data import SensorChannel
 from vader.engine import Conv, read_manifest, save_checkpoint
 from vader.errors import InvalidHyperParams, ShapeMismatch
 from vader.model import (
     VaderConfig,
     build_vader,
+    forward_series,
     infer,
     load_vader,
     max_kernel_time_span,
@@ -110,6 +112,23 @@ def test_spectrogram_infer_shape():
     probs = infer(net, stack)
     assert probs.shape == (250,)
     assert probs.min() > 0.0 and probs.max() < 1.0
+
+
+def test_infer_channel_equals_precomputed_stack():
+    """A channel reaches a spectrogram detector through the same transform
+    as a precomputed stack; a raw detector takes its samples as they are."""
+    ch = SensorChannel("s0", RNG.normal(size=200), 600.0)
+    spec = build_vader(_cfg(InputKind.SPECTROGRAM, k=5, m=2, p=2, base=4))
+    spec.init_params(3)
+    x = network_input(ch, InputKind.SPECTROGRAM)
+    assert x.shape == (1, 6, 16, 200)
+    probs = forward_series(spec, x)
+    assert probs.shape == (200,)
+    assert np.array_equal(probs, infer(spec, spectrogram_stack(ch.samples)))
+    assert np.array_equal(probs, infer(spec, ch))
+    raw = build_vader(_cfg(k=5, m=2, p=2, base=4))
+    raw.init_params(3)
+    assert np.array_equal(infer(raw, ch), infer(raw, ch.samples))
 
 
 def test_network_input_shapes():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vader.data import Dataset, Passage
 from vader.errors import (
     DataError,
     EmptyDataset,
@@ -20,20 +21,18 @@ from vader.splits import (
 )
 
 
-def _index(spec: dict[int, int]) -> dict[str, int]:
-    """{axle_count: n_passages} -> {passage_id: axle_count}"""
-    out = {}
-    i = 0
-    for count, n in sorted(spec.items()):
-        for _ in range(n):
-            out[f"p{i:05d}"] = count
-            i += 1
-    return out
+def _dataset(spec: dict[int, int]) -> Dataset:
+    """{axle_count: n_passages} -> a Dataset of sensorless passages p00000, ...
+    with those axle counts."""
+    counts = [count for count, n in sorted(spec.items()) for _ in range(n)]
+    passages = (Passage(f"p{i:05d}", (), {}, count) for i, count in enumerate(counts))
+    return Dataset(root="", passages=tuple(passages))
 
 
 def test_stratified_two_even_strata():
-    index = _index({4: 30, 8: 30})
-    plan = stratified_split(index, test_fraction=1 / 6, seed=0)
+    dataset = _dataset({4: 30, 8: 30})
+    index = dataset.axle_count_index()
+    plan = stratified_split(dataset, test_fraction=1 / 6, seed=0)
     by_count = lambda ids: {c: sum(1 for p in ids if index[p] == c) for c in (4, 8)}
     assert by_count(plan.test_ids) == {4: 5, 8: 5}
     for fold in plan.folds:
@@ -41,14 +40,15 @@ def test_stratified_two_even_strata():
 
 
 def test_stratified_deterministic():
-    index = _index({4: 30, 8: 30, 12: 18})
-    assert stratified_split(index, 1 / 6, seed=3) == stratified_split(index, 1 / 6, seed=3)
-    assert stratified_split(index, 1 / 6, seed=3) != stratified_split(index, 1 / 6, seed=4)
+    dataset = _dataset({4: 30, 8: 30, 12: 18})
+    assert stratified_split(dataset, 1 / 6, seed=3) == stratified_split(dataset, 1 / 6, seed=3)
+    assert stratified_split(dataset, 1 / 6, seed=3) != stratified_split(dataset, 1 / 6, seed=4)
 
 
 def test_stratified_partition_and_proportionality():
-    index = _index({4: 41, 8: 23, 12: 64, 16: 9})
-    plan = stratified_split(index, test_fraction=1 / 6, seed=1)
+    dataset = _dataset({4: 41, 8: 23, 12: 64, 16: 9})
+    index = dataset.axle_count_index()
+    plan = stratified_split(dataset, test_fraction=1 / 6, seed=1)
     all_ids = set(plan.test_ids)
     for fold in plan.folds:
         assert all_ids.isdisjoint(fold)
@@ -65,8 +65,9 @@ def test_stratified_partition_and_proportionality():
 
 
 def test_stratified_small_strata_merged():
-    index = _index({4: 30, 5: 2})  # the 2-member stratum merges into 4
-    plan = stratified_split(index, 1 / 6, seed=0)
+    dataset = _dataset({4: 30, 5: 2})  # the 2-member stratum merges into 4
+    index = dataset.axle_count_index()
+    plan = stratified_split(dataset, 1 / 6, seed=0)
     assert set(plan.all_ids()) == set(index)
 
 
@@ -74,30 +75,32 @@ def test_stratified_real_scale_holdout():
     # histogram loosely shaped like a railway mix; total 3733
     spec = {8: 300, 12: 260, 16: 420, 20: 180, 24: 330, 28: 210, 32: 760,
             36: 240, 40: 120, 44: 98, 48: 340, 52: 130, 56: 85, 60: 160, 64: 100}
-    index = _index(spec)
+    dataset = _dataset(spec)
+    index = dataset.axle_count_index()
     assert len(index) == 3733
-    plan = stratified_split(index, test_fraction=1 / 6, seed=0)
+    plan = stratified_split(dataset, test_fraction=1 / 6, seed=0)
     assert abs(len(plan.test_ids) - 623) <= 2
     assert len(plan.all_ids()) == 3733
 
 
 def test_stratified_empty():
     with pytest.raises(EmptyDataset):
-        stratified_split({}, 1 / 6, 0)
+        stratified_split(_dataset({}), 1 / 6, 0)
 
 
 def test_stratified_seed_changes_membership_not_counts():
-    index = _index({4: 60, 8: 36})
-    a = stratified_split(index, 1 / 6, seed=0)
-    b = stratified_split(index, 1 / 6, seed=99)
+    dataset = _dataset({4: 60, 8: 36})
+    a = stratified_split(dataset, 1 / 6, seed=0)
+    b = stratified_split(dataset, 1 / 6, seed=99)
     assert a.test_ids != b.test_ids
     assert len(a.test_ids) == len(b.test_ids)
     assert sorted(map(len, a.folds)) == sorted(map(len, b.folds))
 
 
 def test_dgps_example():
-    index = _index({32: 10, 16: 4, 48: 2})
-    plan = dgps_split(index, seed=0)
+    dataset = _dataset({32: 10, 16: 4, 48: 2})
+    index = dataset.axle_count_index()
+    plan = dgps_split(dataset, seed=0)
     fold_ids = [pid for fold in plan.folds for pid in fold]
     assert all(index[p] == 32 for p in fold_ids)
     assert len(fold_ids) == 10
@@ -106,37 +109,37 @@ def test_dgps_example():
 
 
 def test_dgps_real_scale():
-    index = _index({32: 1916, 16: 700, 48: 600, 64: 517})
-    plan = dgps_split(index, seed=5)
+    dataset = _dataset({32: 1916, 16: 700, 48: 600, 64: 517})
+    plan = dgps_split(dataset, seed=5)
     assert sum(len(f) for f in plan.folds) == 1916
     assert len(plan.test_ids) == 1817
 
 
 def test_dgps_tie_raises_and_override():
-    index = _index({16: 5, 32: 5, 48: 2})
+    dataset = _dataset({16: 5, 32: 5, 48: 2})
     with pytest.raises(TieForModalCount):
-        dgps_split(index, seed=0)
-    plan = dgps_split(index, seed=0, modal_axles=16)
+        dgps_split(dataset, seed=0)
+    plan = dgps_split(dataset, seed=0, modal_axles=16)
     assert sum(len(f) for f in plan.folds) == 5
     assert len(plan.test_ids) == 7
 
 
 def test_dgps_single_class():
     with pytest.raises(SingleClassDataset):
-        dgps_split(_index({8: 12}), seed=0)
+        dgps_split(_dataset({8: 12}), seed=0)
 
 
 def test_split_plan_json_round_trip():
-    index = _index({4: 30, 8: 30})
-    plan = stratified_split(index, 1 / 6, seed=0)
+    dataset = _dataset({4: 30, 8: 30})
+    plan = stratified_split(dataset, 1 / 6, seed=0)
     again = SplitPlan.from_json(plan.to_json())
     assert again == plan
     assert again.scenario is Scenario.STRATIFIED
 
 
 def test_fold_train_val_disjoint():
-    index = _index({4: 30, 8: 30})
-    plan = stratified_split(index, 1 / 6, seed=0)
+    dataset = _dataset({4: 30, 8: 30})
+    plan = stratified_split(dataset, 1 / 6, seed=0)
     for fold in range(5):
         train = set(plan.fold_train_ids(fold))
         val = set(plan.fold_val_ids(fold))
@@ -175,7 +178,7 @@ def test_split_plan_checks_without_assert():
 
 @pytest.mark.parametrize("fold", [-1, N_FOLDS, 7])
 def test_fold_outside_range_is_typed(fold):
-    plan = stratified_split(_index({4: 30, 8: 30}), 1 / 6, seed=0)
+    plan = stratified_split(_dataset({4: 30, 8: 30}), 1 / 6, seed=0)
     for method in (plan.fold_val_ids, plan.fold_train_ids):
         with pytest.raises(UnknownId) as info:
             method(fold)
