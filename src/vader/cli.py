@@ -18,8 +18,13 @@ Every artifact-writing subcommand echoes its fully resolved configuration
 to ``run.json`` in the output directory, making reruns reproducible and
 byte-identical for a fixed seed. It is written once the inputs are read and
 validated (by ``train`` after training), so a run failing on input leaves
-none. A flat ``key = value`` config file can seed any subcommand's options
-(flags win); ``VADER_SEED`` provides the seed when no flag or file sets one.
+none. A flat ``key = value`` config file stands for its options written
+right after the subcommand name, before the command line's own: argparse
+checks their types and choices, and a flag given on the command line wins.
+Keys the subcommand does not define are ignored; a switch is on for
+``true``/``1``/``yes``/``on``. ``--seed`` exists where a seed is read
+(``synth``, ``split``, ``train``, ``bench``) and defaults to ``VADER_SEED``,
+else 0.
 """
 
 from __future__ import annotations
@@ -42,15 +47,18 @@ from .errors import DataError, VaderError
 from .metrics import MetricsAccumulator, PeakConfig, pick_peaks, score_series
 from .model import VaderConfig, build_vader, infer, load_vader
 from .planner import (
+    DEFAULT_F_LOW_CERTAIN,
+    DEFAULT_F_LOW_USEFUL,
     DEFAULT_KERNEL_SIZES,
     DEFAULT_POOL_SIZES,
     DEFAULT_POOL_STEPS,
     HyperParams,
     InputKind,
+    object_size,
     plan_grid,
 )
 from .simulate import BridgeConfig, DatasetConfig, generate_dataset
-from .splits import Scenario, SplitPlan, dgps_split, stratified_split
+from .splits import DEFAULT_TEST_FRACTION, Scenario, SplitPlan, dgps_split, stratified_split
 from .training import TrainSchedule, train
 
 
@@ -65,41 +73,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _config_tokens(path: str, options: dict) -> list[str]:
+    """The option tokens a flat ``key = value`` file stands for: ``--key=value``
+    for each key among ``options`` (the subcommand's parsed namespace), and
+    ``--key`` for a switch set to true/1/yes/on. Other keys are ignored."""
+    tokens = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _apply_config_defaults(parser, args, file_values: dict[str, str], argv) -> None:
-    """File values fill options not given explicitly on the command line."""
-    explicit = set()
-    for action in parser._actions:
-        for opt in action.option_strings:
-            if any(tok == opt or tok.startswith(opt + "=") for tok in argv):
-                explicit.add(action.dest)
-    known = {a.dest: a for a in parser._actions}
-    for key, raw in file_values.items():
-        if key == "config" or key not in known or key in explicit:
+        key, value = (part.strip() for part in line.split("=", 1))
+        dest = key.replace("-", "_")
+        if dest in ("config", "command", "func") or dest not in options:
             continue
-        action = known[key]
-        if action.type is not None:
-            try:
-                value = action.type(raw)
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise UsageError(f"{key} = {raw!r}: {exc}") from None
-        elif isinstance(action, argparse._StoreTrueAction):
-            value = raw.lower() in ("1", "true", "yes", "on")
-        else:
-            value = raw
-        setattr(args, key, value)
+        flag = "--" + dest.replace("_", "-")
+        if not isinstance(options[dest], bool):
+            tokens.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes", "on"):
+            tokens.append(flag)
+    return tokens
 
 
 def _checked(make, *args, **kwargs):
@@ -109,18 +103,6 @@ def _checked(make, *args, **kwargs):
         return make(*args, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("VADER_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"VADER_SEED must be an integer, got {env!r}") from None
-    return 0
 
 
 def _write_run_json(out_dir: Path, command: str, args) -> None:
@@ -178,10 +160,10 @@ def _parse_range(text: str) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def _hyper_from_args(args) -> HyperParams:
+def _hyper_from_args(args, input_kind: InputKind) -> HyperParams:
     return _checked(
         HyperParams,
-        input_kind=InputKind(args.input_kind),
+        input_kind=input_kind,
         kernel_size=args.kernel_size,
         pool_size=args.pool_size,
         pool_steps=args.pool_steps,
@@ -203,6 +185,15 @@ def _cmd_plan(args) -> int:
         f_low_certain=args.fl_certain,
         f_low_useful=args.fl_useful,
     )
+    counts: dict[str, int] = {}
+    for e in entries:
+        counts[e.classification.value] = counts.get(e.classification.value, 0) + 1
+    summary = {
+        "entries": len(entries),
+        "classes": counts,
+        "object_size_certain": object_size(args.fs, args.fl_certain),
+        "object_size_useful": object_size(args.fs, args.fl_useful),
+    }
     _write_run_json(out_dir, "plan", args)
     csv_path = out_dir / "plan.csv"
     with csv_path.open("w", newline="") as fh:
@@ -219,15 +210,6 @@ def _cmd_plan(args) -> int:
                     e.classification.value,
                 ]
             )
-    counts: dict[str, int] = {}
-    for e in entries:
-        counts[e.classification.value] = counts.get(e.classification.value, 0) + 1
-    summary = {
-        "entries": len(entries),
-        "classes": counts,
-        "object_size_certain": int(np.ceil(args.fs / args.fl_certain)),
-        "object_size_useful": int(np.ceil(args.fs / args.fl_useful)),
-    }
     (out_dir / "plan.json").write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
     print(f"wrote {csv_path} ({len(entries)} entries)")
     return 0
@@ -237,8 +219,6 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    seed = _resolve_seed(args)
-    args.seed = seed
     out_dir = Path(args.out)
     cfg = DatasetConfig(
         speed_range=args.speed_range,
@@ -252,7 +232,7 @@ def _cmd_synth(args) -> int:
         ),
     )
     dataset = generate_dataset(
-        args.n, args.distribution, out_dir / "passages", seed=seed, config=cfg
+        args.n, args.distribution, out_dir / "passages", seed=args.seed, config=cfg
     )
     _write_run_json(out_dir, "synth", args)
     hist = dataset.axle_count_histogram()
@@ -265,13 +245,11 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    seed = _resolve_seed(args)
-    args.seed = seed
     dataset = load_dataset(args.dataset)
     if args.scenario == Scenario.STRATIFIED.value:
-        plan = stratified_split(dataset, test_fraction=args.fraction, seed=seed)
+        plan = stratified_split(dataset, test_fraction=args.fraction, seed=args.seed)
     else:
-        plan = dgps_split(dataset, seed=seed, modal_axles=args.modal_axles)
+        plan = dgps_split(dataset, seed=args.seed, modal_axles=args.modal_axles)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(plan.to_json() + "\n", encoding="utf-8")
@@ -314,14 +292,12 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    seed = _resolve_seed(args)
-    args.seed = seed
     out_dir = Path(args.out)
     dataset = load_dataset(args.dataset)
     plan = SplitPlan.from_json(Path(args.split).read_text(encoding="utf-8"))
     fold_ids = plan.fold_train_ids(args.fold) + plan.fold_val_ids(args.fold)
     rate = shared_sample_rate(dataset.by_id(pid) for pid in fold_ids)
-    cfg = VaderConfig(hyper=_hyper_from_args(args), sample_rate=rate)
+    cfg = VaderConfig(hyper=_hyper_from_args(args, InputKind(args.input_kind)), sample_rate=rate)
     schedule = _checked(
         TrainSchedule,
         max_epochs=args.epochs,
@@ -332,8 +308,8 @@ def _cmd_train(args) -> int:
         stop_patience=args.stop_patience,
     )
     log = print if args.verbose else None
-    network, _, history = train(cfg, dataset, plan, args.fold, schedule, seed=seed, log=log)
-    save_checkpoint(out_dir / "model", network, seed=seed)  # weights only
+    network, _, history = train(cfg, dataset, plan, args.fold, schedule, seed=args.seed, log=log)
+    save_checkpoint(out_dir / "model", network, seed=args.seed)  # weights only
     (out_dir / "history.csv").write_text(history.to_csv(), encoding="utf-8")
     _write_run_json(out_dir, "train", args)
     best = history.best_epoch
@@ -398,9 +374,10 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------- detect
 
 
-def _estimate_velocities(per_sensor: dict, positions: dict[str, float]) -> dict[int, float]:
+def _estimate_velocities(passage_id: str, per_sensor: dict, positions: dict[str, float]) -> dict[int, float]:
     """Per-axle speed from detection time differences between the two most
-    distant positioned sensors; needs equal detection counts on both."""
+    distant positioned sensors; needs equal detection counts on both, and
+    says on stderr when they differ."""
     placed = [s for s in per_sensor if s in positions]
     if len(placed) < 2:
         return {}
@@ -408,6 +385,11 @@ def _estimate_velocities(per_sensor: dict, positions: dict[str, float]) -> dict[
     first, last = placed[0], placed[-1]
     t_first, t_last = per_sensor[first], per_sensor[last]
     if len(t_first) != len(t_last):
+        print(
+            f"{passage_id}: no velocities, {first} has {len(t_first)} detections "
+            f"and {last} has {len(t_last)}",
+            file=sys.stderr,
+        )
         return {}
     gap = positions[last] - positions[first]
     out = {}
@@ -435,7 +417,7 @@ def _cmd_detect(args) -> int:
             for ch in passage.channels:
                 peaks = pick_peaks(infer(network, ch), peak_cfg)
                 per_sensor[ch.sensor_id] = peaks / ch.sample_rate
-            velocities = _estimate_velocities(per_sensor, args.sensor_positions)
+            velocities = _estimate_velocities(passage.passage_id, per_sensor, args.sensor_positions)
             for sensor_id in sorted(per_sensor):
                 for i, t in enumerate(per_sensor[sensor_id]):
                     v = repr(velocities[i]) if i in velocities else ""
@@ -448,17 +430,14 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    seed = _resolve_seed(args)
-    args.seed = seed
     out_dir = Path(args.out)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(args.seed))
     signal = rng.normal(size=args.n_samples).astype(np.float32)
 
     seconds = {}
     for kind in InputKind:  # a spectrogram detector's time includes the transform
-        hyper = _checked(HyperParams, kind, args.kernel_size, args.pool_size, args.pool_steps, args.base_width)
-        net = build_vader(VaderConfig(hyper))
-        net.init_params(seed)
+        net = build_vader(VaderConfig(_hyper_from_args(args, kind)))
+        net.init_params(args.seed)
         infer(net, signal)  # warmup
         t0 = time.perf_counter()
         for _ in range(args.repeats):
@@ -489,96 +468,96 @@ def _cmd_bench(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def build_parser() -> _Parser:
+def build_parser(environ=os.environ) -> _Parser:
+    """The ``vader`` parser; ``--seed`` defaults to ``environ["VADER_SEED"]``, else 0."""
     parser = _Parser(prog="vader", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"vader {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (or VADER_SEED)")
+    common = _Parser(add_help=False)
+    common.add_argument("--config", help="flat key = value config file")
+    seeded = _Parser(add_help=False)
+    seeded.add_argument(
+        "--seed", type=int, default=environ.get("VADER_SEED", "0"), help="RNG seed (default: VADER_SEED, else 0)"
+    )
+    network = _Parser(add_help=False)
+    network.add_argument("--kernel-size", type=int, default=9)
+    network.add_argument("--pool-size", type=int, default=2)
+    network.add_argument("--pool-steps", type=int, default=4)
+    network.add_argument("--base-width", type=int, default=HyperParams.base_width)
+    peaks = _Parser(add_help=False)
+    peaks.add_argument("--min-confidence", type=float, default=PeakConfig.min_confidence)
+    peaks.add_argument("--min-distance", type=int, default=PeakConfig.min_distance)
 
-    p = sub.add_parser("plan", help="classify the hyperparameter grid")
-    add_common(p)
-    p.add_argument("--fs", type=float, default=600.0, help="sample rate in Hz")
-    p.add_argument("--fl-certain", type=float, default=5.0, help="lowest frequency to resolve")
-    p.add_argument("--fl-useful", type=float, default=1.0, help="lowest informative frequency")
+    p = sub.add_parser("plan", parents=[common], help="classify the hyperparameter grid")
+    p.add_argument("--fs", type=float, default=BridgeConfig.sample_rate, help="sample rate in Hz")
+    p.add_argument("--fl-certain", type=float, default=DEFAULT_F_LOW_CERTAIN, help="lowest frequency to resolve")
+    p.add_argument("--fl-useful", type=float, default=DEFAULT_F_LOW_USEFUL, help="lowest informative frequency")
     p.add_argument("--kernel-sizes", type=_parse_int_list, default=DEFAULT_KERNEL_SIZES)
     p.add_argument("--pool-sizes", type=_parse_int_list, default=DEFAULT_POOL_SIZES)
     p.add_argument("--pool-steps", type=_parse_int_list, default=DEFAULT_POOL_STEPS)
     p.add_argument("--out", default="plan_out")
     p.set_defaults(func=_cmd_plan)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    add_common(p)
+    p = sub.add_parser("synth", parents=[common, seeded], help="generate a synthetic dataset")
     p.add_argument("--n", type=int, default=250)
     p.add_argument(
         "--distribution", type=_parse_distribution, default="8:0.5,12:0.3,16:0.2", help="axles:weight,…"
     )
-    p.add_argument("--speed-range", type=_parse_range, default=(20.0, 60.0))
-    p.add_argument("--spacing-range", type=_parse_range, default=(2.5, 8.0))
-    p.add_argument("--frequency-range", type=_parse_range, default=(5.0, 6.9))
-    p.add_argument("--noise-std", type=float, default=0.1)
+    p.add_argument("--speed-range", type=_parse_range, default=DatasetConfig.speed_range)
+    p.add_argument("--spacing-range", type=_parse_range, default=DatasetConfig.spacing_range)
+    p.add_argument("--frequency-range", type=_parse_range, default=DatasetConfig.frequency_range)
+    p.add_argument("--noise-std", type=float, default=DatasetConfig.noise_std)
     p.add_argument("--click-gain", type=float, default=BridgeConfig.click_gain)
-    p.add_argument("--sensor-positions", type=_parse_float_list, default="8.2", help="sensor positions in m, e.g. '4.1,12.3'")
-    p.add_argument("--fs", type=float, default=600.0)
+    p.add_argument(
+        "--sensor-positions", type=_parse_float_list, default=BridgeConfig.sensor_positions,
+        help="sensor positions in m, e.g. '4.1,12.3'",
+    )
+    p.add_argument("--fs", type=float, default=BridgeConfig.sample_rate)
     p.add_argument("--out", default="synth_out")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("split", help="build a train/val/test split plan")
-    add_common(p)
+    p = sub.add_parser("split", parents=[common, seeded], help="build a train/val/test split plan")
     p.add_argument("--dataset", required=True)
     p.add_argument("--scenario", choices=[s.value for s in Scenario], default=Scenario.STRATIFIED.value)
-    p.add_argument("--fraction", type=_parse_fraction, default="1/6", help="test fraction (stratified)")
+    p.add_argument("--fraction", type=_parse_fraction, default=DEFAULT_TEST_FRACTION, help="test fraction (stratified)")
     p.add_argument("--modal-axles", type=int, default=None, help="tie override (dgps)")
     p.add_argument("--out", default="split.json")
     p.set_defaults(func=_cmd_split)
 
-    p = sub.add_parser("transform", help="write spectrogram stacks")
-    add_common(p)
+    p = sub.add_parser("transform", parents=[common], help="write spectrogram stacks")
     p.add_argument("--dataset", required=True)
     p.add_argument("--passage", default=None, help="restrict to one passage id")
     p.add_argument("--out", default="stacks")
     p.set_defaults(func=_cmd_transform)
 
-    p = sub.add_parser("train", help="train one cross-validation fold")
-    add_common(p)
+    p = sub.add_parser("train", parents=[common, seeded, network], help="train one cross-validation fold")
     p.add_argument("--dataset", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--fold", type=int, default=0)
     p.add_argument("--input-kind", choices=[k.value for k in InputKind], default=InputKind.RAW.value)
-    p.add_argument("--kernel-size", type=int, default=9)
-    p.add_argument("--pool-size", type=int, default=2)
-    p.add_argument("--pool-steps", type=int, default=4)
-    p.add_argument("--base-width", type=int, default=16)
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--plateau-patience", type=int, default=3)
-    p.add_argument("--lr-factor", type=float, default=0.3)
-    p.add_argument("--stop-patience", type=int, default=6)
+    p.add_argument("--epochs", type=int, default=TrainSchedule.max_epochs)
+    p.add_argument("--batch-size", type=int, default=TrainSchedule.batch_size)
+    p.add_argument("--lr", type=float, default=TrainSchedule.initial_lr)
+    p.add_argument("--plateau-patience", type=int, default=TrainSchedule.plateau_patience)
+    p.add_argument("--lr-factor", type=float, default=TrainSchedule.lr_factor)
+    p.add_argument("--stop-patience", type=int, default=TrainSchedule.stop_patience)
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--out", default="train_out")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
-    add_common(p)
+    p = sub.add_parser("eval", parents=[common, peaks], help="evaluate a checkpoint")
     p.add_argument("--dataset", required=True)
     p.add_argument("--checkpoint", required=True, help="checkpoint stem (without .bin/.json)")
     p.add_argument("--split", default=None)
     p.add_argument("--ids", type=_parse_ids, default="test", help="'test' or a fold index (with --split)")
-    p.add_argument("--min-confidence", type=float, default=0.25)
-    p.add_argument("--min-distance", type=int, default=20)
     p.add_argument("--out", default="eval_out")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("detect", help="inference + peak picking to axle times")
-    add_common(p)
+    p = sub.add_parser("detect", parents=[common, peaks], help="inference + peak picking to axle times")
     p.add_argument("--dataset", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--passage", default=None)
-    p.add_argument("--min-confidence", type=float, default=0.25)
-    p.add_argument("--min-distance", type=int, default=20)
     p.add_argument(
         "--sensor-positions",
         type=_parse_positions,
@@ -588,13 +567,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="detections.csv")
     p.set_defaults(func=_cmd_detect)
 
-    p = sub.add_parser("bench", help="raw vs spectrogram cost on one signal")
-    add_common(p)
+    p = sub.add_parser("bench", parents=[common, seeded, network], help="raw vs spectrogram cost on one signal")
     p.add_argument("--n-samples", type=int, default=7200)
-    p.add_argument("--kernel-size", type=int, default=9)
-    p.add_argument("--pool-size", type=int, default=2)
-    p.add_argument("--pool-steps", type=int, default=4)
-    p.add_argument("--base-width", type=int, default=16)
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--out", default="bench_out")
     p.set_defaults(func=_cmd_bench)
@@ -603,17 +577,20 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            subparser = None
-            for action in parser._actions:
-                if isinstance(action, argparse._SubParsersAction):
-                    subparser = action.choices[args.command]
-            _apply_config_defaults(subparser, args, _read_config_file(args.config), argv)
+        # The first parse only finds the config file and the subcommand's
+        # options; VADER_SEED is left out so that a seed in the file can win.
+        args = build_parser(environ={}).parse_args(argv)
+        if args.config:
+            at = argv.index(args.command) + 1
+            tokens = _config_tokens(args.config, vars(args))
+            try:
+                args = build_parser().parse_args(argv[:at] + tokens + argv[at:])
+            except UsageError as exc:
+                raise UsageError(f"{args.config}: {exc}") from None
+        else:
+            args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,16 +44,13 @@ class WaveletSpec:
     family: WaveletFamily
     scale_lower: float
     scale_upper: float
-    n_scales: int = N_SCALES
 
     def __post_init__(self):
         if not 0 < self.scale_lower < self.scale_upper:
             raise ValueError(f"need 0 < lower < upper, got {self.scale_lower}, {self.scale_upper}")
-        if self.n_scales != N_SCALES:
-            raise ValueError(f"n_scales is fixed at {N_SCALES}")
 
     def scales(self) -> np.ndarray:
-        return np.linspace(self.scale_lower, self.scale_upper, self.n_scales)
+        return np.linspace(self.scale_lower, self.scale_upper, N_SCALES)
 
 
 #: The six (family, scale range) pairs of the stack, in channel order.
@@ -102,7 +99,7 @@ def cwt(signal, wavelet: WaveletSpec) -> np.ndarray:
         raise ShapeMismatch("empty signal")
     if not np.all(np.isfinite(x)):
         raise ValidationError("signal contains non-finite samples")
-    rows = np.empty((wavelet.n_scales, x.size), dtype=np.float64)
+    rows = np.empty((N_SCALES, x.size), dtype=np.float64)
     for j, s in enumerate(wavelet.scales()):
         psi = _sampled_wavelet(wavelet.family, s)
         half = psi.size // 2
@@ -151,7 +148,7 @@ def write_stack(path, stack: np.ndarray, meta: dict | None = None) -> Path:
                 "family": spec.family.value,
                 "scale_lower": spec.scale_lower,
                 "scale_upper": spec.scale_upper,
-                "n_scales": spec.n_scales,
+                "n_scales": N_SCALES,
             }
             for spec in DEFAULT_STACK
         ],

@@ -14,9 +14,8 @@ ADAM_EPS = 1e-7
 class ParamStore:
     """Parameters plus their first/second moment accumulators and step count."""
 
-    def __init__(self, params, beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS):
+    def __init__(self, params):
         self.params = list(params)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
         self.step_count = 0
@@ -26,7 +25,7 @@ def adam_step(store: ParamStore, learning_rate: float) -> None:
     """One bias-corrected Adam update from each parameter's ``grad`` buffer."""
     store.step_count += 1
     t = store.step_count
-    b1, b2 = store.beta1, store.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
     for p, m, v in zip(store.params, store.m, store.v):
@@ -37,4 +36,4 @@ def adam_step(store: ParamStore, learning_rate: float) -> None:
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        p.value -= learning_rate * (m / c1) / (np.sqrt(v / c2) + store.eps)
+        p.value -= learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)

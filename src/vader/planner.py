@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonPositiveFrequency, Overflow
+from .simulate import BridgeConfig
 
 _MAX_MRF = 2**63 - 1
 
@@ -22,6 +23,10 @@ _MAX_MRF = 2**63 - 1
 DEFAULT_KERNEL_SIZES = (3, 5, 7, 9, 11, 13, 15, 17)
 DEFAULT_POOL_SIZES = (2, 3, 4, 5)
 DEFAULT_POOL_STEPS = (3, 4)
+#: Default lowest frequencies (Hz) the detector must resolve ("certain") and
+#: that can still carry information ("useful"); each sets an object size.
+DEFAULT_F_LOW_CERTAIN = 5.0
+DEFAULT_F_LOW_USEFUL = 1.0
 
 #: Lowest frequency (Hz) effectively encoded into single spectrogram samples
 #: by the wavelet transform; reported as a bonus, never used to classify.
@@ -126,17 +131,16 @@ def plan_grid(
     kernel_sizes=DEFAULT_KERNEL_SIZES,
     pool_sizes=DEFAULT_POOL_SIZES,
     pool_steps=DEFAULT_POOL_STEPS,
-    sample_rate: float = 600.0,
-    f_low_certain: float = 5.0,
-    f_low_useful: float = 1.0,
-    input_kinds=(InputKind.RAW, InputKind.SPECTROGRAM),
-    base_width: int = 16,
+    sample_rate: float = BridgeConfig.sample_rate,
+    f_low_certain: float = DEFAULT_F_LOW_CERTAIN,
+    f_low_useful: float = DEFAULT_F_LOW_USEFUL,
 ) -> list[PlanEntry]:
     """Enumerate and classify the full hyperparameter grid.
 
-    The Cartesian product of the given axes is classified per entry; no
-    combination is dropped, so the caller sees invalid and underfitting
-    entries alongside usable ones.
+    The Cartesian product of both input kinds and the given axes, at the
+    default base width, is classified per entry; no combination is dropped,
+    so the caller sees invalid and underfitting entries alongside usable
+    ones.
     """
     if not kernel_sizes or not pool_sizes or not pool_steps:
         raise ValueError("grid axes must be nonempty")
@@ -145,11 +149,11 @@ def plan_grid(
             f"f_low_useful ({f_low_useful}) must not exceed f_low_certain ({f_low_certain})"
         )
     entries = []
-    for kind in input_kinds:
+    for kind in InputKind:
         for k in kernel_sizes:
             for m in pool_sizes:
                 for p in pool_steps:
-                    hyper = HyperParams(kind, k, m, p, base_width)
+                    hyper = HyperParams(kind, k, m, p)
                     field = hyper.mrf
                     effective = field
                     if kind is InputKind.SPECTROGRAM:

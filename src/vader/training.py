@@ -213,7 +213,7 @@ def train(
 
         val_loss, val_f1 = evaluate_samples(network, val_samples, loss_cfg)
         score = monitor(epoch, network) if monitor is not None else val_f1
-        history.train_loss.append(loss_sum / max(count_sum, 1))
+        history.train_loss.append(float(loss_sum / max(count_sum, 1)))
         history.val_loss.append(val_loss)
         history.val_f1.append(val_f1)
         history.learning_rate.append(lr)

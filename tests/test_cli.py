@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vader.cli import main
+from vader.cli import _estimate_velocities, main
 from vader.engine import ParamStore, save_checkpoint
 from vader.model import load_vader
 from vader.splits import SplitPlan
@@ -394,3 +394,94 @@ def test_malformed_checkpoint_exits_2(workspace, trained, tmp_path, capsys, dama
     assert err.startswith("data error:")
     if damage == "version_1":
         assert "retrain" in err
+
+
+def test_config_file_then_abbreviated_flag(tmp_path):
+    """A file's options come before the command line's, so an abbreviated
+    flag still overrides the file."""
+    cfg = tmp_path / "plan.cfg"
+    cfg.write_text("fl-certain = 6\n")
+    out = tmp_path / "plan"
+    assert run("plan", "--config", str(cfg), "--fl-cert", "5", "--out", str(out)) == 0
+    assert json.loads((out / "plan.json").read_text())["object_size_certain"] == 120  # 600 / 5
+
+
+@pytest.mark.parametrize(
+    "command, line", [("split", "scenario = dgsp"), ("train", "input_kind = spectro")]
+)
+def test_config_value_outside_choices_is_usage_error(workspace, tmp_path, capsys, command, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--dataset", str(workspace / "data" / "passages"), "--out", str(out)]
+    if command == "train":
+        argv += ["--split", str(workspace / "split.json")]
+    assert run(*argv) == 1
+    assert "invalid choice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_switch_on(workspace, tmp_path, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("verbose = yes\n")
+    out = tmp_path / "train"
+    assert _train(workspace, out, config=cfg) == 0
+    assert "epoch 0:" in capsys.readouterr().out
+    assert json.loads((out / "run.json").read_text())["config"]["verbose"] is True
+
+
+@pytest.mark.parametrize("command", ["plan", "transform", "eval", "detect"])
+def test_seed_only_where_read(workspace, trained, tmp_path, capsys, command):
+    argv = [command, "--seed", "1", "--out", str(tmp_path / "out")]
+    if command != "plan":
+        argv += ["--dataset", str(workspace / "data" / "passages")]
+    if command in ("eval", "detect"):
+        argv += ["--checkpoint", str(trained / "model")]
+    assert run(*argv) == 1
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_env_not_an_integer_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("VADER_SEED", "seven")
+    out = tmp_path / "synth"
+    assert run("synth", "--n", "2", "--distribution", "3:1.0", "--out", str(out)) == 1
+    assert "'seven'" in capsys.readouterr().err
+    assert not out.exists()
+    # A seed in the config file, like one on the command line, leaves VADER_SEED unread.
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text("seed = 5\n")
+    assert run("synth", "--config", str(cfg), "--n", "2", "--distribution", "3:1.0", "--out", str(out)) == 0
+    assert json.loads((out / "run.json").read_text())["config"]["seed"] == 5
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--kernel-sizes", "3", "--pool-sizes", "2", "--pool-steps", "3", "--fl-useful", "0"],
+        ["--kernel-sizes", "2", "--pool-sizes", "2", "--fl-certain", "0", "--fl-useful", "0"],
+    ],
+)
+def test_plan_zero_frequency_exits_2(tmp_path, capsys, flags):
+    """Every entry is underfit or invalid, so only the summary's object
+    sizes see the zero frequency."""
+    out = tmp_path / "plan"
+    assert run("plan", *flags, "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("data error:")
+    assert not out.exists()
+
+
+def test_history_csv_holds_plain_numbers(trained):
+    lines = (trained / "history.csv").read_text().splitlines()
+    assert lines[0] == "epoch,train_loss,val_loss,val_f1,lr"
+    assert len(lines) == 3
+    for line in lines[1:]:
+        [float(field) for field in line.split(",")]
+
+
+def test_detect_says_why_velocities_are_blank(capsys):
+    positions = {"s0": 4.0, "s1": 12.0}
+    assert _estimate_velocities("p", {"s0": np.array([1.0, 2.0]), "s1": np.array([1.5])}, positions) == {}
+    assert capsys.readouterr().err == "p: no velocities, s0 has 2 detections and s1 has 1\n"
+    assert _estimate_velocities("p", {"s0": np.array([1.0]), "s1": np.array([1.5])}, positions) == {0: 16.0}
+    assert capsys.readouterr().err == ""

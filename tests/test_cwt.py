@@ -155,5 +155,3 @@ def test_stack_io_round_trip(tmp_path):
 def test_wavelet_spec_validation():
     with pytest.raises(ValueError):
         WaveletSpec(WaveletFamily.GAUSSIAN_1, 5.0, 2.0)
-    with pytest.raises(ValueError):
-        WaveletSpec(WaveletFamily.GAUSSIAN_1, 1.0, 8.0, n_scales=8)
