@@ -323,6 +323,15 @@ def _cmd_train(args) -> int:
 # ---------------------------------------------------------------- eval
 
 
+def _cell(value) -> str:
+    """A per-sensor CSV cell: the exact float, empty for no value."""
+    return "" if value is None else repr(value)
+
+
+def _fixed(value, unit="") -> str:
+    return "n/a" if value is None else f"{value:.2f}{unit}"
+
+
 def _cmd_eval(args) -> int:
     out_dir = Path(args.out)
     dataset = load_dataset(args.dataset)
@@ -359,14 +368,14 @@ def _cmd_eval(args) -> int:
                     row["fn"],
                     repr(row["f1_200"]),
                     repr(row["f1_37"]),
-                    repr(row["mean_spatial_error_cm"]),
-                    repr(row["msa"]),
+                    _cell(row["mean_spatial_error_cm"]),
+                    _cell(row["msa"]),
                 ]
             )
     print(
         f"evaluated {len(passages)} passages: F1@200cm {report.f1_200:.2f} "
-        f"F1@37cm {report.f1_37:.2f} mean spatial error {report.mean_spatial_error_cm:.2f} cm "
-        f"MSA {report.msa:.2f}"
+        f"F1@37cm {report.f1_37:.2f} mean spatial error {_fixed(report.mean_spatial_error_cm, ' cm')} "
+        f"MSA {_fixed(report.msa)}"
     )
     return 0
 

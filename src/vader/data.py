@@ -11,9 +11,10 @@ On-disk layout (one directory per passage)::
     <root>/<passage_id>/sensor_<id>.csv     # one sample per line, no header
 
 ``meta.json`` carries passage_id, sample_rate, axle_count, per-sensor
-crossing times in seconds, and per-axle velocities in m/sample. All CSV is
-ASCII with ``\\n`` line endings; floats are written with ``repr`` so a
-save/load cycle is bit-exact.
+crossing times in seconds, which strictly increase (axles pass a sensor in
+order), and per-axle velocities in m/sample. All CSV is ASCII with ``\\n``
+line endings; floats are written with ``repr`` so a save/load cycle is
+bit-exact.
 """
 
 from __future__ import annotations
@@ -160,6 +161,9 @@ def validate_passage(p: Passage) -> list[str]:
             violations.append(
                 f"channel {ch.sensor_id}: {len(records)} axle records, expected {p.axle_count}"
             )
+        times = [r.crossing_time for r in records]
+        if any(later <= earlier for earlier, later in zip(times, times[1:])):
+            violations.append(f"channel {ch.sensor_id}: crossing times {times} do not strictly increase")
         for i, rec in enumerate(records):
             if rec.velocity <= 0:
                 violations.append(f"channel {ch.sensor_id} axle {i}: velocity {rec.velocity} <= 0")
@@ -169,9 +173,7 @@ def validate_passage(p: Passage) -> list[str]:
                 )
         if ch.sample_rate > 0 and ch.n_samples >= 1:
             try:
-                bits = build_label_vector(
-                    [r.crossing_time for r in records], ch.sample_rate, ch.n_samples
-                )
+                bits = build_label_vector(times, ch.sample_rate, ch.n_samples)
             except (OutOfRangeCrossing, DuplicateSampleIndex) as exc:
                 violations.append(f"channel {ch.sensor_id}: label construction failed: {exc}")
             else:

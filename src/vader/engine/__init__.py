@@ -15,7 +15,6 @@ from .layers import (
     TileFreq,
     TransposedConvTime,
     groupnorm_groups,
-    pad_time_to_multiple,
     zero_invalid,
 )
 from .loss import LossConfig, focal_loss
@@ -43,7 +42,6 @@ __all__ = [
     "TileFreq",
     "TransposedConvTime",
     "groupnorm_groups",
-    "pad_time_to_multiple",
     "zero_invalid",
     "LossConfig",
     "focal_loss",

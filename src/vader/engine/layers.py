@@ -10,7 +10,9 @@ to summation rounding (ulp level; only reduction trees differ).
 
 Layers are stateless between calls: ``forward`` returns an opaque cache that
 ``backward`` consumes, so inference (``want_cache=False``) is reentrant and
-training owns its parameters exclusively.
+training owns its parameters exclusively. A layer computes in its input's
+dtype; its parameters are float64 until ``Network.add`` gives them the
+network's.
 
 Both convolutions run one tap loop (kn2row). The padded input is copied once
 into a channel-major plane of ``N * rows`` padded frequency rows of ``R``
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import MissingForwardCache, ShapeMismatch
+from ..errors import MissingForwardCache, NonFiniteInput, ShapeMismatch
 
 #: Sigmoid outputs are clipped into this open interval so the probability
 #: contract stays strict even where float arithmetic would saturate.
@@ -56,15 +58,6 @@ def zero_invalid(arr: np.ndarray, valid: np.ndarray) -> np.ndarray:
         if v < T:
             arr[n, ..., v:] = 0
     return arr
-
-
-def pad_time_to_multiple(x: np.ndarray, multiple: int) -> np.ndarray:
-    T = x.shape[-1]
-    rem = T % multiple
-    if rem == 0:
-        return x
-    pad = [(0, 0)] * (x.ndim - 1) + [(0, multiple - rem)]
-    return np.pad(x, pad)
 
 
 def groupnorm_groups(channels: int) -> int:
@@ -112,7 +105,7 @@ class Conv(Layer):
     #: Time upsampling factor; only TransposedConvTime sets it above 1.
     stride = 1
 
-    def __init__(self, c_in, c_out, kf, kt, freq_padding="same", name="conv", dtype=np.float32):
+    def __init__(self, c_in, c_out, kf, kt, freq_padding="same", name="conv"):
         if self.stride == 1 and kt % 2 != 1:
             raise ValueError(f"time kernel extent must be odd, got {kt}")
         if freq_padding not in ("same", "valid"):
@@ -120,8 +113,8 @@ class Conv(Layer):
         self.c_in, self.c_out, self.kf, self.kt = c_in, c_out, kf, kt
         self.freq_padding = freq_padding
         self.name = name
-        self.weight = Param(f"{name}.weight", np.zeros((c_out, c_in, kf, kt), dtype=dtype))
-        self.bias = Param(f"{name}.bias", np.zeros(c_out, dtype=dtype))
+        self.weight = Param(f"{name}.weight", np.zeros((c_out, c_in, kf, kt)))
+        self.bias = Param(f"{name}.bias", np.zeros(c_out))
 
     def init(self, rng):
         fan_in = self.c_in * self.kf * self.kt
@@ -209,11 +202,11 @@ class TransposedConvTime(Conv):
 
     kind = "transposed_conv"
 
-    def __init__(self, c_in, c_out, kf, kt, stride, name="tconv", dtype=np.float32):
+    def __init__(self, c_in, c_out, kf, kt, stride, name="tconv"):
         if stride < 2:
             raise ValueError(f"stride must be >= 2, got {stride}")
         self.stride = stride
-        super().__init__(c_in, c_out, kf, kt, name=name, dtype=dtype)
+        super().__init__(c_in, c_out, kf, kt, name=name)
         # Tap j takes input column c to output column stride*c + crop - j, as
         # correlating the zero-stuffed input padded by `crop` would; output
         # rows start `top - crop` early, so every offset b = top - j >= 0.
@@ -285,13 +278,13 @@ class GroupNorm(Layer):
 
     kind = "group_norm"
 
-    def __init__(self, channels, groups, eps=1e-5, name="gn", dtype=np.float32):
+    def __init__(self, channels, groups, eps=1e-5, name="gn"):
         if channels % groups:
             raise ValueError(f"channels {channels} not divisible by groups {groups}")
         self.channels, self.groups, self.eps = channels, groups, eps
         self.name = name
-        self.gamma = Param(f"{name}.gamma", np.ones(channels, dtype=dtype))
-        self.beta = Param(f"{name}.beta", np.zeros(channels, dtype=dtype))
+        self.gamma = Param(f"{name}.gamma", np.ones(channels))
+        self.beta = Param(f"{name}.beta", np.zeros(channels))
 
     def params(self):
         return [self.gamma, self.beta]
@@ -307,7 +300,7 @@ class GroupNorm(Layer):
             raise ShapeMismatch(f"expected {self.channels} channels, got {C}")
         g, cg = self.groups, C // self.groups
         xg = x.reshape(N, g, cg, F, T)
-        count = (valid.astype(np.int64) * cg * F).reshape(N, 1)
+        count = (valid.astype(x.dtype) * cg * F).reshape(N, 1)
         # padded tails are zero, so full-axis sums equal valid-position sums
         s1 = xg.sum(axis=(2, 3, 4))
         s2 = (xg * xg).sum(axis=(2, 3, 4))
@@ -315,18 +308,15 @@ class GroupNorm(Layer):
         var = np.maximum(s2 / count - mean * mean, 0.0)
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat = (xg - mean[:, :, None, None, None]) * inv_std[:, :, None, None, None]
-        xhat = xhat.reshape(N, C, F, T)
-        y = xhat * self.gamma.value[None, :, None, None] + self.beta.value[None, :, None, None]
-        cache = (x, mean, inv_std, valid) if want_cache else None
+        y = xhat.reshape(N, C, F, T) * self.gamma.value[None, :, None, None]
+        y += self.beta.value[None, :, None, None]
+        cache = (xhat, inv_std, count, valid) if want_cache else None
         return y, valid, cache
 
     def backward(self, cache, dy):
-        x, mean, inv_std, valid = _require(cache)
-        N, C, F, T = x.shape
+        xhat, inv_std, count, valid = _require(cache)
+        N, C, F, T = dy.shape
         g, cg = self.groups, C // self.groups
-        count = (valid.astype(x.dtype) * cg * F).reshape(N, 1)
-        xc = x.reshape(N, g, cg, F, T) - mean[:, :, None, None, None]
-        xhat = xc * inv_std[:, :, None, None, None]
         self.gamma.grad += (dy * xhat.reshape(N, C, F, T)).sum(axis=(0, 2, 3))
         self.beta.grad += dy.sum(axis=(0, 2, 3))
         dxhat = (dy * self.gamma.value[None, :, None, None]).reshape(N, g, cg, F, T)
@@ -462,8 +452,10 @@ class Node:
 class Network:
     """A topologically ordered DAG of layers with a single input and output.
 
-    ``time_multiple`` records the pooling product the input length must be
-    padded to before calling :meth:`forward`. ``spec`` is the JSON-ready
+    It alone decides precision and time padding: :meth:`add` gives every
+    parameter the network's ``dtype`` and :meth:`forward` casts the input to
+    it; both passes zero-pad the time axis to ``time_multiple`` (the pooling
+    product) and crop the padding off again. ``spec`` is the JSON-ready
     record a builder made the graph from, saved with its checkpoints; it
     stays empty for graphs built by hand.
     """
@@ -475,6 +467,9 @@ class Network:
         self.spec: dict = {}
 
     def add(self, name: str, layer: Layer, inputs) -> int:
+        for p in layer.params():
+            p.value = p.value.astype(self.dtype)
+            p.grad = np.zeros_like(p.value)
         self.nodes.append(Node(name, layer, list(inputs)))
         return len(self.nodes) - 1
 
@@ -499,21 +494,25 @@ class Network:
                 node.layer.init(np.random.Generator(np.random.PCG64(child)))
 
     def forward(self, x: np.ndarray, valid=None, want_cache=False):
-        """Run the graph; returns the output array, and with ``want_cache``
-        a context to hand to :meth:`backward`."""
-        x = np.array(x, dtype=self.dtype, order="C")  # a private copy, zeroed below
+        """Run the graph on an ``(N, C, F, T)`` input of any dtype and length,
+        valid up to ``valid`` (default ``T``); returns the output, and with
+        ``want_cache`` a context for :meth:`backward`. Raises NonFiniteInput
+        for a valid input value that is not finite in the network's dtype."""
+        x = np.asarray(x)
         if x.ndim != 4:
             raise ShapeMismatch(f"expected (N, C, F, T) input, got shape {x.shape}")
-        if x.shape[-1] % self.time_multiple:
-            raise ShapeMismatch(
-                f"time length {x.shape[-1]} not a multiple of {self.time_multiple}"
-            )
         if valid is None:
             valid = np.full(x.shape[0], x.shape[-1], dtype=np.int64)
         else:
             valid = np.asarray(valid, dtype=np.int64)
-        x = zero_invalid(x, valid)
-        acts: dict[int, np.ndarray] = {-1: x}
+        pad = -x.shape[-1] % self.time_multiple
+        with np.errstate(over="ignore"):  # an overflowing cast is refused below
+            xp = zero_invalid(_pad_time(x, pad, self.dtype), valid)
+        finite = np.isfinite(xp[..., : x.shape[-1]])
+        if not finite.all():
+            bad = float(x[~finite][0])
+            raise NonFiniteInput(f"input value {bad!r} is not finite in {np.dtype(self.dtype).name}")
+        acts: dict[int, np.ndarray] = {-1: xp}
         valids: dict[int, np.ndarray] = {-1: valid}
         caches: list = []
         for i, node in enumerate(self.nodes):
@@ -525,23 +524,26 @@ class Network:
             valids[i] = v
             caches.append(cache)
         out = acts[len(self.nodes) - 1]
+        out = out[..., : out.shape[-1] - pad]
         if not want_cache:
             return out
-        return out, _Context(valids, caches)
+        return out, (valids, caches, pad)
 
     def backward(self, ctx, dy: np.ndarray) -> np.ndarray:
-        """Accumulate parameter gradients; returns the input gradient."""
+        """Accumulate parameter gradients for the output gradient ``dy`` (any
+        dtype); returns the input gradient."""
         if ctx is None:
             raise MissingForwardCache("no forward context")
-        grads: dict[int, np.ndarray] = {len(self.nodes) - 1: np.asarray(dy, dtype=self.dtype)}
+        valids, caches, pad = ctx
+        grads: dict[int, np.ndarray] = {len(self.nodes) - 1: _pad_time(dy, pad, self.dtype)}
         dinput = None
         for i in range(len(self.nodes) - 1, -1, -1):
             g = grads.pop(i, None)
             if g is None:
                 continue
-            zero_invalid(g, ctx.valids[i])
+            zero_invalid(g, valids[i])
             node = self.nodes[i]
-            dxs = node.layer.backward(ctx.caches[i], g)
+            dxs = node.layer.backward(caches[i], g)
             for j, dx in zip(node.inputs, dxs):
                 if j < 0:
                     dinput = dx if dinput is None else dinput + dx
@@ -550,13 +552,13 @@ class Network:
                 else:
                     grads[j] = dx
         if dinput is not None:
-            zero_invalid(dinput, ctx.valids[-1])
+            zero_invalid(dinput, valids[-1])
+            dinput = dinput[..., : dinput.shape[-1] - pad]
         return dinput
 
 
-class _Context:
-    __slots__ = ("valids", "caches")
-
-    def __init__(self, valids, caches):
-        self.valids = valids
-        self.caches = caches
+def _pad_time(a, pad: int, dtype) -> np.ndarray:
+    """A fresh ``dtype`` copy of ``a`` with ``pad`` zeros after its time axis."""
+    out = np.zeros(a.shape[:-1] + (a.shape[-1] + pad,), dtype=dtype)
+    out[..., : a.shape[-1]] = a
+    return out

@@ -78,6 +78,10 @@ class MissingForwardCache(VaderError):
     """backward() called without a preceding forward() on the same graph."""
 
 
+class NonFiniteInput(DataError):
+    """A network input value is not finite in the network's dtype."""
+
+
 class CheckpointError(DataError):
     """A checkpoint manifest is unreadable, incomplete or of an older format."""
 

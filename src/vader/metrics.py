@@ -220,8 +220,9 @@ class SensorTally:
         self.errors_cm.extend(p.error_cm for p in at_200.pairs)
 
     def summary(self) -> dict:
-        """Counts at 200 cm, F1 at 200 cm and 37 cm, mean spatial error, MSA."""
-        ds = float(np.mean(self.errors_cm)) if self.errors_cm else 0.0
+        """Counts at 200 cm, F1 at 200 cm and 37 cm, mean spatial error and
+        MSA; the last two are None when no pair matched."""
+        ds = float(np.mean(self.errors_cm)) if self.errors_cm else None
         return {
             "tp": self.tp_200,
             "fp": self.fp_200,
@@ -229,18 +230,19 @@ class SensorTally:
             "f1_200": f1(self.tp_200, self.fp_200, self.fn_200),
             "f1_37": f1(self.tp_37, self.fp_37, self.fn_37),
             "mean_spatial_error_cm": ds,
-            "msa": msa(ds),
+            "msa": None if ds is None else msa(ds),
         }
 
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Aggregate detection quality over a set of evaluated series."""
+    """Aggregate detection quality over a set of evaluated series; spatial
+    error and MSA are None when no pair matched."""
 
     f1_200: float
     f1_37: float
-    mean_spatial_error_cm: float
-    msa: float
+    mean_spatial_error_cm: float | None
+    msa: float | None
     per_sensor: dict[str, dict]
 
     def to_dict(self) -> dict:

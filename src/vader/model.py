@@ -41,7 +41,6 @@ from .engine import (
     TransposedConvTime,
     groupnorm_groups,
     load_checkpoint,
-    pad_time_to_multiple,
     read_manifest,
 )
 from .errors import CheckpointError, InvalidHyperParams, ShapeMismatch
@@ -99,8 +98,7 @@ class _Builder:
         kf = min(self.k, freq_bins) if kf is None else kf
         kt = self.k if kt is None else kt
         name = self._name(label)
-        layer = Conv(c_in, c_out, kf, kt, freq_padding, name=name, dtype=self.net.dtype)
-        return self.net.add(name, layer, [src])
+        return self.net.add(name, Conv(c_in, c_out, kf, kt, freq_padding, name=name), [src])
 
     def conv_block(self, src, c_in, c_out, freq_bins, label, groups=None):
         """conv + ReLU + group norm."""
@@ -108,12 +106,12 @@ class _Builder:
         r = self.net.add(self._name(f"{label}_relu"), ReLU(), [c])
         g = groups if groups is not None else groupnorm_groups(c_out)
         name = self._name(f"{label}_gn")
-        return self.net.add(name, GroupNorm(c_out, g, name=name, dtype=self.net.dtype), [r])
+        return self.net.add(name, GroupNorm(c_out, g, name=name), [r])
 
     def _conv_gn_relu(self, src, c_in, c_out, freq_bins, label, kf=None, kt=None):
         c = self.conv(src, c_in, c_out, freq_bins, f"{label}_conv", kf=kf, kt=kt)
         name = self._name(f"{label}_gn")
-        g = self.net.add(name, GroupNorm(c_out, groupnorm_groups(c_out), name=name, dtype=self.net.dtype), [c])
+        g = self.net.add(name, GroupNorm(c_out, groupnorm_groups(c_out), name=name), [c])
         return self.net.add(self._name(f"{label}_relu"), ReLU(), [g])
 
     def residual_block(self, src, c_in, c_out, freq_bins, label):
@@ -165,13 +163,8 @@ def build_vader(cfg: VaderConfig, dtype=np.float32) -> Network:
 
     for level in range(p - 1, -1, -1):
         name = b._name(f"dec{level}_up")
-        up = net.add(
-            name,
-            TransposedConvTime(
-                widths[level + 1], widths[level], min(k, freq), k, stride=m, name=name, dtype=dtype
-            ),
-            [cur],
-        )
+        up_conv = TransposedConvTime(widths[level + 1], widths[level], min(k, freq), k, stride=m, name=name)
+        up = net.add(name, up_conv, [cur])
         skip, skip_freq = skips[level]
         if skip_freq > 1:
             skip = net.add(b._name(f"dec{level}_skipmax"), ReduceMaxFreq(), [skip])
@@ -185,37 +178,30 @@ def build_vader(cfg: VaderConfig, dtype=np.float32) -> Network:
     return net
 
 
-def network_input(source, input_kind: InputKind = InputKind.RAW, dtype=np.float32) -> np.ndarray:
+def network_input(source, input_kind: InputKind = InputKind.RAW) -> np.ndarray:
     """The (1, C, F, T) input of a detector of ``input_kind`` for a sensor
-    channel, a bare series or a (16, 6, n) spectrogram stack. A channel or
-    series is wavelet-transformed for a spectrogram detector; a stack is
-    taken as it is."""
+    channel, a bare series or a (16, 6, n) spectrogram stack, in the
+    source's dtype. A channel or series is wavelet-transformed for a
+    spectrogram detector; a stack is taken as it is."""
     arr = source.samples if isinstance(source, SensorChannel) else np.asarray(source)
     if arr.ndim == 1 and input_kind is InputKind.SPECTROGRAM:
         arr = spectrogram_stack(arr)
     if arr.ndim == 1:
-        return arr.reshape(1, 1, 1, -1).astype(dtype)
+        return arr.reshape(1, 1, 1, -1)
     if arr.ndim == 3 and arr.shape[0] == SPEC_BINS and arr.shape[1] == SPEC_CHANNELS:
-        return arr.transpose(1, 0, 2)[None, ...].astype(dtype)
+        return arr.transpose(1, 0, 2)[None, ...]
     raise ShapeMismatch(
         f"expected a 1-D signal or a ({SPEC_BINS}, {SPEC_CHANNELS}, n) stack, got shape {arr.shape}"
     )
 
 
-def forward_series(network: Network, x: np.ndarray) -> np.ndarray:
-    """Pad one (1, C, F, T) input to the network's time multiple, run it and
-    crop the probabilities back to its T samples."""
-    n = x.shape[-1]
-    y = network.forward(pad_time_to_multiple(x, network.time_multiple), valid=np.array([n]))
-    return y[0, 0, 0, :n]
-
-
 def infer(network: Network, source) -> np.ndarray:
     """Probability of an axle above the sensor, one value per input sample,
-    for any ``source`` :func:`network_input` takes; the input kind is the
-    detector's own (raw for a hand-built graph)."""
+    for any ``source`` :func:`network_input` takes, of any length and float
+    dtype (the network casts and pads it); the input kind is the detector's
+    own (raw for a hand-built graph)."""
     kind = InputKind(network.spec.get("input_kind", InputKind.RAW.value))
-    return forward_series(network, network_input(source, kind, network.dtype))
+    return network.forward(network_input(source, kind))[0, 0, 0]
 
 
 def max_kernel_time_span(network: Network) -> int:

@@ -4,7 +4,8 @@ validation F1, best-weight restoration.
 Every (passage, sensor) pair is one training example. Within a batch,
 shorter signals are zero-padded to the batch maximum and excluded from both
 the loss and all normalisation statistics, so a padded batch yields exactly
-the per-sample results.
+the per-sample results. The network casts batches to its dtype and pads
+them to its pooling multiple itself.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .data import Dataset, build_label_vector, label_indices
 from .engine import LossConfig, ParamStore, adam_step, focal_loss
 from .errors import EmptyFold
 from .metrics import MetricsAccumulator, PeakConfig, score_series
-from .model import VaderConfig, build_vader, forward_series, network_input
+from .model import VaderConfig, build_vader, network_input
 from .planner import InputKind
 from .splits import SplitPlan
 
@@ -76,7 +77,7 @@ class Sample:
     velocities: np.ndarray
 
 
-def build_samples(dataset: Dataset, ids, input_kind: InputKind, dtype=np.float32) -> list[Sample]:
+def build_samples(dataset: Dataset, ids, input_kind: InputKind) -> list[Sample]:
     """Materialise the (passage, sensor) examples for the given passage ids."""
     samples = []
     for pid in sorted(ids):
@@ -91,7 +92,7 @@ def build_samples(dataset: Dataset, ids, input_kind: InputKind, dtype=np.float32
                 Sample(
                     passage_id=pid,
                     sensor_id=ch.sensor_id,
-                    x=network_input(ch, input_kind, dtype)[0],
+                    x=network_input(ch, input_kind)[0],
                     labels=bits,
                     label_idx=label_indices(passage, ch.sensor_id),
                     velocities=np.asarray(
@@ -111,15 +112,14 @@ class Batch:
     samples: list[Sample]
 
 
-def assemble_batch(samples: list[Sample], time_multiple: int, dtype=np.float32) -> Batch:
-    """Zero-pad a list of samples to the batch maximum (rounded up to the
-    pooling multiple); the mask marks real positions."""
+def assemble_batch(samples: list[Sample]) -> Batch:
+    """Zero-pad a list of samples to the longest of them, keeping their
+    dtype; the mask marks real positions."""
     lengths = [s.x.shape[-1] for s in samples]
     t_max = max(lengths)
-    t_max += (-t_max) % time_multiple
     n = len(samples)
     c, f = samples[0].x.shape[0], samples[0].x.shape[1]
-    x = np.zeros((n, c, f, t_max), dtype=dtype)
+    x = np.zeros((n, c, f, t_max), dtype=samples[0].x.dtype)
     labels = np.zeros((n, t_max), dtype=np.float64)
     mask = np.zeros((n, t_max), dtype=np.float64)
     for i, s in enumerate(samples):
@@ -130,14 +130,12 @@ def assemble_batch(samples: list[Sample], time_multiple: int, dtype=np.float32) 
     return Batch(x=x, labels=labels, valid=np.asarray(lengths, dtype=np.int64), mask=mask, samples=samples)
 
 
-def make_batches(samples: list[Sample], batch_size: int, rng, time_multiple: int = 1, dtype=np.float32):
+def make_batches(samples: list[Sample], batch_size: int, rng):
     """One epoch of shuffled, padded batches."""
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     order = rng.permutation(len(samples))
     for start in range(0, len(samples), batch_size):
         chosen = [samples[i] for i in order[start : start + batch_size]]
-        yield assemble_batch(chosen, time_multiple, dtype)
+        yield assemble_batch(chosen)
 
 
 def evaluate_samples(network, samples, loss_cfg: LossConfig, peak_cfg=PeakConfig()):
@@ -146,8 +144,8 @@ def evaluate_samples(network, samples, loss_cfg: LossConfig, peak_cfg=PeakConfig
     total_count = 0
     acc = MetricsAccumulator()
     for s in samples:
-        probs = forward_series(network, s.x[None, ...])
-        loss, _ = focal_loss(probs.astype(np.float64), s.labels, loss_cfg)
+        probs = network.forward(s.x[None, ...])[0, 0, 0]
+        loss, _ = focal_loss(probs, s.labels, loss_cfg)
         total_loss += loss * s.labels.size
         total_count += s.labels.size
         acc.add(s.sensor_id, *score_series(probs, s.label_idx, s.velocities, peak_cfg))
@@ -198,14 +196,11 @@ def train(
     for epoch in range(schedule.max_epochs):
         loss_sum = 0.0
         count_sum = 0
-        for batch in make_batches(
-            train_samples, schedule.batch_size, rng, network.time_multiple, network.dtype
-        ):
+        for batch in make_batches(train_samples, schedule.batch_size, rng):
             y, ctx = network.forward(batch.x, batch.valid, want_cache=True)
-            probs = y[:, 0, 0, :].astype(np.float64)
-            loss, dprobs = focal_loss(probs, batch.labels, loss_cfg, batch.mask)
+            loss, dprobs = focal_loss(y[:, 0, 0, :], batch.labels, loss_cfg, batch.mask)
             network.zero_grads()
-            network.backward(ctx, dprobs[:, None, None, :].astype(network.dtype))
+            network.backward(ctx, dprobs[:, None, None, :])
             adam_step(store, lr)
             n_valid = batch.mask.sum()
             loss_sum += loss * n_valid

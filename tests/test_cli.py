@@ -485,3 +485,64 @@ def test_detect_says_why_velocities_are_blank(capsys):
     assert capsys.readouterr().err == "p: no velocities, s0 has 2 detections and s1 has 1\n"
     assert _estimate_velocities("p", {"s0": np.array([1.0]), "s1": np.array([1.5])}, positions) == {0: 16.0}
     assert capsys.readouterr().err == ""
+
+
+def _edited_copy(workspace, tmp_path, passage_id, edit):
+    """A copy of the workspace passages with ``edit`` applied to one passage's
+    directory."""
+    data = tmp_path / "edited"
+    shutil.copytree(workspace / "data" / "passages", data)
+    edit(data / passage_id)
+    return data
+
+
+def test_decreasing_crossing_times_exit_2(workspace, trained, tmp_path, capsys):
+    def reverse_s0(pdir):
+        meta = json.loads((pdir / "meta.json").read_text())
+        meta["crossing_times"]["s0"].reverse()
+        (pdir / "meta.json").write_text(json.dumps(meta))
+
+    data = _edited_copy(workspace, tmp_path, "passage_00000", reverse_s0)
+    code = run("eval", "--dataset", str(data), "--checkpoint", str(trained / "model"), "--out", str(tmp_path / "eval"))
+    assert code == 2
+    assert "do not strictly increase" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "detect", "train"])
+def test_sample_beyond_float32_exits_2(workspace, trained, tmp_path, capsys, command):
+    def overflow_s0(pdir):
+        lines = (pdir / "sensor_s0.csv").read_text().split("\n")
+        lines[5] = "1e39"
+        (pdir / "sensor_s0.csv").write_text("\n".join(lines))
+
+    first_train = SplitPlan.from_json((workspace / "split.json").read_text()).fold_train_ids(0)[0]
+    data = _edited_copy(workspace, tmp_path, first_train, overflow_s0)
+    out = tmp_path / "out"
+    if command == "train":
+        code = run("train", "--dataset", str(data), "--split", str(workspace / "split.json"),
+                   "--kernel-size", "5", "--pool-steps", "2", "--base-width", "4", "--epochs", "1",
+                   "--out", str(out))
+    else:
+        code = run(command, "--dataset", str(data), "--checkpoint", str(trained / "model"), "--out", str(out))
+    assert code == 2
+    assert "1e+39 is not finite in float32" in capsys.readouterr().err
+    assert not (out / "model.bin").exists()
+
+
+def test_eval_without_matches_has_no_spatial_error(workspace, trained, tmp_path, capsys):
+    network, _ = load_vader(trained / "model")
+    network.params()[-1].value[...] = -50.0  # the head bias: every probability at its floor
+    stem = tmp_path / "silent" / "model"
+    save_checkpoint(stem, network, seed=7)
+    out = tmp_path / "eval"
+    code = run(
+        "eval", "--dataset", str(workspace / "data" / "passages"), "--checkpoint", str(stem), "--out", str(out)
+    )
+    assert code == 0
+    report = json.loads((out / "metrics.json").read_text())
+    assert report["f1_200"] == 0.0
+    assert report["mean_spatial_error_cm"] is None and report["msa"] is None
+    for row in csv.DictReader((out / "per_sensor.csv").open()):
+        assert row["tp"] == "0" and row["mean_spatial_error_cm"] == "" and row["msa"] == ""
+    assert "mean spatial error n/a MSA n/a" in capsys.readouterr().out

@@ -127,6 +127,15 @@ def test_validate_bad_velocity():
     assert any("velocity" in v for v in validate_passage(p))
 
 
+def test_validate_decreasing_crossing_times():
+    """Axles pass a sensor in order; a record order that disagrees would pair
+    each label with another axle's velocity."""
+    p = _passage(axles={"a": (AxleRecord(1.0, 0.05), AxleRecord(0.5, 0.01)),
+                        "b": (AxleRecord(0.7, 0.05), AxleRecord(1.2, 0.01))})
+    violations = validate_passage(p)
+    assert violations == ["channel a: crossing times [1.0, 0.5] do not strictly increase"]
+
+
 def test_label_indices_sorted(tiny_passage):
     idx = label_indices(tiny_passage, "s0")
     assert list(idx) == sorted(idx)

@@ -37,38 +37,38 @@ def _full(xs):
 
 
 def test_conv_grad_1d():
-    layer = Conv(3, 4, 1, 9, name="c", dtype=np.float64)
+    layer = Conv(3, 4, 1, 9, name="c")
     layer.init(RNG)
     assert fd_layer_check(layer, [_x(2, 3, 1, 30)]) <= TOL
 
 
 def test_conv_grad_2d_same():
-    layer = Conv(2, 3, 8, 5, freq_padding="same", name="c", dtype=np.float64)
+    layer = Conv(2, 3, 8, 5, freq_padding="same", name="c")
     layer.init(RNG)
     assert fd_layer_check(layer, [_x(2, 2, 8, 12)]) <= TOL
 
 
 def test_conv_grad_2d_valid_freq():
-    layer = Conv(2, 1, 6, 1, freq_padding="valid", name="c", dtype=np.float64)
+    layer = Conv(2, 1, 6, 1, freq_padding="valid", name="c")
     layer.init(RNG)
     assert fd_layer_check(layer, [_x(2, 2, 6, 10)]) <= TOL
 
 
 def test_conv_grad_pointwise():
-    layer = Conv(5, 2, 1, 1, name="c", dtype=np.float64)
+    layer = Conv(5, 2, 1, 1, name="c")
     layer.init(RNG)
     assert fd_layer_check(layer, [_x(1, 5, 2, 17)]) <= TOL
 
 
 def test_transposed_conv_grad():
     for stride in (2, 3):
-        layer = TransposedConvTime(3, 2, 1, 5, stride=stride, name="t", dtype=np.float64)
+        layer = TransposedConvTime(3, 2, 1, 5, stride=stride, name="t")
         layer.init(RNG)
         assert fd_layer_check(layer, [_x(2, 3, 1, 12)]) <= TOL
 
 
 def test_transposed_conv_grad_2d():
-    layer = TransposedConvTime(2, 2, 3, 5, stride=2, name="t", dtype=np.float64)
+    layer = TransposedConvTime(2, 2, 3, 5, stride=2, name="t")
     layer.init(RNG)
     assert fd_layer_check(layer, [_x(1, 2, 4, 10)]) <= TOL
 
@@ -81,12 +81,12 @@ def test_maxpool_grad():
 
 
 def test_groupnorm_grad():
-    layer = GroupNorm(6, 2, name="g", dtype=np.float64)
+    layer = GroupNorm(6, 2, name="g")
     assert fd_layer_check(layer, [_x(2, 6, 1, 11)]) <= TOL
 
 
 def test_groupnorm_grad_masked():
-    layer = GroupNorm(4, 1, name="g", dtype=np.float64)
+    layer = GroupNorm(4, 1, name="g")
     x = _x(2, 4, 1, 12)
     valid = np.array([9, 12])
     zero_invalid(x, valid)
@@ -114,7 +114,7 @@ def test_reduce_tile_grad():
 
 
 def test_identity_convolution():
-    layer = Conv(1, 1, 1, 1, name="id", dtype=np.float64)
+    layer = Conv(1, 1, 1, 1, name="id")
     layer.weight.value[...] = 1.0
     x = _x(2, 1, 1, 40)
     y, _, _ = layer.forward([x], _full([x]), want_cache=False)
@@ -126,21 +126,21 @@ def test_pool_then_transposed_restores_length():
         T = 12 * m
         x = _x(1, 2, 1, T)
         pooled, _, _ = MaxPool(1, m).forward([x], _full([x]), False)
-        up = TransposedConvTime(2, 2, 1, m + 1, stride=m, name="t", dtype=np.float64)
+        up = TransposedConvTime(2, 2, 1, m + 1, stride=m, name="t")
         up.init(RNG)
         y, _, _ = up.forward([pooled], [np.array([T // m])], False)
         assert y.shape[-1] == T
 
 
 def test_groupnorm_constant_group_is_zero():
-    layer = GroupNorm(2, 1, name="g", dtype=np.float64)
+    layer = GroupNorm(2, 1, name="g")
     x = np.full((1, 2, 1, 50), 3.7)
     y, _, _ = layer.forward([x], _full([x]), False)
     assert np.allclose(y, 0.0, atol=1e-3)
 
 
 def test_groupnorm_statistics():
-    layer = GroupNorm(8, 2, name="g", dtype=np.float64)
+    layer = GroupNorm(8, 2, name="g")
     x = _x(3, 8, 1, 256) * 4.0 + 1.5
     y, _, _ = layer.forward([x], _full([x]), False)
     per_group = y.reshape(3, 2, 4 * 256)
@@ -177,13 +177,13 @@ def test_concat_shape_mismatch():
 
 
 def test_missing_forward_cache():
-    layer = Conv(1, 1, 1, 3, name="c", dtype=np.float64)
+    layer = Conv(1, 1, 1, 3, name="c")
     with pytest.raises(MissingForwardCache):
         layer.backward(None, _x(1, 1, 1, 8))
 
 
 def test_zero_upstream_gradient_gives_zero_param_grads():
-    layer = Conv(2, 3, 1, 5, name="c", dtype=np.float64)
+    layer = Conv(2, 3, 1, 5, name="c")
     layer.init(RNG)
     x = _x(1, 2, 1, 16)
     y, _, cache = layer.forward([x], _full([x]), True)
@@ -196,13 +196,13 @@ def test_network_valid_propagation_batch_equals_single():
     """Padded batches replicate per-sample forwards exactly (see also the
     model-level test on the full detector)."""
     net = Network(dtype=np.float64, time_multiple=2)
-    c = Conv(1, 3, 1, 5, name="c", dtype=np.float64)
-    g = GroupNorm(3, 1, name="g", dtype=np.float64)
+    c = Conv(1, 3, 1, 5, name="c")
+    g = GroupNorm(3, 1, name="g")
     i_c = net.add("c", c, [-1])
     i_r = net.add("r", ReLU(), [i_c])
     i_g = net.add("g", g, [i_r])
     i_p = net.add("p", MaxPool(1, 2), [i_g])
-    t = TransposedConvTime(3, 1, 1, 3, stride=2, name="t", dtype=np.float64)
+    t = TransposedConvTime(3, 1, 1, 3, stride=2, name="t")
     net.add("t", t, [i_p])
     net.init_params(0)
     a = _x(18)
@@ -221,7 +221,7 @@ def test_network_valid_propagation_batch_equals_single():
 def test_forward_leaves_caller_input_unchanged():
     """The padded tail is zeroed in a private copy, not in the caller's array."""
     net = Network(dtype=np.float32)
-    net.add("c", Conv(1, 1, 1, 3, name="c", dtype=np.float32), [-1])
+    net.add("c", Conv(1, 1, 1, 3, name="c"), [-1])
     net.init_params(0)
     x = np.ones((1, 1, 1, 8), np.float32)
     y = net.forward(x, valid=[4])
@@ -280,16 +280,16 @@ def _reference(layer, x, dy):
 
 
 REFERENCE_CASES = {
-    "conv_k1": lambda: Conv(3, 4, 1, 1, name="c", dtype=np.float64),
-    "conv_k3": lambda: Conv(3, 4, 1, 3, name="c", dtype=np.float64),
-    "conv_k9": lambda: Conv(2, 5, 1, 9, name="c", dtype=np.float64),
-    "conv_f3_same": lambda: Conv(2, 3, 3, 5, "same", name="c", dtype=np.float64),
-    "conv_f4_same": lambda: Conv(2, 3, 4, 3, "same", name="c", dtype=np.float64),
-    "conv_f3_valid": lambda: Conv(2, 3, 3, 3, "valid", name="c", dtype=np.float64),
-    "conv_f5_valid_head": lambda: Conv(3, 1, 5, 1, "valid", name="c", dtype=np.float64),
+    "conv_k1": lambda: Conv(3, 4, 1, 1, name="c"),
+    "conv_k3": lambda: Conv(3, 4, 1, 3, name="c"),
+    "conv_k9": lambda: Conv(2, 5, 1, 9, name="c"),
+    "conv_f3_same": lambda: Conv(2, 3, 3, 5, "same", name="c"),
+    "conv_f4_same": lambda: Conv(2, 3, 4, 3, "same", name="c"),
+    "conv_f3_valid": lambda: Conv(2, 3, 3, 3, "valid", name="c"),
+    "conv_f5_valid_head": lambda: Conv(3, 1, 5, 1, "valid", name="c"),
     **{
         f"tconv_s{s}_k{kt}_f{kf}": (
-            lambda s=s, kt=kt, kf=kf: TransposedConvTime(3, 2, kf, kt, stride=s, name="t", dtype=np.float64)
+            lambda s=s, kt=kt, kf=kf: TransposedConvTime(3, 2, kf, kt, stride=s, name="t")
         )
         for s in (2, 3, 4)
         for kt in (1, 2, 3, 4, 5, 9)

@@ -277,3 +277,20 @@ def test_accumulator_report(tiny_passage):
     assert report.f1_200 == 100.0
     assert set(report.per_sensor) == {"s0"}
     assert report.per_sensor["s0"]["tp"] == 2
+
+
+def test_no_matched_pair_has_no_spatial_error():
+    """A sensor that matched nothing has no spatial error, per sensor and
+    overall; it does not score a perfect MSA."""
+    acc = MetricsAccumulator()
+    nothing = match_axles([], [100, 205], [0.05, 0.05], 200.0)
+    acc.add("s1", nothing, match_axles([], [100, 205], [0.05, 0.05], 37.0))
+    report = acc.report()
+    assert report.f1_200 == 0.0
+    assert report.mean_spatial_error_cm is None and report.msa is None
+    assert report.per_sensor["s1"]["msa"] is None
+    hit = match_axles([100], [100, 205], [0.05, 0.05], 200.0)
+    acc.add("s0", hit, hit)
+    report = acc.report()
+    assert report.msa == 100.0 and report.per_sensor["s0"]["msa"] == 100.0
+    assert report.per_sensor["s1"]["mean_spatial_error_cm"] is None

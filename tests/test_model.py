@@ -6,11 +6,10 @@ import pytest
 from vader.cwt import spectrogram_stack
 from vader.data import SensorChannel
 from vader.engine import Conv, read_manifest, save_checkpoint
-from vader.errors import InvalidHyperParams, ShapeMismatch
+from vader.errors import InvalidHyperParams, NonFiniteInput, ShapeMismatch
 from vader.model import (
     VaderConfig,
     build_vader,
-    forward_series,
     infer,
     load_vader,
     max_kernel_time_span,
@@ -122,7 +121,7 @@ def test_infer_channel_equals_precomputed_stack():
     spec.init_params(3)
     x = network_input(ch, InputKind.SPECTROGRAM)
     assert x.shape == (1, 6, 16, 200)
-    probs = forward_series(spec, x)
+    probs = spec.forward(x)[0, 0, 0]
     assert probs.shape == (200,)
     assert np.array_equal(probs, infer(spec, spectrogram_stack(ch.samples)))
     assert np.array_equal(probs, infer(spec, ch))
@@ -168,3 +167,88 @@ def test_batched_forward_matches_single_on_detector():
     yb = net.forward(xb, valid=np.array([90, 128]))
     assert np.allclose(yb[0, 0, 0, :90], infer(net, a), atol=2e-6)
     assert np.allclose(yb[1, 0, 0, :], infer(net, b), atol=2e-6)
+
+
+def _recording(network):
+    """Wrap every layer of ``network`` so that the arrays its forward and
+    backward return are collected, by node name, in the returned list."""
+    seen = []
+    for node in network.nodes:
+        fwd, bwd = node.layer.forward, node.layer.backward
+
+        def forward(xs, valids, want_cache, fwd=fwd, name=node.name):
+            out = fwd(xs, valids, want_cache)
+            seen.append((name, out[0]))
+            return out
+
+        def backward(cache, dy, bwd=bwd, name=node.name):
+            dxs = bwd(cache, dy)
+            seen.extend((name, dx) for dx in dxs)
+            return dxs
+
+        node.layer.forward, node.layer.backward = forward, backward
+    return seen
+
+
+@pytest.mark.parametrize("kind", list(InputKind))
+def test_float32_detector_computes_in_float32(kind):
+    """Every node output, every layer gradient, the input gradient and every
+    parameter gradient of a float32 detector stay float32, whatever the
+    input's dtype."""
+    net = build_vader(_cfg(kind, k=5, m=2, p=2, base=16))
+    net.init_params(1)
+    seen = _recording(net)
+    shape = (2, 6, 16, 50) if kind is InputKind.SPECTROGRAM else (2, 1, 1, 50)
+    x = RNG.normal(size=shape)  # float64
+    y, ctx = net.forward(x, valid=[50, 37], want_cache=True)
+    dx = net.backward(ctx, RNG.normal(size=y.shape))
+    assert len(seen) > 2 * len(net.nodes)
+    assert [name for name, a in seen if a.dtype != np.float32] == []
+    assert y.dtype == dx.dtype == np.float32
+    assert {p.value.dtype for p in net.params()} == {p.grad.dtype for p in net.params()} == {np.dtype(np.float32)}
+
+
+def test_forward_backward_pad_time_to_the_pooling_multiple():
+    """A length that is not a multiple of the pooling product runs as its
+    zero-padded input would, cropped back to its own length."""
+    net = build_vader(_cfg(k=5, m=2, p=2, base=4), dtype=np.float64)
+    net.init_params(2)
+    assert net.time_multiple == 4
+    x = RNG.normal(size=(2, 1, 1, 90))
+    dy = RNG.normal(size=(2, 1, 1, 90))
+    padded_x = np.pad(x, ((0, 0), (0, 0), (0, 0), (0, 2)))
+    padded_dy = np.pad(dy, ((0, 0), (0, 0), (0, 0), (0, 2)))
+    grads = []
+    for inp, grad, length in ((x, dy, 90), (padded_x, padded_dy, 92)):
+        net.zero_grads()
+        y, ctx = net.forward(inp, valid=[90, 71], want_cache=True)
+        dx = net.backward(ctx, grad)
+        assert y.shape[-1] == dx.shape[-1] == length
+        grads.append((y[..., :90], dx[..., :90], [p.grad.copy() for p in net.params()]))
+    (y, dx, pg), (ref_y, ref_dx, ref_pg) = grads
+    assert np.array_equal(y, ref_y) and np.array_equal(dx, ref_dx)
+    assert all(np.array_equal(a, b) for a, b in zip(pg, ref_pg))
+
+
+@pytest.mark.parametrize("kind", list(InputKind))
+def test_float32_and_float64_detectors_agree(kind, tiny_passage):
+    cfg = _cfg(kind, k=5, m=2, p=2, base=4)
+    single, double = build_vader(cfg), build_vader(cfg, dtype=np.float64)
+    single.init_params(6)
+    for a, b in zip(single.params(), double.params()):
+        b.value[...] = a.value
+    ch = tiny_passage.channels[0]
+    assert np.abs(infer(single, ch) - infer(double, ch)).max() <= 1e-5
+
+
+def test_input_beyond_float32_is_refused():
+    net = build_vader(_cfg(k=5, m=2, p=2, base=4))
+    net.init_params(3)
+    x = RNG.normal(size=100)
+    x[40] = 1e39  # finite in float64
+    with pytest.raises(NonFiniteInput, match=r"1e\+39 is not finite in float32"):
+        infer(net, x)
+    x[40:] = 0.0
+    x[60] = np.nan
+    with pytest.raises(NonFiniteInput, match="nan"):
+        infer(net, x)

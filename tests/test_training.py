@@ -43,7 +43,7 @@ def _sample(length, seed=0):
 
 
 def test_batch_padding_and_mask():
-    batch = assemble_batch([_sample(100, 0), _sample(120, 1)], time_multiple=4)
+    batch = assemble_batch([_sample(100, 0), _sample(120, 1)])
     assert batch.x.shape[-1] == 120
     assert batch.mask.sum() == 220
     assert batch.valid.tolist() == [100, 120]
@@ -52,7 +52,7 @@ def test_batch_padding_and_mask():
 
 def test_batch_size_one_never_pads():
     for n in (64, 96, 128):
-        batch = assemble_batch([_sample(n)], time_multiple=4)
+        batch = assemble_batch([_sample(n)])
         assert batch.x.shape[-1] == n
         assert batch.mask.sum() == n
 
@@ -60,7 +60,7 @@ def test_batch_size_one_never_pads():
 def test_make_batches_covers_all_samples_once():
     samples = [_sample(64, i) for i in range(10)]
     rng = np.random.default_rng(0)
-    batches = list(make_batches(samples, 4, rng, time_multiple=4))
+    batches = list(make_batches(samples, 4, rng))
     assert [len(b.samples) for b in batches] == [4, 4, 2]
     seen = sorted(s.passage_id for b in batches for s in b.samples)
     assert seen == sorted(s.passage_id for s in samples)
@@ -70,7 +70,7 @@ def test_padded_batch_loss_equals_mean_of_individual_losses():
     net = build_vader(_tiny_cfg())
     net.init_params(4)
     samples = [_sample(100, 0), _sample(120, 1)]
-    batch = assemble_batch(samples, net.time_multiple, net.dtype)
+    batch = assemble_batch(samples)
     y = net.forward(batch.x, batch.valid)
     loss_cfg = LossConfig()
     batch_loss, _ = focal_loss(y[:, 0, 0, :].astype(np.float64), batch.labels, loss_cfg, batch.mask)
@@ -78,7 +78,7 @@ def test_padded_batch_loss_equals_mean_of_individual_losses():
     total = 0.0
     count = 0
     for s in samples:
-        single = assemble_batch([s], net.time_multiple, net.dtype)
+        single = assemble_batch([s])
         ys = net.forward(single.x, single.valid)
         li, _ = focal_loss(ys[:, 0, 0, :].astype(np.float64), single.labels, loss_cfg, single.mask)
         n = s.labels.size
@@ -91,7 +91,7 @@ def test_padding_positions_get_zero_gradient():
     net = build_vader(_tiny_cfg())
     net.init_params(4)
     samples = [_sample(100, 0), _sample(120, 1)]
-    batch = assemble_batch(samples, net.time_multiple, net.dtype)
+    batch = assemble_batch(samples)
     y, ctx = net.forward(batch.x, batch.valid, want_cache=True)
     _, dprobs = focal_loss(y[:, 0, 0, :].astype(np.float64), batch.labels, LossConfig(), batch.mask)
     dx = net.backward(ctx, dprobs[:, None, None, :].astype(np.float32))
