@@ -21,7 +21,7 @@ validated (by ``train`` after training), so a run failing on input leaves
 none. A flat ``key = value`` config file stands for its options written
 right after the subcommand name, before the command line's own: argparse
 checks their types and choices, and a flag given on the command line wins.
-Keys the subcommand does not define are ignored; a switch is on for
+A key the subcommand does not define is a usage error; a switch is on for
 ``true``/``1``/``yes``/``on``. ``--seed`` exists where a seed is read
 (``synth``, ``split``, ``train``, ``bench``) and defaults to ``VADER_SEED``,
 else 0.
@@ -35,6 +35,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +77,8 @@ class _Parser(argparse.ArgumentParser):
 def _config_tokens(path: str, options: dict) -> list[str]:
     """The option tokens a flat ``key = value`` file stands for: ``--key=value``
     for each key among ``options`` (the subcommand's parsed namespace), and
-    ``--key`` for a switch set to true/1/yes/on. Other keys are ignored."""
+    ``--key`` for a switch set to true/1/yes/on. Any other key is a usage
+    error naming the file and line."""
     tokens = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -87,7 +89,7 @@ def _config_tokens(path: str, options: dict) -> list[str]:
         key, value = (part.strip() for part in line.split("=", 1))
         dest = key.replace("-", "_")
         if dest in ("config", "command", "func") or dest not in options:
-            continue
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         flag = "--" + dest.replace("_", "-")
         if not isinstance(options[dest], bool):
             tokens.append(f"{flag}={value}")
@@ -323,6 +325,17 @@ def _cmd_train(args) -> int:
 # ---------------------------------------------------------------- eval
 
 
+@contextmanager
+def _naming(passage_id: str, sensor_id: str):
+    """Prefix a VaderError raised inside with the passage and sensor it
+    concerns, keeping its type."""
+    try:
+        yield
+    except VaderError as exc:
+        exc.args = (f"{passage_id}/{sensor_id}: {exc}",)
+        raise
+
+
 def _cell(value) -> str:
     """A per-sensor CSV cell: the exact float, empty for no value."""
     return "" if value is None else repr(value)
@@ -350,7 +363,9 @@ def _cmd_eval(args) -> int:
         for ch in passage.channels:
             labels = label_indices(passage, ch.sensor_id)
             vels = [a.velocity for a in passage.axles[ch.sensor_id]]
-            acc.add(ch.sensor_id, *score_series(infer(network, ch), labels, vels, peak_cfg))
+            with _naming(passage.passage_id, ch.sensor_id):
+                probs = infer(network, ch)
+            acc.add(ch.sensor_id, *score_series(probs, labels, vels, peak_cfg))
     report = acc.report()
     _write_run_json(out_dir, "eval", args)
     (out_dir / "metrics.json").write_text(
@@ -410,6 +425,9 @@ def _estimate_velocities(passage_id: str, per_sensor: dict, positions: dict[str,
 
 
 def _cmd_detect(args) -> int:
+    """Writes ``--out`` under a temporary sibling name and renames it into
+    place only once every passage has been detected, so a failing passage
+    leaves no partial file."""
     dataset = load_dataset(args.dataset)
     network, cfg = load_vader(args.checkpoint)
     peak_cfg = _checked(PeakConfig, args.min_confidence, args.min_distance)
@@ -418,19 +436,25 @@ def _cmd_detect(args) -> int:
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["passage_id", "sensor_id", "axle", "time_s", "velocity_mps"])
-        for passage in passages:
-            per_sensor = {}
-            for ch in passage.channels:
-                peaks = pick_peaks(infer(network, ch), peak_cfg)
-                per_sensor[ch.sensor_id] = peaks / ch.sample_rate
-            velocities = _estimate_velocities(passage.passage_id, per_sensor, args.sensor_positions)
-            for sensor_id in sorted(per_sensor):
-                for i, t in enumerate(per_sensor[sensor_id]):
-                    v = repr(velocities[i]) if i in velocities else ""
-                    writer.writerow([passage.passage_id, sensor_id, i, repr(float(t)), v])
+    tmp = out.with_name(out.name + ".tmp")
+    try:
+        with tmp.open("w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["passage_id", "sensor_id", "axle", "time_s", "velocity_mps"])
+            for passage in passages:
+                per_sensor = {}
+                for ch in passage.channels:
+                    with _naming(passage.passage_id, ch.sensor_id):
+                        peaks = pick_peaks(infer(network, ch), peak_cfg)
+                    per_sensor[ch.sensor_id] = peaks / ch.sample_rate
+                velocities = _estimate_velocities(passage.passage_id, per_sensor, args.sensor_positions)
+                for sensor_id in sorted(per_sensor):
+                    for i, t in enumerate(per_sensor[sensor_id]):
+                        v = repr(velocities[i]) if i in velocities else ""
+                        writer.writerow([passage.passage_id, sensor_id, i, repr(float(t)), v])
+        os.replace(tmp, out)
+    finally:
+        tmp.unlink(missing_ok=True)
     print(f"wrote detections -> {out}")
     return 0
 

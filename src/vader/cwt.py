@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ShapeMismatch, ValidationError
+from .errors import NonFiniteInput, ShapeMismatch, ValidationError
 
 WAVELET_HALF_WIDTH = 8.0
 TRUNCATION_RATIO = 1e-8
@@ -112,9 +112,16 @@ def cwt(signal, wavelet: WaveletSpec) -> np.ndarray:
 
 
 def spectrogram_stack(signal) -> np.ndarray:
-    """The (16, 6, n) float32 input tensor: six scalograms in table order."""
-    planes = [cwt(signal, spec) for spec in DEFAULT_STACK]
-    return np.stack(planes, axis=1).astype(np.float32)
+    """The (16, 6, n) float32 input tensor: six scalograms in table order.
+    Raises NonFiniteInput, naming the value, for a scalogram value beyond
+    float32 range."""
+    stack = np.stack([cwt(signal, spec) for spec in DEFAULT_STACK], axis=1)
+    with np.errstate(over="ignore"):  # an overflowing cast is refused below
+        out = stack.astype(np.float32)
+    finite = np.isfinite(out)
+    if not finite.all():
+        raise NonFiniteInput(f"spectrogram value {float(stack[~finite][0])!r} is not finite in float32")
+    return out
 
 
 def scale_center_frequency(family: WaveletFamily, scale: float, sample_rate: float) -> float:

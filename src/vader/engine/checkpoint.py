@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -64,13 +65,24 @@ def checkpoint_bytes(network: Network, store: ParamStore | None = None, seed=Non
 
 
 def save_checkpoint(stem, network: Network, store: ParamStore | None = None, seed=None) -> Path:
-    """Write ``<stem>.json`` and ``<stem>.bin``; returns the manifest path."""
+    """Write ``<stem>.json`` and ``<stem>.bin``; returns the manifest path.
+
+    Both are written under ``.tmp`` names first and renamed into place,
+    ``.bin`` before ``.json``, so a save that fails while writing leaves
+    the previous checkpoint as it was."""
     stem = Path(stem)
     manifest, binary = checkpoint_blobs(network, store, seed)
     stem.parent.mkdir(parents=True, exist_ok=True)
-    json_path = stem.with_suffix(".json")
-    json_path.write_text(manifest + "\n", encoding="utf-8")
-    stem.with_suffix(".bin").write_bytes(binary)
+    json_path, bin_path = stem.with_suffix(".json"), stem.with_suffix(".bin")
+    json_tmp, bin_tmp = stem.with_suffix(".json.tmp"), stem.with_suffix(".bin.tmp")
+    try:
+        json_tmp.write_text(manifest + "\n", encoding="utf-8")
+        bin_tmp.write_bytes(binary)
+        os.replace(bin_tmp, bin_path)
+        os.replace(json_tmp, json_path)
+    finally:
+        json_tmp.unlink(missing_ok=True)
+        bin_tmp.unlink(missing_ok=True)
     return json_path
 
 

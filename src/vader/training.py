@@ -1,11 +1,18 @@
 """Training loop: focal loss, Adam, plateau LR decay, early stopping on
 validation F1, best-weight restoration.
 
-Every (passage, sensor) pair is one training example. Within a batch,
-shorter signals are zero-padded to the batch maximum and excluded from both
-the loss and all normalisation statistics, so a padded batch yields exactly
-the per-sample results. The network casts batches to its dtype and pads
-them to its pooling multiple itself.
+Every (passage, sensor) pair is one training example. Each epoch shuffles
+the examples into optimizer steps of ``batch_size``. A step does not run as
+one batch padded to its longest signal: its examples are sorted by length,
+longest first, and cut into micro-batches of at most ``PASS_SAMPLES``
+padded samples, so that short signals are not padded to the longest one.
+Each micro-batch is zero-padded to its own maximum; padding is excluded
+from the loss and from all normalisation statistics, so every example's
+result is its own. The micro-batches' gradients, each weighted by its share
+of the step's valid samples, add up to the gradient of the whole step as
+one padded batch (up to float32 summation order), and Adam takes one step
+on it. The network casts batches to its dtype and pads them to its pooling
+multiple itself.
 """
 
 from __future__ import annotations
@@ -22,6 +29,10 @@ from .metrics import MetricsAccumulator, PeakConfig, score_series
 from .model import VaderConfig, build_vader, network_input
 from .planner import InputKind
 from .splits import SplitPlan
+
+#: The most padded samples (micro-batch size times its longest length) one
+#: forward and backward pass holds; a longer example runs alone.
+PASS_SAMPLES = 8192
 
 
 @dataclass(frozen=True)
@@ -131,11 +142,38 @@ def assemble_batch(samples: list[Sample]) -> Batch:
 
 
 def make_batches(samples: list[Sample], batch_size: int, rng):
-    """One epoch of shuffled, padded batches."""
+    """One epoch of shuffled optimizer steps, each a list of padded
+    micro-batches: the step's samples sorted by length, longest first (a
+    stable sort, so equal lengths keep their shuffled order), and cut where
+    one more sample would take a micro-batch beyond ``PASS_SAMPLES``."""
     order = rng.permutation(len(samples))
     for start in range(0, len(samples), batch_size):
         chosen = [samples[i] for i in order[start : start + batch_size]]
-        yield assemble_batch(chosen)
+        chosen.sort(key=lambda s: -s.x.shape[-1])
+        parts: list[list[Sample]] = []
+        for s in chosen:
+            if parts and (len(parts[-1]) + 1) * parts[-1][0].x.shape[-1] <= PASS_SAMPLES:
+                parts[-1].append(s)
+            else:
+                parts.append([s])
+        yield [assemble_batch(part) for part in parts]
+
+
+def step_gradient(network, parts: list[Batch], loss_cfg: LossConfig) -> tuple[float, int]:
+    """Set the network's gradients to those of one optimizer step over its
+    micro-batches ``parts``: each part's mean-loss gradient weighted by its
+    share of the step's valid samples. Returns the step's summed loss and
+    its count of valid samples."""
+    counts = [int(batch.valid.sum()) for batch in parts]
+    n_step = sum(counts)
+    loss_sum = 0.0
+    network.zero_grads()
+    for batch, n_valid in zip(parts, counts):
+        y, ctx = network.forward(batch.x, batch.valid, want_cache=True)
+        loss, dprobs = focal_loss(y[:, 0, 0, :], batch.labels, loss_cfg, batch.mask)
+        network.backward(ctx, dprobs[:, None, None, :] * (n_valid / n_step))
+        loss_sum += loss * n_valid
+    return loss_sum, n_step
 
 
 def evaluate_samples(network, samples, loss_cfg: LossConfig, peak_cfg=PeakConfig()):
@@ -196,15 +234,11 @@ def train(
     for epoch in range(schedule.max_epochs):
         loss_sum = 0.0
         count_sum = 0
-        for batch in make_batches(train_samples, schedule.batch_size, rng):
-            y, ctx = network.forward(batch.x, batch.valid, want_cache=True)
-            loss, dprobs = focal_loss(y[:, 0, 0, :], batch.labels, loss_cfg, batch.mask)
-            network.zero_grads()
-            network.backward(ctx, dprobs[:, None, None, :])
+        for parts in make_batches(train_samples, schedule.batch_size, rng):
+            step_loss, step_count = step_gradient(network, parts, loss_cfg)
             adam_step(store, lr)
-            n_valid = batch.mask.sum()
-            loss_sum += loss * n_valid
-            count_sum += n_valid
+            loss_sum += step_loss
+            count_sum += step_count
 
         val_loss, val_f1 = evaluate_samples(network, val_samples, loss_cfg)
         score = monitor(epoch, network) if monitor is not None else val_f1

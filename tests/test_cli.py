@@ -11,7 +11,8 @@ import pytest
 
 from vader.cli import _estimate_velocities, main
 from vader.engine import ParamStore, save_checkpoint
-from vader.model import load_vader
+from vader.model import VaderConfig, build_vader, load_vader
+from vader.planner import HyperParams, InputKind
 from vader.splits import SplitPlan
 
 
@@ -421,6 +422,16 @@ def test_config_value_outside_choices_is_usage_error(workspace, tmp_path, capsys
     assert not out.exists()
 
 
+def test_misspelled_config_key_is_usage_error(workspace, tmp_path, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("# three epochs\nepoch = 3\n")
+    out = tmp_path / "train"
+    assert _train(workspace, out, config=cfg) == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}:2: " in err and "'epoch'" in err
+    assert not out.exists()
+
+
 def test_config_switch_on(workspace, tmp_path, capsys):
     cfg = tmp_path / "train.cfg"
     cfg.write_text("verbose = yes\n")
@@ -509,15 +520,17 @@ def test_decreasing_crossing_times_exit_2(workspace, trained, tmp_path, capsys):
     assert not (tmp_path / "eval").exists()
 
 
+def _overflow_s0(pdir):
+    """Put a sample beyond float32 range into sensor s0 of a passage."""
+    lines = (pdir / "sensor_s0.csv").read_text().split("\n")
+    lines[5] = "1e39"
+    (pdir / "sensor_s0.csv").write_text("\n".join(lines))
+
+
 @pytest.mark.parametrize("command", ["eval", "detect", "train"])
 def test_sample_beyond_float32_exits_2(workspace, trained, tmp_path, capsys, command):
-    def overflow_s0(pdir):
-        lines = (pdir / "sensor_s0.csv").read_text().split("\n")
-        lines[5] = "1e39"
-        (pdir / "sensor_s0.csv").write_text("\n".join(lines))
-
     first_train = SplitPlan.from_json((workspace / "split.json").read_text()).fold_train_ids(0)[0]
-    data = _edited_copy(workspace, tmp_path, first_train, overflow_s0)
+    data = _edited_copy(workspace, tmp_path, first_train, _overflow_s0)
     out = tmp_path / "out"
     if command == "train":
         code = run("train", "--dataset", str(data), "--split", str(workspace / "split.json"),
@@ -526,8 +539,31 @@ def test_sample_beyond_float32_exits_2(workspace, trained, tmp_path, capsys, com
     else:
         code = run(command, "--dataset", str(data), "--checkpoint", str(trained / "model"), "--out", str(out))
     assert code == 2
-    assert "1e+39 is not finite in float32" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "1e+39 is not finite in float32" in err
+    if command != "train":
+        assert f"{first_train}/s0: " in err
     assert not (out / "model.bin").exists()
+
+
+@pytest.mark.parametrize("input_kind", ["raw", "spectrogram"])
+def test_detect_failing_passage_leaves_no_csv(workspace, trained, tmp_path, capsys, input_kind):
+    """A sample beyond float32 range in the 4th passage: exit 2 naming that
+    passage and sensor, without a numpy warning, and no detections file,
+    although three passages were detected before it."""
+    stem = trained / "model"
+    if input_kind == "spectrogram":
+        network = build_vader(VaderConfig(HyperParams(InputKind.SPECTROGRAM, 5, 2, 2, base_width=4)))
+        network.init_params(0)
+        stem = tmp_path / "spectrogram" / "model"
+        save_checkpoint(stem, network, seed=0)
+    data = _edited_copy(workspace, tmp_path, "passage_00003", _overflow_s0)
+    out = tmp_path / "detections.csv"
+    assert run("detect", "--dataset", str(data), "--checkpoint", str(stem), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "passage_00003/s0: " in err and "not finite in float32" in err
+    assert "inf" not in err and "Warning" not in err
+    assert list(tmp_path.glob("detections.csv*")) == []
 
 
 def test_eval_without_matches_has_no_spatial_error(workspace, trained, tmp_path, capsys):

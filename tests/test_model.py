@@ -1,5 +1,7 @@
 """Detector builder tests: architecture echoes, shapes, inference contract."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,29 @@ def test_checkpoint_manifest_describes_model(tmp_path):
     assert loaded_cfg == cfg
     for a, b in zip(net.params(), loaded.params()):
         assert np.array_equal(a.value, b.value)
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    net = build_vader(_cfg(k=5, m=2, p=2, base=4))
+    net.init_params(1)
+    save_checkpoint(tmp_path / "model", net, seed=1)
+    saved = [p.value.copy() for p in net.params()]
+    for p in net.params():
+        p.value += 1.0
+    write_bytes = Path.write_bytes
+
+    def fail_halfway(path, data):
+        write_bytes(path, data[: len(data) // 2])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", fail_halfway)
+    with pytest.raises(OSError):
+        save_checkpoint(tmp_path / "model", net, seed=1)
+    monkeypatch.undo()
+    loaded, _ = load_vader(tmp_path / "model")
+    for value, p in zip(saved, loaded.params()):
+        assert np.array_equal(value, p.value)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["model.bin", "model.json"]
 
 
 def test_batched_forward_matches_single_on_detector():

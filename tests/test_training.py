@@ -14,11 +14,13 @@ from vader.planner import HyperParams, InputKind
 from vader.simulate import DatasetConfig, generate_dataset
 from vader.splits import stratified_split
 from vader.training import (
+    PASS_SAMPLES,
     Sample,
     TrainSchedule,
     assemble_batch,
     build_samples,
     make_batches,
+    step_gradient,
     train,
 )
 
@@ -60,10 +62,52 @@ def test_batch_size_one_never_pads():
 def test_make_batches_covers_all_samples_once():
     samples = [_sample(64, i) for i in range(10)]
     rng = np.random.default_rng(0)
-    batches = list(make_batches(samples, 4, rng))
-    assert [len(b.samples) for b in batches] == [4, 4, 2]
-    seen = sorted(s.passage_id for b in batches for s in b.samples)
+    steps = list(make_batches(samples, 4, rng))
+    assert [sum(len(b.samples) for b in parts) for parts in steps] == [4, 4, 2]
+    seen = sorted(s.passage_id for parts in steps for b in parts for s in b.samples)
     assert seen == sorted(s.passage_id for s in samples)
+
+
+def test_micro_batches_sorted_and_within_budget():
+    """Longest first, equal lengths in shuffled order, at most PASS_SAMPLES
+    padded samples per micro-batch, and a longer sample alone."""
+    lengths = [PASS_SAMPLES + 100, 3000, 3000, 3000, 2000, 1000, 1000, 500]
+    samples = [_sample(n, i) for i, n in enumerate(lengths)]
+    order = np.random.default_rng(3).permutation(len(samples))
+    (parts,) = make_batches(samples, len(samples), np.random.default_rng(3))
+    flat = [s.passage_id for b in parts for s in b.samples]
+    shuffled = sorted((samples[i] for i in order), key=lambda s: -s.x.shape[-1])
+    assert flat == [s.passage_id for s in shuffled]
+    assert [b.x.shape[-1] for b in parts] == [PASS_SAMPLES + 100, 3000, 3000, 1000]
+    assert [len(b.samples) for b in parts] == [1, 2, 2, 3]
+    for b in parts:
+        assert b.x.shape[0] * b.x.shape[-1] <= PASS_SAMPLES or b.x.shape[0] == 1
+
+
+def test_micro_batch_step_equals_padded_batch_gradient():
+    """One step over length-sorted micro-batches gives the parameter
+    gradients and loss sum of the same samples as one padded batch."""
+    net = build_vader(_tiny_cfg(), dtype=np.float64)
+    net.init_params(4)
+    samples = [_sample(n, i) for i, n in enumerate([700, 3000, 1800, 2500, 600, 2000])]
+    loss_cfg = LossConfig()
+
+    (parts,) = make_batches(samples, len(samples), np.random.default_rng(0))
+    assert len(parts) >= 2
+    loss_sum, count = step_gradient(net, parts, loss_cfg)
+    grads = [p.grad.copy() for p in net.params()]
+
+    batch = assemble_batch(samples)
+    y, ctx = net.forward(batch.x, batch.valid, want_cache=True)
+    loss, dprobs = focal_loss(y[:, 0, 0, :], batch.labels, loss_cfg, batch.mask)
+    net.zero_grads()
+    net.backward(ctx, dprobs[:, None, None, :])
+
+    assert count == batch.mask.sum()
+    assert loss_sum == pytest.approx(loss * count, rel=1e-10)
+    scale = max(np.abs(p.grad).max() for p in net.params())
+    for g, p in zip(grads, net.params()):
+        assert np.abs(g - p.grad).max() <= 1e-10 * scale, p.name
 
 
 def test_padded_batch_loss_equals_mean_of_individual_losses():
