@@ -35,7 +35,6 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +43,7 @@ from . import __version__
 from .cwt import spectrogram_stack, write_stack
 from .data import label_indices, load_dataset, shared_sample_rate
 from .engine import save_checkpoint
-from .errors import DataError, VaderError
+from .errors import DataError, VaderError, naming
 from .metrics import MetricsAccumulator, PeakConfig, pick_peaks, score_series
 from .model import VaderConfig, build_vader, infer, load_vader
 from .planner import (
@@ -325,17 +324,6 @@ def _cmd_train(args) -> int:
 # ---------------------------------------------------------------- eval
 
 
-@contextmanager
-def _naming(passage_id: str, sensor_id: str):
-    """Prefix a VaderError raised inside with the passage and sensor it
-    concerns, keeping its type."""
-    try:
-        yield
-    except VaderError as exc:
-        exc.args = (f"{passage_id}/{sensor_id}: {exc}",)
-        raise
-
-
 def _cell(value) -> str:
     """A per-sensor CSV cell: the exact float, empty for no value."""
     return "" if value is None else repr(value)
@@ -363,7 +351,7 @@ def _cmd_eval(args) -> int:
         for ch in passage.channels:
             labels = label_indices(passage, ch.sensor_id)
             vels = [a.velocity for a in passage.axles[ch.sensor_id]]
-            with _naming(passage.passage_id, ch.sensor_id):
+            with naming(passage.passage_id, ch.sensor_id):
                 probs = infer(network, ch)
             acc.add(ch.sensor_id, *score_series(probs, labels, vels, peak_cfg))
     report = acc.report()
@@ -444,7 +432,7 @@ def _cmd_detect(args) -> int:
             for passage in passages:
                 per_sensor = {}
                 for ch in passage.channels:
-                    with _naming(passage.passage_id, ch.sensor_id):
+                    with naming(passage.passage_id, ch.sensor_id):
                         peaks = pick_peaks(infer(network, ch), peak_cfg)
                     per_sensor[ch.sensor_id] = peaks / ch.sample_rate
                 velocities = _estimate_velocities(passage.passage_id, per_sensor, args.sensor_positions)

@@ -14,7 +14,7 @@ training owns its parameters exclusively. A layer computes in its input's
 dtype; its parameters are float64 until ``Network.add`` gives them the
 network's.
 
-Both convolutions run one tap loop (kn2row). The padded input is copied once
+Both convolutions share one plane layout. The padded input is copied once
 into a channel-major plane of ``N * rows`` padded frequency rows of ``R``
 padded time steps, plus ``kt`` slack columns. Kernel tap ``(i, j)`` is then
 one matrix product on the contiguous columns ``x[:, a:a+L]``: forward adds
@@ -22,7 +22,17 @@ one matrix product on the contiguous columns ``x[:, a:a+L]``: forward adds
 ``W_ij.T @ dy`` to ``dx[:, a:a+L]`` and sets ``dW_ij = dy @ x[:, a:a+L].T``.
 ``Conv`` has ``s = 1`` and the time tap in ``a``; ``TransposedConvTime`` has
 ``s = stride``, the time tap in ``b`` and output rows ``s * R`` long, so no
-zero-stuffed copy is made.
+zero-stuffed copy is made. Backward and the transposed forward run this tap
+loop (kn2row). ``Conv``'s forward stacks the ``kt`` time-shifted planes into
+one transient block of ``kt * c_in`` rows and runs one product per frequency
+tap, ``W_i @ block[:, i*R : i*R+L]``, which contracts ``kt`` times as many
+rows per product (between kn2row and im2col; Anderson et al. 2017).
+
+Max pooling and the frequency max keep no argmax: forward takes the maximum
+over the window's strided views, and backward sends the gradient to the
+first maximum in window order (frequency-major), the tie rule of argmax.
+``Network.forward`` releases each activation after its last consumer, with
+or without caches; a cache holds only what its layer's backward reads.
 """
 
 from __future__ import annotations
@@ -165,16 +175,27 @@ class Conv(Layer):
                 a, b = self._offsets(i, j, width)
                 yield i, j, slice(a, a + L), b % self.stride, slice(b // self.stride, b // self.stride + L)
 
+    def _products(self, xp, y, N, rows, width):
+        """Add every tap's product to the output planes ``y``: one GEMM per
+        frequency tap over a transient block of the ``kt`` time-shifted
+        input planes, so each contracts ``kt * c_in`` rows."""
+        span, c = N * rows * width, self.c_in
+        shifted = np.empty((self.kt * c, span), dtype=xp.dtype)
+        for j in range(self.kt):
+            shifted[j * c : (j + 1) * c] = xp[:, j : j + span]
+        w = self.weight.value.transpose(2, 0, 3, 1).reshape(self.kf, self.c_out, self.kt * c)
+        L = (N * rows - self.kf + 1) * width
+        for i in range(self.kf):
+            y[0, :, :L] += w[i] @ shifted[:, i * width : i * width + L]
+
     def forward(self, xs, valids, want_cache):
         (x,) = xs
         lay = N, rows, width, x_win, y_win = self._layout(x.shape)
         s, size = self.stride, N * rows * width + self.kt  # kt slack columns for the last taps
         xp = np.zeros((self.c_in, size), dtype=x.dtype)
         _window(xp, N, rows, width, x_win)[...] = x.transpose(1, 0, 2, 3)
-        w = np.ascontiguousarray(self.weight.value.transpose(2, 3, 0, 1))
         y = np.zeros((s, self.c_out, size), dtype=x.dtype)
-        for i, j, cols, phase, out in self._taps(N, rows, width):
-            y[phase, :, out] += w[i, j] @ xp[:, cols]
+        self._products(xp, y, N, rows, width)
         y = _window(y.transpose(1, 2, 0).reshape(self.c_out, -1), N, rows, s * width, y_win)
         y = np.add(y.transpose(1, 0, 2, 3), self.bias.value[:, None, None], order="C")
         return y, valids[0] * s, (xp, lay) if want_cache else None
@@ -225,6 +246,15 @@ class TransposedConvTime(Conv):
     def _offsets(self, i, j, width):
         return i * width, self._top - j
 
+    def _products(self, xp, y, N, rows, width):
+        """Add every tap's product to the output phase planes ``y``, one
+        GEMM per tap. Time taps here share input columns and differ in
+        output columns, so a stacked block would need a scatter, not a
+        gather."""
+        w = np.ascontiguousarray(self.weight.value.transpose(2, 3, 0, 1))
+        for i, j, cols, phase, out in self._taps(N, rows, width):
+            y[phase, :, out] += w[i, j] @ xp[:, cols]
+
 
 class MaxPool(Layer):
     """Max pooling; time extent must divide the padded input, frequency is
@@ -239,37 +269,42 @@ class MaxPool(Layer):
     def config(self):
         return {"pool": [self.pool_f, self.pool_t]}
 
+    def _windows(self, x):
+        """The ``pf * pt`` strided views of ``x`` that make up its windows,
+        in window order (frequency-major)."""
+        pf, pt = self.pool_f, self.pool_t
+        return [x[:, :, a::pf, b::pt] for a in range(pf) for b in range(pt)]
+
     def forward(self, xs, valids, want_cache):
         (x,) = xs
-        N, C, F, T = x.shape
-        pf, pt = self.pool_f, self.pool_t
-        if T % pt:
-            raise ShapeMismatch(f"time length {T} not divisible by pool size {pt}")
-        fpad = (-F) % pf
+        F, T = x.shape[2:]
+        if T % self.pool_t:
+            raise ShapeMismatch(f"time length {T} not divisible by pool size {self.pool_t}")
+        fpad = (-F) % self.pool_f
         if fpad:
             x = np.pad(x, ((0, 0), (0, 0), (0, fpad), (0, 0)), constant_values=np.finfo(x.dtype).min)
-        Fp = F + fpad
-        win = x.reshape(N, C, Fp // pf, pf, T // pt, pt).transpose(0, 1, 2, 4, 3, 5)
-        win = win.reshape(N, C, Fp // pf, T // pt, pf * pt)
-        arg = win.argmax(axis=-1)
-        y = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
-        cache = (arg, (N, C, F, T, fpad)) if want_cache else None
-        return y, -(-valids[0] // pt), cache
+        views = self._windows(x)
+        y = views[0].copy()
+        for view in views[1:]:
+            np.maximum(y, view, out=y)
+        return y, -(-valids[0] // self.pool_t), (x, y, F) if want_cache else None
 
     def backward(self, cache, dy):
-        arg, (N, C, F, T, fpad) = _require(cache)
-        pf, pt = self.pool_f, self.pool_t
-        Fp = F + fpad
-        onehot = arg[..., None] == np.arange(pf * pt)
-        dwin = onehot * dy[..., None]
-        dx = (
-            dwin.reshape(N, C, Fp // pf, T // pt, pf, pt)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(N, C, Fp, T)
-        )
-        if fpad:
-            dx = dx[:, :, :F, :]
-        return [np.ascontiguousarray(dx)]
+        x, y, F = _require(cache)
+        dx = np.empty_like(x)  # the windows cover every element
+        _first_max_grad(self._windows(x), self._windows(dx), y, dy)
+        return [np.ascontiguousarray(dx[:, :, :F])]
+
+
+def _first_max_grad(xs, dxs, y, dy):
+    """Route ``dy`` to the first of the views ``xs`` (into the matching
+    view of ``dxs``) whose value equals the maximum ``y``, as argmax breaks
+    ties."""
+    free = np.ones(y.shape, dtype=bool)
+    for x, dx in zip(xs, dxs):
+        hit = free & (x == y)
+        np.multiply(dy, hit, out=dx)
+        free &= ~hit
 
 
 class GroupNorm(Layer):
@@ -408,15 +443,15 @@ class ReduceMaxFreq(Layer):
 
     def forward(self, xs, valids, want_cache):
         (x,) = xs
-        arg = x.argmax(axis=2)
-        y = np.take_along_axis(x, arg[:, :, None, :], axis=2)
-        cache = (arg, x.shape) if want_cache else None
-        return y, valids[0], cache
+        y = x.max(axis=2, keepdims=True)
+        return y, valids[0], (x, y) if want_cache else None
 
     def backward(self, cache, dy):
-        arg, shape = _require(cache)
-        onehot = arg[:, :, None, :] == np.arange(shape[2])[None, None, :, None]
-        return [onehot * dy]
+        x, y = _require(cache)
+        dx = np.empty_like(x)
+        bins = range(x.shape[2])
+        _first_max_grad([x[:, :, f : f + 1] for f in bins], [dx[:, :, f : f + 1] for f in bins], y, dy)
+        return [dx]
 
 
 class TileFreq(Layer):
@@ -493,11 +528,12 @@ class Network:
             if hasattr(node.layer, "init"):
                 node.layer.init(np.random.Generator(np.random.PCG64(child)))
 
-    def forward(self, x: np.ndarray, valid=None, want_cache=False):
-        """Run the graph on an ``(N, C, F, T)`` input of any dtype and length,
-        valid up to ``valid`` (default ``T``); returns the output, and with
-        ``want_cache`` a context for :meth:`backward`. Raises NonFiniteInput
-        for a valid input value that is not finite in the network's dtype."""
+    def cast_input(self, x: np.ndarray, valid=None):
+        """The copy of an ``(N, C, F, T)`` input of any dtype that
+        :meth:`forward` runs on: in the network's dtype, zero beyond
+        ``valid`` (default ``T``) and zero-padded to ``time_multiple``; with
+        the valid lengths. Raises NonFiniteInput for a valid input value
+        that is not finite in the network's dtype."""
         x = np.asarray(x)
         if x.ndim != 4:
             raise ShapeMismatch(f"expected (N, C, F, T) input, got shape {x.shape}")
@@ -512,18 +548,33 @@ class Network:
         if not finite.all():
             bad = float(x[~finite][0])
             raise NonFiniteInput(f"input value {bad!r} is not finite in {np.dtype(self.dtype).name}")
+        return xp, valid
+
+    def forward(self, x: np.ndarray, valid=None, want_cache=False):
+        """Run the graph on an ``(N, C, F, T)`` input of any dtype and length,
+        valid up to ``valid`` (default ``T``); returns the output, and with
+        ``want_cache`` a context for :meth:`backward`. Each activation is
+        released after its last consumer. Raises as :meth:`cast_input`."""
+        xp, valid = self.cast_input(x, valid)
+        pad = xp.shape[-1] - np.shape(x)[-1]
+        last_use = {j: i for i, node in enumerate(self.nodes) for j in node.inputs}
         acts: dict[int, np.ndarray] = {-1: xp}
         valids: dict[int, np.ndarray] = {-1: valid}
         caches: list = []
+        del xp
         for i, node in enumerate(self.nodes):
             xs = [acts[j] for j in node.inputs]
             vs = [valids[j] for j in node.inputs]
+            for j in set(node.inputs):
+                if last_use[j] == i:  # dead after this node; only its cache may keep it
+                    del acts[j]
             y, v, cache = node.layer.forward(xs, vs, want_cache)
+            del xs
             zero_invalid(y, v)
             acts[i] = y
             valids[i] = v
             caches.append(cache)
-        out = acts[len(self.nodes) - 1]
+        out = acts.pop(len(self.nodes) - 1)
         out = out[..., : out.shape[-1] - pad]
         if not want_cache:
             return out

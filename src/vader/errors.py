@@ -5,9 +5,22 @@ maps to exit code 2 (bad input data, violated invariants, unusable
 configuration), as opposed to usage errors (exit 1).
 """
 
+from contextlib import contextmanager
+
 
 class VaderError(Exception):
     """Base class for all package-specific errors."""
+
+
+@contextmanager
+def naming(passage_id: str, sensor_id: str):
+    """Prefix a VaderError raised inside with the passage and sensor it
+    concerns, keeping its type."""
+    try:
+        yield
+    except VaderError as exc:
+        exc.args = (f"{passage_id}/{sensor_id}: {exc}",)
+        raise
 
 
 class DataError(VaderError):

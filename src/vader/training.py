@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Dataset, build_label_vector, label_indices
 from .engine import LossConfig, ParamStore, adam_step, focal_loss
-from .errors import EmptyFold
+from .errors import EmptyFold, naming
 from .metrics import MetricsAccumulator, PeakConfig, score_series
 from .model import VaderConfig, build_vader, network_input
 from .planner import InputKind
@@ -94,6 +94,8 @@ def build_samples(dataset: Dataset, ids, input_kind: InputKind) -> list[Sample]:
     for pid in sorted(ids):
         passage = dataset.by_id(pid)
         for ch in passage.channels:
+            with naming(pid, ch.sensor_id):
+                x = network_input(ch, input_kind)[0]
             bits = build_label_vector(
                 [a.crossing_time for a in passage.axles[ch.sensor_id]],
                 ch.sample_rate,
@@ -103,7 +105,7 @@ def build_samples(dataset: Dataset, ids, input_kind: InputKind) -> list[Sample]:
                 Sample(
                     passage_id=pid,
                     sensor_id=ch.sensor_id,
-                    x=network_input(ch, input_kind)[0],
+                    x=x,
                     labels=bits,
                     label_idx=label_indices(passage, ch.sensor_id),
                     velocities=np.asarray(
@@ -220,6 +222,9 @@ def train(
         raise EmptyFold(f"fold {fold} supplies no usable samples")
 
     network = build_vader(cfg)
+    for s in train_samples + val_samples:  # refuse an unusable input by name, before any step
+        with naming(s.passage_id, s.sensor_id):
+            network.cast_input(s.x[None])
     network.init_params(seed)
     store = ParamStore(network.params())
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -527,22 +527,22 @@ def _overflow_s0(pdir):
     (pdir / "sensor_s0.csv").write_text("\n".join(lines))
 
 
-@pytest.mark.parametrize("command", ["eval", "detect", "train"])
+@pytest.mark.parametrize("command", ["eval", "detect", "train", "train-spectrogram"])
 def test_sample_beyond_float32_exits_2(workspace, trained, tmp_path, capsys, command):
     first_train = SplitPlan.from_json((workspace / "split.json").read_text()).fold_train_ids(0)[0]
     data = _edited_copy(workspace, tmp_path, first_train, _overflow_s0)
     out = tmp_path / "out"
-    if command == "train":
+    if command.startswith("train"):
+        kind = "spectrogram" if command == "train-spectrogram" else "raw"
         code = run("train", "--dataset", str(data), "--split", str(workspace / "split.json"),
-                   "--kernel-size", "5", "--pool-steps", "2", "--base-width", "4", "--epochs", "1",
-                   "--out", str(out))
+                   "--input-kind", kind, "--kernel-size", "5", "--pool-steps", "2", "--base-width", "4",
+                   "--epochs", "1", "--out", str(out))
     else:
         code = run(command, "--dataset", str(data), "--checkpoint", str(trained / "model"), "--out", str(out))
     assert code == 2
     err = capsys.readouterr().err
-    assert "1e+39 is not finite in float32" in err
-    if command != "train":
-        assert f"{first_train}/s0: " in err
+    value = "spectrogram value" if command == "train-spectrogram" else "input value 1e+39"
+    assert f"{first_train}/s0: {value}" in err and "is not finite in float32" in err
     assert not (out / "model.bin").exists()
 
 

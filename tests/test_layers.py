@@ -1,5 +1,7 @@
 """Per-layer finite-difference gradient checks and layer contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,54 @@ def test_forward_leaves_caller_input_unchanged():
     zeroed = x.copy()
     zeroed[..., 4:] = 0
     assert np.array_equal(y, net.forward(zeroed, valid=[4]))
+
+
+def _first_max_reference(x, pf, pt, dy):
+    """Pooling gradient by argmax over each window, flattened frequency-major."""
+    dx = np.zeros_like(x)
+    for n, c, a, b in np.ndindex(dy.shape):
+        win = x[n, c, a * pf : (a + 1) * pf, b * pt : (b + 1) * pt]
+        i, j = np.unravel_index(np.argmax(win), win.shape)
+        dx[n, c, a * pf + i, b * pt + j] = dy[n, c, a, b]
+    return dx
+
+
+@pytest.mark.parametrize(
+    "layer", [MaxPool(2, 2), MaxPool(3, 2), ReduceMaxFreq()], ids=["pool2x2", "pool3x2", "reduce"]
+)
+def test_pool_ties_send_gradient_to_first_in_window(layer):
+    """Windows of equal values (all zero, as after ReLU, or tied ones) send
+    the whole gradient to their first element in window order."""
+    x = np.maximum(RNG.integers(-1, 2, size=(2, 3, 5, 8)), 0).astype(np.float64)
+    pf, pt = (x.shape[2], 1) if isinstance(layer, ReduceMaxFreq) else (layer.pool_f, layer.pool_t)
+    y, _, cache = layer.forward([x], _full([x]), True)
+    dy = RNG.normal(size=y.shape)
+    (dx,) = layer.backward(cache, dy)
+    assert (y == 0).any() and np.array_equal(dx, _first_max_reference(x, pf, pt, dy))
+    uncached, _, _ = layer.forward([x], _full([x]), False)
+    assert np.array_equal(uncached, y)
+
+
+def test_forward_releases_dead_activations():
+    """An uncached forward holds a few activations at a time, not all of
+    them; cached and uncached outputs agree bit for bit."""
+    net = Network(dtype=np.float64)
+    prev = -1
+    for i in range(24):
+        prev = net.add(f"c{i}", Conv(2, 2, 1, 3, name=f"c{i}"), [prev])
+        prev = net.add(f"r{i}", ReLU(), [prev])
+    net.init_params(0)
+    x = RNG.normal(size=(1, 2, 1, 20000))
+    act_bytes = len(net.nodes) * x.nbytes
+    tracemalloc.start()
+    try:
+        y = net.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < act_bytes / 4
+    cached, _ = net.forward(x, want_cache=True)
+    assert np.array_equal(cached, y)
 
 
 # -------------------------------------------------- plain-loop reference
