@@ -34,7 +34,7 @@ import csv
 import json
 import os
 import sys
-import time
+import timeit
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +129,13 @@ def _parse_fraction(text: str) -> float:
 
 def _parse_ids(text: str) -> str | int:
     return text if text == "test" else int(text)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -460,10 +467,8 @@ def _cmd_bench(args) -> int:
         net = build_vader(VaderConfig(_hyper_from_args(args, kind)))
         net.init_params(args.seed)
         infer(net, signal)  # warmup
-        t0 = time.perf_counter()
-        for _ in range(args.repeats):
-            infer(net, signal)
-        seconds[kind] = (time.perf_counter() - t0) / args.repeats
+        # the fastest call, so that one scheduler stall decides nothing
+        seconds[kind] = min(timeit.repeat(lambda: infer(net, signal), number=1, repeat=args.repeats))
     raw_time, spec_time = seconds[InputKind.RAW], seconds[InputKind.SPECTROGRAM]
 
     raw_bytes = signal.nbytes
@@ -589,8 +594,8 @@ def build_parser(environ=os.environ) -> _Parser:
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("bench", parents=[common, seeded, network], help="raw vs spectrogram cost on one signal")
-    p.add_argument("--n-samples", type=int, default=7200)
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--n-samples", type=_positive_int, default=7200)
+    p.add_argument("--repeats", type=_positive_int, default=3, help="timed calls per detector; the fastest counts")
     p.add_argument("--out", default="bench_out")
     p.set_defaults(func=_cmd_bench)
 

@@ -14,19 +14,18 @@ training owns its parameters exclusively. A layer computes in its input's
 dtype; its parameters are float64 until ``Network.add`` gives them the
 network's.
 
-Both convolutions share one plane layout. The padded input is copied once
-into a channel-major plane of ``N * rows`` padded frequency rows of ``R``
-padded time steps, plus ``kt`` slack columns. Kernel tap ``(i, j)`` is then
-one matrix product on the contiguous columns ``x[:, a:a+L]``: forward adds
-``W_ij @ x[:, a:a+L]`` to output columns ``b, b+s, ...``; backward adds
-``W_ij.T @ dy`` to ``dx[:, a:a+L]`` and sets ``dW_ij = dy @ x[:, a:a+L].T``.
-``Conv`` has ``s = 1`` and the time tap in ``a``; ``TransposedConvTime`` has
-``s = stride``, the time tap in ``b`` and output rows ``s * R`` long, so no
-zero-stuffed copy is made. Backward and the transposed forward run this tap
-loop (kn2row). ``Conv``'s forward stacks the ``kt`` time-shifted planes into
-one transient block of ``kt * c_in`` rows and runs one product per frequency
-tap, ``W_i @ block[:, i*R : i*R+L]``, which contracts ``kt`` times as many
-rows per product (between kn2row and im2col; Anderson et al. 2017).
+Every convolution pass is one stride-1 correlation, ``_correlate``: the
+zero-padded input is copied once into a channel-major plane of ``N * rows``
+padded frequency rows of ``width`` padded time steps, a transient block
+stacks the plane's ``kt`` time-shifted copies into ``kt * C`` rows, and each
+frequency tap is one product ``W_i @ block[:, i*width : i*width+L]``
+(between kn2row and im2col; Anderson et al. 2017). ``TransposedConvTime``
+correlates with a sub-kernel of ``stride * c_out`` output channels, one
+group per output time phase, and interleaves the phases (sub-pixel
+convolution; Shi et al. 2016). The input gradient correlates ``dy`` with the
+flipped, channel-swapped kernel under the complementary padding (Dumoulin &
+Visin 2016); the kernel gradient is one product per frequency tap of ``dy``
+against the block rebuilt from the cached plane.
 
 Max pooling and the frequency max keep no argmax: forward takes the maximum
 over the window's strided views, and backward sends the gradient to the
@@ -101,10 +100,42 @@ def _require(cache):
     return cache
 
 
-def _window(plane, n, rows, width, win):
-    """The ``(C, N, F, T)`` block ``win`` of a ``(C, columns)`` plane whose
-    columns hold ``n * rows`` rows of ``width``."""
-    return plane[:, : n * rows * width].reshape(len(plane), n, rows, width)[(..., *win)]
+def _grid(plane, n, rows, width):
+    """The ``(C, N, rows, width)`` view of a ``(C, columns)`` plane."""
+    return plane[:, : n * rows * width].reshape(len(plane), n, rows, width)
+
+
+def _block(plane, kt, span):
+    """The first ``span`` columns of ``plane`` and its ``kt - 1`` successive
+    one-column shifts, stacked into a transient block of ``kt * C`` rows."""
+    c = len(plane)
+    block = np.empty((kt * c, span), dtype=plane.dtype)
+    for j in range(kt):
+        block[j * c : (j + 1) * c] = plane[:, j : j + span]
+    return block
+
+
+def _correlate(x, w, freq_pads, time_pads):
+    """Stride-1 correlation of the channel-major ``(C, N, F, T)`` input ``x``,
+    zero-padded by the ``(lo, hi)`` pairs, with the ``(O, C, kf, kt)`` kernel
+    ``w``. Returns the ``(O, N, F', T')`` output, a view of the output plane
+    in which output ``(n, f, t)`` is column ``(n * rows + f) * width + t``,
+    and the padded input plane, which has ``kt - 1`` slack columns."""
+    C, N, F, T = x.shape
+    O, _, kf, kt = w.shape
+    rows, width = F + sum(freq_pads), T + sum(time_pads)
+    if rows < kf:
+        raise ShapeMismatch(f"{rows} padded frequency rows, kernel spans {kf}")
+    span, L = N * rows * width, (N * rows - kf + 1) * width
+    plane = np.zeros((C, span + kt - 1), dtype=x.dtype)
+    _grid(plane, N, rows, width)[:, :, freq_pads[0] : freq_pads[0] + F, time_pads[0] : time_pads[0] + T] = x
+    block = _block(plane, kt, span)
+    w = w.transpose(2, 0, 3, 1).reshape(kf, O, kt * C)
+    y = np.empty((O, span), dtype=x.dtype)  # only the first L columns are read
+    np.matmul(w[0], block[:, :L], out=y[:, :L])
+    for i in range(1, kf):
+        y[:, :L] += w[i] @ block[:, i * width : i * width + L]
+    return _grid(y, N, rows, width)[:, :, : rows - kf + 1, : width - kt + 1], plane
 
 
 class Conv(Layer):
@@ -125,6 +156,17 @@ class Conv(Layer):
         self.name = name
         self.weight = Param(f"{name}.weight", np.zeros((c_out, c_in, kf, kt)))
         self.bias = Param(f"{name}.bias", np.zeros(c_out))
+        self._freq_pads = ((kf - 1) // 2, kf // 2) if freq_padding == "same" else (0, 0)
+        # Time tap j takes input column c to output column stride*c + crop - j,
+        # as correlating the zero-stuffed input padded by `crop` would: output
+        # phase (crop - j) % stride, at input shift ceil((j - crop) / stride).
+        # With stride 1 the shifts are the 'same' padding's.
+        s, taps = self.stride, np.arange(kt)
+        crop = (kt + s - 2) // 2
+        shift = -((crop - taps) // s)
+        self._phase = (crop - taps) % s
+        self._slot = shift - shift.min()
+        self._time_pads = (-int(shift.min()), int(shift.max()))
 
     def init(self, rng):
         fan_in = self.c_in * self.kf * self.kt
@@ -142,78 +184,51 @@ class Conv(Layer):
             "freq_padding": self.freq_padding,
         }
 
-    def _time_layout(self):
-        """Zeros before and after each input row; output start in its row."""
-        pt = (self.kt - 1) // 2
-        return pt, pt, 0
-
-    def _offsets(self, i, j, width):
-        """Input and output plane offsets ``(a, b)`` of tap ``(i, j)``."""
-        return i * width + j, 0
-
-    def _layout(self, shape):
-        """``(N, rows, width)`` of the planes for an input of ``shape``, and
-        the input's and the output's ``(freq, time)`` window in their rows."""
-        N, C, F, T = shape
-        if C != self.c_in:
-            raise ShapeMismatch(f"input has {C} channels, kernel expects {self.c_in}")
-        f0, f1 = ((self.kf - 1) // 2, self.kf // 2) if self.freq_padding == "same" else (0, 0)
-        (lo, hi, start), rows = self._time_layout(), F + f0 + f1
-        if rows < self.kf:
-            raise ShapeMismatch(f"{rows} padded frequency rows, kernel spans {self.kf}")
-        x_win = (slice(f0, f0 + F), slice(lo, lo + T))
-        y_win = (slice(0, rows - self.kf + 1), slice(start, start + self.stride * T))
-        return N, rows, T + lo + hi, x_win, y_win
-
-    def _taps(self, n, rows, width):
-        """The one tap loop: tap ``(i, j)`` reads input plane columns ``a + k``
-        and writes output plane columns ``b + stride*k``, ``k < L``, which
-        output phase ``b % stride`` holds contiguously."""
-        L = (n * rows - self.kf + 1) * width
-        for i in range(self.kf):
-            for j in range(self.kt):
-                a, b = self._offsets(i, j, width)
-                yield i, j, slice(a, a + L), b % self.stride, slice(b // self.stride, b // self.stride + L)
-
-    def _products(self, xp, y, N, rows, width):
-        """Add every tap's product to the output planes ``y``: one GEMM per
-        frequency tap over a transient block of the ``kt`` time-shifted
-        input planes, so each contracts ``kt * c_in`` rows."""
-        span, c = N * rows * width, self.c_in
-        shifted = np.empty((self.kt * c, span), dtype=xp.dtype)
-        for j in range(self.kt):
-            shifted[j * c : (j + 1) * c] = xp[:, j : j + span]
-        w = self.weight.value.transpose(2, 0, 3, 1).reshape(self.kf, self.c_out, self.kt * c)
-        L = (N * rows - self.kf + 1) * width
-        for i in range(self.kf):
-            y[0, :, :L] += w[i] @ shifted[:, i * width : i * width + L]
+    def _kernel(self, dtype):
+        """The weight as the ``(stride * c_out, c_in, kf, n_shifts)`` kernel of
+        a stride-1 correlation whose output channel ``p * c_out + o`` is
+        channel ``o`` at time phase ``p`` (sub-pixel convolution)."""
+        s, n = self.stride, self._time_pads[0] + self._time_pads[1] + 1
+        k = np.zeros((s, self.c_out, self.c_in, self.kf, n), dtype=dtype)
+        k[self._phase, ..., self._slot] = self.weight.value.transpose(3, 0, 1, 2)
+        return k.reshape(s * self.c_out, self.c_in, self.kf, n)
 
     def forward(self, xs, valids, want_cache):
         (x,) = xs
-        lay = N, rows, width, x_win, y_win = self._layout(x.shape)
-        s, size = self.stride, N * rows * width + self.kt  # kt slack columns for the last taps
-        xp = np.zeros((self.c_in, size), dtype=x.dtype)
-        _window(xp, N, rows, width, x_win)[...] = x.transpose(1, 0, 2, 3)
-        y = np.zeros((s, self.c_out, size), dtype=x.dtype)
-        self._products(xp, y, N, rows, width)
-        y = _window(y.transpose(1, 2, 0).reshape(self.c_out, -1), N, rows, s * width, y_win)
-        y = np.add(y.transpose(1, 0, 2, 3), self.bias.value[:, None, None], order="C")
-        return y, valids[0] * s, (xp, lay) if want_cache else None
+        N, C, _, T = x.shape
+        if C != self.c_in:
+            raise ShapeMismatch(f"input has {C} channels, kernel expects {self.c_in}")
+        y, plane = _correlate(x.transpose(1, 0, 2, 3), self._kernel(x.dtype), self._freq_pads, self._time_pads)
+        s, O, F = self.stride, self.c_out, y.shape[2]
+        out = np.empty((N, O, F, T, s), dtype=x.dtype)  # phases interleave in time
+        np.add(y.reshape(s, O, N, F, T).transpose(2, 1, 3, 4, 0), self.bias.value[:, None, None, None], out=out)
+        return out.reshape(N, O, F, T * s), valids[0] * s, plane if want_cache else None
 
     def backward(self, cache, dy):
-        xp, (N, rows, width, x_win, y_win) = _require(cache)
-        s, size = self.stride, xp.shape[1]
-        dyp = np.zeros((self.c_out, s * size), dtype=dy.dtype)
-        _window(dyp, N, rows, s * width, y_win)[...] = dy.transpose(1, 0, 2, 3)
-        dyp = np.ascontiguousarray(dyp.reshape(self.c_out, size, s).transpose(2, 0, 1))
-        w = np.ascontiguousarray(self.weight.value.transpose(2, 3, 0, 1))
-        dw, dxp = np.empty_like(w), np.zeros_like(xp)
-        for i, j, cols, phase, out in self._taps(N, rows, width):
-            np.matmul(dyp[phase, :, out], xp[:, cols].T, out=dw[i, j])
-            dxp[:, cols] += w[i, j].T @ dyp[phase, :, out]
-        self.weight.grad += dw.transpose(2, 3, 0, 1)
+        plane = _require(cache)
+        s, O, C = self.stride, self.c_out, self.c_in
+        N, _, F, T = dy.shape
+        T //= s
+        dy_phases = dy.reshape(N, O, F, T, s).transpose(4, 1, 0, 2, 3).reshape(s * O, N, F, T)
+        k = self._kernel(dy.dtype)
+        kf, kt = k.shape[2:]
+        # dK_i = dy @ block[:, i*width : i*width+L].T, dy laid out as the
+        # forward's output plane and the block rebuilt from its input plane.
+        rows, width = F + kf - 1, T + kt - 1
+        span, L = N * rows * width, (N * rows - kf + 1) * width
+        dyp = np.zeros((s * O, span), dtype=dy.dtype)
+        _grid(dyp, N, rows, width)[:, :, :F, :T] = dy_phases
+        block = _block(plane, kt, span)
+        dk = np.stack([dyp[:, :L] @ block[:, i * width : i * width + L].T for i in range(kf)])
+        del dyp, block  # before the input gradient builds its own
+        dk = dk.reshape(kf, s, O, kt, C).transpose(1, 2, 4, 0, 3)
+        self.weight.grad += dk[self._phase, ..., self._slot].transpose(1, 2, 3, 0)
         self.bias.grad += dy.sum(axis=(0, 2, 3))
-        return [np.ascontiguousarray(_window(dxp, N, rows, width, x_win).transpose(1, 0, 2, 3))]
+        # The input gradient correlates dy with the flipped, channel-swapped
+        # kernel under the complementary padding.
+        pads = [(n - 1 - lo, n - 1 - hi) for n, (lo, hi) in ((kf, self._freq_pads), (kt, self._time_pads))]
+        dx, _ = _correlate(dy_phases, k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), *pads)
+        return [np.ascontiguousarray(dx.transpose(1, 0, 2, 3))]
 
 
 class TransposedConvTime(Conv):
@@ -228,32 +243,9 @@ class TransposedConvTime(Conv):
             raise ValueError(f"stride must be >= 2, got {stride}")
         self.stride = stride
         super().__init__(c_in, c_out, kf, kt, name=name)
-        # Tap j takes input column c to output column stride*c + crop - j, as
-        # correlating the zero-stuffed input padded by `crop` would; output
-        # rows start `top - crop` early, so every offset b = top - j >= 0.
-        self._crop = (kt + stride - 2) // 2
-        self._top = max(self._crop, kt - 1)
 
     def config(self):
         return {**super().config(), "stride": self.stride}
-
-    def _time_layout(self):
-        # The last inputs of a row may spill into the next output row, but
-        # only into its first `start` columns, which precede the output.
-        start = self._top - self._crop
-        return 0, -(-start // self.stride), start
-
-    def _offsets(self, i, j, width):
-        return i * width, self._top - j
-
-    def _products(self, xp, y, N, rows, width):
-        """Add every tap's product to the output phase planes ``y``, one
-        GEMM per tap. Time taps here share input columns and differ in
-        output columns, so a stacked block would need a scatter, not a
-        gather."""
-        w = np.ascontiguousarray(self.weight.value.transpose(2, 3, 0, 1))
-        for i, j, cols, phase, out in self._taps(N, rows, width):
-            y[phase, :, out] += w[i, j] @ xp[:, cols]
 
 
 class MaxPool(Layer):

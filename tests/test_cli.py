@@ -191,7 +191,7 @@ def test_train_writes_weights_only(workspace, trained, tmp_path):
 def test_bench_reports_memory_ratio_96(tmp_path):
     out = tmp_path / "bench"
     code = run(
-        "bench", "--n-samples", "1200", "--base-width", "4", "--repeats", "1",
+        "bench", "--n-samples", "1200", "--base-width", "4", "--repeats", "3",
         "--seed", "0", "--out", str(out),
     )
     assert code == 0
@@ -306,6 +306,10 @@ MALFORMED_VALUES = {
     "train_lr_factor_above_1": ["train", "--lr-factor", "2"],
     "train_kernel_size_0": ["train", "--kernel-size", "0"],
     "bench_pool_size_1": ["bench", "--pool-size", "1"],
+    "bench_repeats_0": ["bench", "--repeats", "0"],
+    "bench_repeats_negative": ["bench", "--repeats", "-1"],
+    "bench_n_samples_0": ["bench", "--n-samples", "0"],
+    "bench_n_samples_negative": ["bench", "--n-samples", "-5"],
     "plan_empty_kernel_sizes": ["plan", "--kernel-sizes", ","],
 }
 
