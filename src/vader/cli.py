@@ -526,7 +526,7 @@ def build_parser(environ=os.environ) -> _Parser:
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("synth", parents=[common, seeded], help="generate a synthetic dataset")
-    p.add_argument("--n", type=int, default=250)
+    p.add_argument("--n", type=_positive_int, default=250)
     p.add_argument(
         "--distribution", type=_parse_distribution, default="8:0.5,12:0.3,16:0.2", help="axles:weight,…"
     )

@@ -14,18 +14,26 @@ training owns its parameters exclusively. A layer computes in its input's
 dtype; its parameters are float64 until ``Network.add`` gives them the
 network's.
 
-Every convolution pass is one stride-1 correlation, ``_correlate``: the
-zero-padded input is copied once into a channel-major plane of ``N * rows``
-padded frequency rows of ``width`` padded time steps, a transient block
-stacks the plane's ``kt`` time-shifted copies into ``kt * C`` rows, and each
-frequency tap is one product ``W_i @ block[:, i*width : i*width+L]``
-(between kn2row and im2col; Anderson et al. 2017). ``TransposedConvTime``
-correlates with a sub-kernel of ``stride * c_out`` output channels, one
-group per output time phase, and interleaves the phases (sub-pixel
-convolution; Shi et al. 2016). The input gradient correlates ``dy`` with the
-flipped, channel-swapped kernel under the complementary padding (Dumoulin &
-Visin 2016); the kernel gradient is one product per frequency tap of ``dy``
-against the block rebuilt from the cached plane.
+Every convolution pass is one stride-1 correlation, ``_correlate``, and one
+matrix product. The zero-padded input is copied once into a channel-major
+plane: a kernel spanning several frequency rows stacks them with the
+channels into ``F * C`` rows, and a one-row kernel leaves them in the
+columns next to the batch. A transient block stacks the plane's ``kt``
+time-shifted copies, and the kernel becomes a block-Toeplitz ("banded")
+matrix of ``F' * O`` rows whose row ``(fo, o)`` holds the taps that reach
+input row ``fi`` at ``fi - fo + lo`` and zeros elsewhere, so the whole
+correlation is ``band @ block`` (the unrolling of im2col and kn2row,
+applied to time in the block and to frequency in the kernel; Vasudevan et
+al. 2017). The band multiplies its zeros, up to twice the useful work for a
+9-row kernel over 16 rows, in exchange for one well-shaped product instead
+of one thin one per frequency tap. For a one-row kernel the band is the
+weight itself, reshaped. ``TransposedConvTime`` correlates with a
+sub-kernel of ``stride * c_out`` output channels, one group per output time
+phase, and interleaves the phases (sub-pixel convolution; Shi et al. 2016).
+The input gradient correlates ``dy`` with the flipped, channel-swapped
+kernel under the complementary padding (Dumoulin & Visin 2016); the kernel
+gradient is one product of ``dy`` with the block rebuilt from the cached
+plane, summed back along the band.
 
 Max pooling and the frequency max keep no argmax: forward takes the maximum
 over the window's strided views, and backward sends the gradient to the
@@ -100,9 +108,26 @@ def _require(cache):
     return cache
 
 
-def _grid(plane, n, rows, width):
-    """The ``(C, N, rows, width)`` view of a ``(C, columns)`` plane."""
-    return plane[:, : n * rows * width].reshape(len(plane), n, rows, width)
+def _rows(kf, freq):
+    """Frequency rows a plane stacks along its row axis: every row for a
+    kernel spanning several, none for a one-row kernel, whose rows stay
+    batch columns."""
+    return freq if kf > 1 else 1
+
+
+def _plane(x, rows, width, lo=0, slack=0):
+    """The channel-major ``(C, N, F, T)`` array ``x`` copied into a zero
+    plane: frequency row ``f < rows`` and channel ``c`` make row ``(f, c)``,
+    the remaining frequency rows stay in the columns, each sample row starts
+    at time offset ``lo`` in a row of ``width``, and ``slack`` zero columns
+    follow."""
+    C, N, F, T = x.shape
+    rest = F // rows
+    span = N * rest * width
+    plane = np.zeros((rows * C, span + slack), dtype=x.dtype)
+    grid = plane[:, :span].reshape(rows, C, N, rest, width)
+    grid[..., lo : lo + T] = x.reshape(C, N, rows, rest, T).transpose(2, 0, 1, 3, 4)
+    return plane
 
 
 def _block(plane, kt, span):
@@ -115,27 +140,59 @@ def _block(plane, kt, span):
     return block
 
 
+def _toeplitz(lead, rows, freq_pads, kf, dtype):
+    """Two views of one zero buffer: the ``(*lead, F', kf)`` taps and the
+    ``(*lead, F', rows)`` band in which output row ``fo`` holds tap ``i`` at
+    input row ``fo + i - lo``. Each output row owns ``rows + lo + hi + 1``
+    buffer entries, the first ``kf`` of which are its taps."""
+    lo, hi = freq_pads
+    padded = rows + lo + hi
+    f_out = padded - kf + 1
+    buf = np.zeros(lead + (f_out, padded + 1), dtype=dtype)
+    flat = buf.reshape(lead + (-1,))[..., : f_out * padded]
+    return buf[..., :kf], flat.reshape(lead + (f_out, padded))[..., lo : lo + rows]
+
+
+def _band(w, rows, freq_pads):
+    """The ``(O, C, kf, kt)`` kernel as the banded ``(F' * O, kt * rows * C)``
+    matrix of a correlation over ``rows`` stacked frequency rows: row
+    ``(fo, o)``, column ``(j, fi, c)`` holds ``w[o, c, fi - fo + lo, j]``
+    inside the band and zero outside. A one-row kernel is a plain reshape."""
+    O, C, kf, kt = w.shape
+    if kf == 1:
+        return w.transpose(2, 0, 3, 1).reshape(O, kt * C)
+    taps, band = _toeplitz((O, kt, C), rows, freq_pads, kf, w.dtype)
+    taps[...] = w.transpose(0, 3, 1, 2)[:, :, :, None, :]
+    return band.transpose(3, 0, 1, 4, 2).reshape(-1, kt * rows * C)
+
+
+def _unband(band, shape, rows, freq_pads):
+    """The adjoint of :func:`_band`: the ``shape`` kernel's gradient from the
+    banded matrix's, summed along the band."""
+    O, C, kf, kt = shape
+    if kf == 1:
+        return band.reshape(O, 1, kt, C).transpose(0, 3, 1, 2)
+    taps, view = _toeplitz((O, kt, C), rows, freq_pads, kf, band.dtype)
+    view[...] = band.reshape(-1, O, kt, rows, C).transpose(1, 2, 4, 0, 3)
+    return taps.sum(axis=3).transpose(0, 2, 3, 1)
+
+
 def _correlate(x, w, freq_pads, time_pads):
     """Stride-1 correlation of the channel-major ``(C, N, F, T)`` input ``x``,
     zero-padded by the ``(lo, hi)`` pairs, with the ``(O, C, kf, kt)`` kernel
-    ``w``. Returns the ``(O, N, F', T')`` output, a view of the output plane
-    in which output ``(n, f, t)`` is column ``(n * rows + f) * width + t``,
-    and the padded input plane, which has ``kt - 1`` slack columns."""
+    ``w``: one product of the banded kernel (:func:`_band`) with the block of
+    ``kt`` time shifts of the input plane. Returns the ``(O, N, F', T')``
+    output, a view of the output plane, and the input plane, which has
+    ``kt - 1`` slack columns."""
     C, N, F, T = x.shape
     O, _, kf, kt = w.shape
-    rows, width = F + sum(freq_pads), T + sum(time_pads)
-    if rows < kf:
-        raise ShapeMismatch(f"{rows} padded frequency rows, kernel spans {kf}")
-    span, L = N * rows * width, (N * rows - kf + 1) * width
-    plane = np.zeros((C, span + kt - 1), dtype=x.dtype)
-    _grid(plane, N, rows, width)[:, :, freq_pads[0] : freq_pads[0] + F, time_pads[0] : time_pads[0] + T] = x
-    block = _block(plane, kt, span)
-    w = w.transpose(2, 0, 3, 1).reshape(kf, O, kt * C)
-    y = np.empty((O, span), dtype=x.dtype)  # only the first L columns are read
-    np.matmul(w[0], block[:, :L], out=y[:, :L])
-    for i in range(1, kf):
-        y[:, :L] += w[i] @ block[:, i * width : i * width + L]
-    return _grid(y, N, rows, width)[:, :, : rows - kf + 1, : width - kt + 1], plane
+    if F + sum(freq_pads) < kf:
+        raise ShapeMismatch(f"{F + sum(freq_pads)} padded frequency rows, kernel spans {kf}")
+    rows, width = _rows(kf, F), T + sum(time_pads)
+    plane = _plane(x, rows, width, time_pads[0], kt - 1)
+    y = _band(w, rows, freq_pads) @ _block(plane, kt, plane.shape[1] - kt + 1)
+    y = y.reshape(-1, O, N, F // rows, width).transpose(1, 2, 0, 3, 4).reshape(O, N, -1, width)
+    return y[..., : width - kt + 1], plane
 
 
 class Conv(Layer):
@@ -212,16 +269,12 @@ class Conv(Layer):
         dy_phases = dy.reshape(N, O, F, T, s).transpose(4, 1, 0, 2, 3).reshape(s * O, N, F, T)
         k = self._kernel(dy.dtype)
         kf, kt = k.shape[2:]
-        # dK_i = dy @ block[:, i*width : i*width+L].T, dy laid out as the
-        # forward's output plane and the block rebuilt from its input plane.
-        rows, width = F + kf - 1, T + kt - 1
-        span, L = N * rows * width, (N * rows - kf + 1) * width
-        dyp = np.zeros((s * O, span), dtype=dy.dtype)
-        _grid(dyp, N, rows, width)[:, :, :F, :T] = dy_phases
-        block = _block(plane, kt, span)
-        dk = np.stack([dyp[:, :L] @ block[:, i * width : i * width + L].T for i in range(kf)])
-        del dyp, block  # before the input gradient builds its own
-        dk = dk.reshape(kf, s, O, kt, C).transpose(1, 2, 4, 0, 3)
+        # dK is one product of dy, laid out as the forward's output plane,
+        # with the block rebuilt from its input plane, summed along the band.
+        dyp = _plane(dy_phases, _rows(kf, F), T + kt - 1)
+        band = dyp @ _block(plane, kt, dyp.shape[1]).T
+        del dyp  # before the input gradient builds its own planes
+        dk = _unband(band, k.shape, len(plane) // C, self._freq_pads).reshape(s, O, C, kf, kt)
         self.weight.grad += dk[self._phase, ..., self._slot].transpose(1, 2, 3, 0)
         self.bias.grad += dy.sum(axis=(0, 2, 3))
         # The input gradient correlates dy with the flipped, channel-swapped

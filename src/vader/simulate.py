@@ -193,6 +193,8 @@ def generate_dataset(
     if not axle_count_distribution:
         raise InvalidConfig("axle_count_distribution must be nonempty")
     counts = sorted(axle_count_distribution)
+    if counts[0] < 1:
+        raise InvalidConfig(f"axle counts must be >= 1, got {counts[0]}")
     probs = np.asarray([axle_count_distribution[c] for c in counts], dtype=float)
     if np.any(probs < 0) or probs.sum() <= 0:
         raise InvalidConfig("distribution weights must be non-negative and sum > 0")

@@ -302,6 +302,8 @@ MALFORMED_VALUES = {
     "fraction_zero": ["split", "--fraction", "0"],
     "detect_position_without_sensor": ["detect", "--sensor-positions", "s0"],
     "synth_position_not_a_number": ["synth", "--sensor-positions", "a"],
+    "synth_n_0": ["synth", "--n", "0"],
+    "synth_n_negative": ["synth", "--n", "-3"],
     "eval_min_confidence_above_1": ["eval", "--min-confidence", "2"],
     "train_lr_factor_above_1": ["train", "--lr-factor", "2"],
     "train_kernel_size_0": ["train", "--kernel-size", "0"],
@@ -334,6 +336,14 @@ def test_malformed_config_value_is_usage_error(workspace, tmp_path, capsys):
     out = tmp_path / "split.json"
     assert run("split", "--config", str(cfg), "--dataset", str(workspace / "data" / "passages"), "--out", str(out)) == 1
     assert "fraction" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("distribution", ["0:1", "-2:1"])
+def test_synth_axle_count_below_1_exits_2(tmp_path, capsys, distribution):
+    out = tmp_path / "synth"
+    assert run("synth", "--n", "2", f"--distribution={distribution}", "--out", str(out)) == 2
+    assert "axle counts must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 

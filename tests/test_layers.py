@@ -348,13 +348,34 @@ REFERENCE_CASES = {
 }
 
 
+#: Kernels over several frequency rows whose geometry REFERENCE_CASES
+#: leaves out: one-row kernels, whose rows ride along as batch columns, and
+#: the spectrogram input convolution (kf 9 over 16 rows, 'same').
+ROW_CASES = {
+    "conv_k3_f1_rows5": (lambda: Conv(3, 4, 1, 3, name="c"), 5),
+    "conv_k1_f1_rows5": (lambda: Conv(3, 4, 1, 1, name="c"), 5),
+    "tconv_s2_k5_f1_rows5": (lambda: TransposedConvTime(3, 2, 1, 5, stride=2, name="t"), 5),
+    "tconv_s3_k4_f1_rows5": (lambda: TransposedConvTime(3, 2, 1, 4, stride=3, name="t"), 5),
+    "conv_f9_same_rows16": (lambda: Conv(6, 4, 9, 9, "same", name="c"), 16),
+}
+
+
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_conv_matches_plain_loop_reference(case):
     layer = REFERENCE_CASES[case]()
+    _check_against_reference(layer, 5 if layer.kf > 1 else 1)
+
+
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
+def test_conv_over_rows_matches_plain_loop_reference(case):
+    make, F = ROW_CASES[case]
+    _check_against_reference(make(), F)
+
+
+def _check_against_reference(layer, F):
     rng = np.random.default_rng(7)
     layer.init(rng)
     layer.bias.value[...] = rng.normal(size=layer.c_out)
-    F = 5 if layer.kf > 1 else 1
     valid = np.array([13, 9, 4])
     x = zero_invalid(rng.normal(size=(3, layer.c_in, F, 13)), valid)
     y, out_valid, cache = layer.forward([x], [valid], want_cache=True)

@@ -10,6 +10,8 @@ from vader.data import SensorChannel
 from vader.engine import Conv, read_manifest, save_checkpoint
 from vader.errors import InvalidHyperParams, NonFiniteInput, ShapeMismatch
 from vader.model import (
+    SPEC_BINS,
+    SPEC_CHANNELS,
     VaderConfig,
     build_vader,
     infer,
@@ -179,16 +181,18 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     assert sorted(f.name for f in tmp_path.iterdir()) == ["model.bin", "model.json"]
 
 
-def test_batched_forward_matches_single_on_detector():
+@pytest.mark.parametrize("kind", list(InputKind))
+def test_batched_forward_matches_single_on_detector(kind):
     """Zero-padded batching through the full detector reproduces per-sample
     inference within float32 rounding."""
-    net = build_vader(_cfg(k=5, m=2, p=2, base=4))
+    net = build_vader(_cfg(kind, k=5, m=2, p=2, base=4))
     net.init_params(9)
-    a = RNG.normal(size=90).astype(np.float32)
-    b = RNG.normal(size=128).astype(np.float32)
-    xb = np.zeros((2, 1, 1, 128), dtype=np.float32)
-    xb[0, 0, 0, :90] = a
-    xb[1, 0, 0, :] = b
+    rows = (SPEC_BINS, SPEC_CHANNELS) if kind is InputKind.SPECTROGRAM else ()
+    a = RNG.normal(size=rows + (90,)).astype(np.float32)
+    b = RNG.normal(size=rows + (128,)).astype(np.float32)
+    xb = np.zeros((2,) + network_input(b, kind).shape[1:], dtype=np.float32)
+    xb[0, ..., :90] = network_input(a, kind)[0]
+    xb[1] = network_input(b, kind)[0]
     yb = net.forward(xb, valid=np.array([90, 128]))
     assert np.allclose(yb[0, 0, 0, :90], infer(net, a), atol=2e-6)
     assert np.allclose(yb[1, 0, 0, :], infer(net, b), atol=2e-6)
