@@ -24,10 +24,12 @@ matrix of ``F' * O`` rows whose row ``(fo, o)`` holds the taps that reach
 input row ``fi`` at ``fi - fo + lo`` and zeros elsewhere, so the whole
 correlation is ``band @ block`` (the unrolling of im2col and kn2row,
 applied to time in the block and to frequency in the kernel; Vasudevan et
-al. 2017). The band multiplies its zeros, up to twice the useful work for a
-9-row kernel over 16 rows, in exchange for one well-shaped product instead
-of one thin one per frequency tap. For a one-row kernel the band is the
-weight itself, reshaped. ``TransposedConvTime`` correlates with a
+al. 2017). The band multiplies its zeros, more of them the narrower the
+kernel is against the rows (about twice the useful work for a 9-row kernel
+over 16 rows, 5.6 times for a 3-row one), in exchange for one well-shaped
+product instead of one thin, memory-bound one per frequency tap. For a
+one-row kernel the band is the weight itself, reshaped.
+``TransposedConvTime`` correlates with a
 sub-kernel of ``stride * c_out`` output channels, one group per output time
 phase, and interleaves the phases (sub-pixel convolution; Shi et al. 2016).
 The input gradient correlates ``dy`` with the flipped, channel-swapped
@@ -132,7 +134,10 @@ def _plane(x, rows, width, lo=0, slack=0):
 
 def _block(plane, kt, span):
     """The first ``span`` columns of ``plane`` and its ``kt - 1`` successive
-    one-column shifts, stacked into a transient block of ``kt * C`` rows."""
+    one-column shifts, stacked into a transient block of ``kt * C`` rows; for
+    one shift, a view of the plane itself."""
+    if kt == 1:
+        return plane[:, :span]
     c = len(plane)
     block = np.empty((kt * c, span), dtype=plane.dtype)
     for j in range(kt):
