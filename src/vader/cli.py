@@ -1,10 +1,10 @@
 """Command-line surface tying the pipeline together.
 
 Subcommands: ``plan`` (hyperparameter grid), ``synth`` (dataset generation),
-``split`` (train/val/test plans), ``transform`` (spectrogram stacks),
-``train`` (one fold), ``eval`` (metrics report), ``detect`` (inference to
-axle times), ``bench`` (raw vs spectrogram cost). Exit codes: 0 success,
-1 usage error, 2 data/validation error.
+``split`` (train/val/test plans), ``train`` (one fold), ``eval`` (metrics
+report), ``detect`` (inference to axle times), ``bench`` (raw vs
+spectrogram cost). Exit codes: 0 success, 1 usage error, 2 data/validation
+error.
 
 ``train`` writes ``run.json``, ``history.csv`` and the weights-only
 checkpoint ``model.json`` + ``model.bin``, which alone describes the
@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cwt import spectrogram_stack, write_stack
+from .cwt import spectrogram_stack
 from .data import label_indices, load_dataset, shared_sample_rate
 from .engine import save_checkpoint
 from .errors import DataError, VaderError, naming
@@ -269,33 +269,6 @@ def _cmd_split(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------- transform
-
-
-def _cmd_transform(args) -> int:
-    out_dir = Path(args.out)
-    dataset = load_dataset(args.dataset)
-    passages = [dataset.by_id(args.passage)] if args.passage else list(dataset)
-    _write_run_json(out_dir, "transform", args)
-    n_written = 0
-    for passage in passages:
-        for ch in passage.channels:
-            stack = spectrogram_stack(ch.samples)
-            path = out_dir / f"{passage.passage_id}_{ch.sensor_id}.stack"
-            write_stack(
-                path,
-                stack,
-                meta={
-                    "passage_id": passage.passage_id,
-                    "sensor_id": ch.sensor_id,
-                    "sample_rate": ch.sample_rate,
-                },
-            )
-            n_written += 1
-    print(f"wrote {n_written} stacks under {out_dir}")
-    return 0
-
-
 # ---------------------------------------------------------------- train
 
 
@@ -341,11 +314,15 @@ def _fixed(value, unit="") -> str:
 
 
 def _cmd_eval(args) -> int:
+    if args.ids is not None and not args.split:
+        raise UsageError("--ids needs --split")
     out_dir = Path(args.out)
     dataset = load_dataset(args.dataset)
     network, cfg = load_vader(args.checkpoint)
     if args.split:
         plan = SplitPlan.from_json(Path(args.split).read_text(encoding="utf-8"))
+        if args.ids is None:
+            args.ids = "test"  # resolved here, so that run.json names it
         ids = plan.test_ids if args.ids == "test" else plan.fold_val_ids(args.ids)
     else:
         ids = [p.passage_id for p in dataset]
@@ -551,12 +528,6 @@ def build_parser(environ=os.environ) -> _Parser:
     p.add_argument("--out", default="split.json")
     p.set_defaults(func=_cmd_split)
 
-    p = sub.add_parser("transform", parents=[common], help="write spectrogram stacks")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--passage", default=None, help="restrict to one passage id")
-    p.add_argument("--out", default="stacks")
-    p.set_defaults(func=_cmd_transform)
-
     p = sub.add_parser("train", parents=[common, seeded, network], help="train one cross-validation fold")
     p.add_argument("--dataset", required=True)
     p.add_argument("--split", required=True)
@@ -576,7 +547,7 @@ def build_parser(environ=os.environ) -> _Parser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--checkpoint", required=True, help="checkpoint stem (without .bin/.json)")
     p.add_argument("--split", default=None)
-    p.add_argument("--ids", type=_parse_ids, default="test", help="'test' or a fold index (with --split)")
+    p.add_argument("--ids", type=_parse_ids, default=None, help="'test' (default) or a fold index; needs --split")
     p.add_argument("--out", default="eval_out")
     p.set_defaults(func=_cmd_eval)
 

@@ -25,10 +25,7 @@ from __future__ import annotations
 
 import enum
 import functools
-import json
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -37,9 +34,6 @@ from .errors import NonFiniteInput, ShapeMismatch, ValidationError
 WAVELET_HALF_WIDTH = 8.0
 TRUNCATION_RATIO = 1e-8
 N_SCALES = 16
-
-STACK_MAGIC = b"VSTK"
-STACK_VERSION = 1
 
 
 class WaveletFamily(enum.Enum):
@@ -193,46 +187,3 @@ def scale_center_frequency(family: WaveletFamily, scale: float, sample_rate: flo
     nonzero = freqs != 0
     return float(abs(freqs[nonzero][np.argmax(spectrum[nonzero])]))
 
-
-def write_stack(path, stack: np.ndarray, meta: dict | None = None) -> Path:
-    """Write a stack as little-endian float32 with a fixed header and a JSON
-    sidecar describing the transform."""
-    path = Path(path)
-    arr = np.ascontiguousarray(stack, dtype="<f4")
-    if arr.ndim != 3:
-        raise ShapeMismatch(f"expected a 3-D stack, got shape {arr.shape}")
-    header = STACK_MAGIC + struct.pack("<BxxxIII", STACK_VERSION, *arr.shape)
-    path.write_bytes(header + arr.tobytes())
-    sidecar = {
-        "shape": list(arr.shape),
-        "dtype": "float32",
-        "byte_order": "little",
-        "wavelets": [
-            {
-                "family": spec.family.value,
-                "scale_lower": spec.scale_lower,
-                "scale_upper": spec.scale_upper,
-                "n_scales": N_SCALES,
-            }
-            for spec in DEFAULT_STACK
-        ],
-        **(meta or {}),
-    }
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return path
-
-
-def read_stack(path) -> np.ndarray:
-    path = Path(path)
-    raw = path.read_bytes()
-    if raw[:4] != STACK_MAGIC:
-        raise ValidationError(f"{path}: bad magic")
-    version, d0, d1, d2 = struct.unpack("<BxxxIII", raw[4:20])
-    if version != STACK_VERSION:
-        raise ValidationError(f"{path}: unsupported version {version}")
-    flat = np.frombuffer(raw[20:], dtype="<f4")
-    if flat.size != d0 * d1 * d2:
-        raise ValidationError(f"{path}: payload size mismatch")
-    return flat.reshape(d0, d1, d2).copy()

@@ -78,7 +78,7 @@ class Overflow(VaderError):
 
 
 class NonPositiveFrequency(DataError):
-    """Frequencies must be strictly positive."""
+    """Frequencies must be finite and strictly positive."""
 
 
 # nn engine

@@ -98,9 +98,9 @@ def mrf(kernel_size: int, pool_size: int, pool_steps: int) -> int:
 def object_size(sample_rate: float, lowest_frequency: float) -> int:
     """Samples spanned by one period of the lowest frequency of interest,
     rounded up."""
-    if lowest_frequency <= 0 or sample_rate <= 0:
+    if not (0 < lowest_frequency < math.inf and 0 < sample_rate < math.inf):
         raise NonPositiveFrequency(
-            f"sample_rate and lowest_frequency must be positive, got {sample_rate}, {lowest_frequency}"
+            f"sample_rate and lowest_frequency must be finite and > 0, got {sample_rate}, {lowest_frequency}"
         )
     if lowest_frequency > sample_rate:
         raise NonPositiveFrequency(

@@ -16,7 +16,7 @@ period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,32 +37,32 @@ class BridgeConfig:
     sensor_positions: tuple[float, ...] = (8.2,)  # meters along the span
     span: float = 16.4  # meters
     sample_rate: float = 600.0  # Hz
-    #: Ringing frequency under the heaviest axle; None disables the
-    #: load-dependent frequency drop.
-    loaded_frequency: float | None = None
     #: Click amplitude relative to the ringing amplitude of the same axle.
     click_gain: float = 0.35
     #: Gaussian click window width in seconds.
     click_width: float = 0.008
 
     def validate(self) -> None:
-        if self.fundamental_frequency <= 0:
-            raise InvalidConfig(f"fundamental_frequency must be > 0, got {self.fundamental_frequency}")
+        """Refuse an out-of-range value; NaN fails every comparison, so it
+        is refused too."""
+        if not 0.0 < self.fundamental_frequency < np.inf:
+            raise InvalidConfig(f"fundamental_frequency must be finite and > 0, got {self.fundamental_frequency}")
         if not 0.0 < self.damping_ratio < 1.0:
             raise InvalidConfig(f"damping_ratio must be in (0, 1), got {self.damping_ratio}")
-        if self.sample_rate <= 0:
-            raise InvalidConfig(f"sample_rate must be > 0, got {self.sample_rate}")
+        if not 0.0 < self.sample_rate < np.inf:
+            raise InvalidConfig(f"sample_rate must be finite and > 0, got {self.sample_rate}")
+        if not 0.0 < self.span < np.inf:
+            raise InvalidConfig(f"span must be finite and > 0, got {self.span}")
         if not self.sensor_positions:
             raise InvalidConfig("at least one sensor position required")
         for pos in self.sensor_positions:
             if not 0.0 <= pos <= self.span:
                 raise InvalidConfig(f"sensor position {pos} outside [0, {self.span}]")
-        if self.loaded_frequency is not None and not 0.0 < self.loaded_frequency <= self.fundamental_frequency:
+        if not (0.0 <= self.click_gain < np.inf and 0.0 < self.click_width < np.inf):
             raise InvalidConfig(
-                f"loaded_frequency must be in (0, fundamental], got {self.loaded_frequency}"
+                f"click_gain must be finite and >= 0 and click_width finite and > 0, "
+                f"got {self.click_gain}, {self.click_width}"
             )
-        if self.click_gain < 0 or self.click_width <= 0:
-            raise InvalidConfig("click_gain must be >= 0 and click_width > 0")
 
 
 @dataclass(frozen=True)
@@ -77,16 +77,18 @@ class TrainConfig:
         if not self.axle_offsets:
             raise InvalidConfig("train needs at least one axle")
         offsets = np.asarray(self.axle_offsets, dtype=float)
+        if not np.all(np.isfinite(offsets)):
+            raise InvalidConfig(f"axle offsets must be finite, got {self.axle_offsets}")
         if np.any(np.diff(offsets) < MIN_AXLE_SPACING_M):
             raise InvalidConfig(
                 f"consecutive axle offsets must differ by >= {MIN_AXLE_SPACING_M} m"
             )
-        if self.speed <= 0:
-            raise InvalidConfig(f"speed must be > 0, got {self.speed}")
+        if not 0.0 < self.speed < np.inf:
+            raise InvalidConfig(f"speed must be finite and > 0, got {self.speed}")
         if self.load_scale and len(self.load_scale) != len(self.axle_offsets):
             raise InvalidConfig("load_scale must match the number of axles")
-        if any(l <= 0 for l in self.load_scale):
-            raise InvalidConfig("load_scale entries must be > 0")
+        if not all(0.0 < l < np.inf for l in self.load_scale):
+            raise InvalidConfig("load_scale entries must be finite and > 0")
 
     def loads(self) -> np.ndarray:
         if self.load_scale:
@@ -109,8 +111,8 @@ def generate_passage(
     peak. Identical arguments produce a bit-identical passage."""
     bridge.validate()
     train.validate()
-    if noise_std < 0:
-        raise InvalidConfig(f"noise_std must be >= 0, got {noise_std}")
+    if not 0.0 <= noise_std < np.inf:
+        raise InvalidConfig(f"noise_std must be finite and >= 0, got {noise_std}")
 
     fs = bridge.sample_rate
     offsets = np.asarray(train.axle_offsets, dtype=float)
@@ -119,14 +121,9 @@ def generate_passage(
     n = int(np.ceil(duration * fs))
     t = np.arange(n) / fs
 
-    if bridge.loaded_frequency is None:
-        freqs = np.full(loads.size, bridge.fundamental_frequency)
-    else:
-        drop = bridge.fundamental_frequency - bridge.loaded_frequency
-        freqs = bridge.fundamental_frequency - drop * loads / loads.max()
-
     rng = np.random.Generator(np.random.PCG64(seed))
     zeta = bridge.damping_ratio
+    omega = 2.0 * np.pi * bridge.fundamental_frequency
     carrier = 2.0 * np.pi * (0.3 * fs)  # broadband click carrier, rad/s
     channels = []
     axles: dict[str, tuple[AxleRecord, ...]] = {}
@@ -135,11 +132,10 @@ def generate_passage(
         sensor_id = f"s{si}"
         clean = np.zeros(n)
         crossings = (pos + offsets) / train.speed
-        for t0, amp, freq in zip(crossings, loads, freqs):
+        for t0, amp in zip(crossings, loads):
             tr = t - t0
             active = tr >= 0.0
             tra = tr[active]
-            omega = 2.0 * np.pi * freq
             ring = np.exp(-zeta * omega * tra) * np.sin(omega * tra)
             click = bridge.click_gain * np.exp(-(tra**2) / (2.0 * bridge.click_width**2)) * np.sin(
                 carrier * tra
@@ -189,16 +185,21 @@ def generate_dataset(
 ) -> Dataset:
     """Draw ``n_passages`` i.i.d. passages and write them in the canonical
     directory format. Per-passage randomness is derived from the seed and
-    the passage index, so any generation order gives the same files."""
+    the passage index, so any generation order gives the same files. A
+    non-finite weight, range bound or noise level is refused before the
+    first passage is drawn."""
     if not axle_count_distribution:
         raise InvalidConfig("axle_count_distribution must be nonempty")
     counts = sorted(axle_count_distribution)
     if counts[0] < 1:
         raise InvalidConfig(f"axle counts must be >= 1, got {counts[0]}")
     probs = np.asarray([axle_count_distribution[c] for c in counts], dtype=float)
-    if np.any(probs < 0) or probs.sum() <= 0:
-        raise InvalidConfig("distribution weights must be non-negative and sum > 0")
+    if not (np.all(probs >= 0) and 0 < probs.sum() < np.inf):
+        raise InvalidConfig(f"distribution weights must be finite, >= 0 and sum > 0, got {probs.tolist()}")
     probs = probs / probs.sum()
+    for name in ("speed_range", "spacing_range", "load_range", "frequency_range", "noise_std"):
+        if not np.all(np.isfinite(getattr(config, name))):
+            raise InvalidConfig(f"{name} must be finite, got {getattr(config, name)}")
 
     out_dir = Path(out_dir)
     passages = []
@@ -207,16 +208,7 @@ def generate_dataset(
         rng = np.random.Generator(np.random.PCG64(ss))
         axle_count = int(rng.choice(counts, p=probs))
         train = sample_train(rng, axle_count, config)
-        bridge = BridgeConfig(
-            fundamental_frequency=float(rng.uniform(*config.frequency_range)),
-            damping_ratio=config.bridge.damping_ratio,
-            sensor_positions=config.bridge.sensor_positions,
-            span=config.bridge.span,
-            sample_rate=config.bridge.sample_rate,
-            loaded_frequency=config.bridge.loaded_frequency,
-            click_gain=config.bridge.click_gain,
-            click_width=config.bridge.click_width,
-        )
+        bridge = replace(config.bridge, fundamental_frequency=float(rng.uniform(*config.frequency_range)))
         passage = generate_passage(
             bridge,
             train,

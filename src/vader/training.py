@@ -25,7 +25,7 @@ import numpy as np
 from .data import Dataset, build_label_vector, label_indices
 from .engine import LossConfig, ParamStore, adam_step, focal_loss
 from .errors import EmptyFold, naming
-from .metrics import MetricsAccumulator, PeakConfig, score_series
+from .metrics import MetricsAccumulator, score_series
 from .model import VaderConfig, build_vader, network_input
 from .planner import InputKind
 from .splits import SplitPlan
@@ -49,8 +49,8 @@ class TrainSchedule:
     def __post_init__(self):
         if min(self.max_epochs, self.batch_size, self.plateau_patience, self.stop_patience) < 1:
             raise ValueError("schedule counts must be positive")
-        if not 0.0 < self.lr_factor < 1.0 or self.initial_lr <= 0:
-            raise ValueError("need 0 < lr_factor < 1 and initial_lr > 0")
+        if not (0.0 < self.lr_factor < 1.0 and 0.0 < self.initial_lr < np.inf):
+            raise ValueError("need 0 < lr_factor < 1 and a finite initial_lr > 0")
         if self.stop_patience < self.plateau_patience:
             raise ValueError("stop_patience must be >= plateau_patience")
 
@@ -178,17 +178,18 @@ def step_gradient(network, parts: list[Batch], loss_cfg: LossConfig) -> tuple[fl
     return loss_sum, n_step
 
 
-def evaluate_samples(network, samples, loss_cfg: LossConfig, peak_cfg=PeakConfig()):
-    """Mean loss and matched-detection F1 at 200 cm over a list of samples."""
+def evaluate_samples(network, samples):
+    """Mean focal loss and matched-detection F1 at 200 cm, with the default
+    loss and peak configurations, over a list of samples."""
     total_loss = 0.0
     total_count = 0
     acc = MetricsAccumulator()
     for s in samples:
         probs = network.forward(s.x[None, ...])[0, 0, 0]
-        loss, _ = focal_loss(probs, s.labels, loss_cfg)
+        loss, _ = focal_loss(probs, s.labels, LossConfig())
         total_loss += loss * s.labels.size
         total_count += s.labels.size
-        acc.add(s.sensor_id, *score_series(probs, s.label_idx, s.velocities, peak_cfg))
+        acc.add(s.sensor_id, *score_series(probs, s.label_idx, s.velocities))
     return total_loss / max(total_count, 1), acc.report().f1_200
 
 
@@ -199,7 +200,6 @@ def train(
     fold: int,
     schedule: TrainSchedule = TrainSchedule(),
     seed: int = 0,
-    loss_cfg: LossConfig = LossConfig(),
     monitor=None,
     log=None,
 ):
@@ -240,12 +240,12 @@ def train(
         loss_sum = 0.0
         count_sum = 0
         for parts in make_batches(train_samples, schedule.batch_size, rng):
-            step_loss, step_count = step_gradient(network, parts, loss_cfg)
+            step_loss, step_count = step_gradient(network, parts, LossConfig())
             adam_step(store, lr)
             loss_sum += step_loss
             count_sum += step_count
 
-        val_loss, val_f1 = evaluate_samples(network, val_samples, loss_cfg)
+        val_loss, val_f1 = evaluate_samples(network, val_samples)
         score = monitor(epoch, network) if monitor is not None else val_f1
         history.train_loss.append(float(loss_sum / max(count_sum, 1)))
         history.val_loss.append(val_loss)

@@ -221,25 +221,6 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert run_cfg["config"]["seed"] == 33
 
 
-def test_transform_writes_stacks(workspace, tmp_path):
-    out = tmp_path / "stacks"
-    code = run(
-        "transform",
-        "--dataset", str(workspace / "data" / "passages"),
-        "--passage", "passage_00000",
-        "--out", str(out),
-    )
-    assert code == 0
-    stacks = sorted(out.glob("*.stack"))
-    assert stacks
-    from vader.cwt import read_stack
-
-    arr = read_stack(stacks[0])
-    assert arr.shape[0] == 16 and arr.shape[1] == 6
-    sidecar = json.loads((stacks[0].parent / (stacks[0].name + ".json")).read_text())
-    assert sidecar["passage_id"] == "passage_00000"
-
-
 @pytest.mark.parametrize("command", ["eval", "detect"])
 def test_eval_detect_refuse_other_sample_rate(trained, tmp_path, capsys, command):
     """The model was trained at 600 Hz; the planner's rule makes it a
@@ -306,6 +287,9 @@ MALFORMED_VALUES = {
     "synth_n_negative": ["synth", "--n", "-3"],
     "eval_min_confidence_above_1": ["eval", "--min-confidence", "2"],
     "train_lr_factor_above_1": ["train", "--lr-factor", "2"],
+    "train_lr_nan": ["train", "--lr", "nan"],
+    "train_lr_inf": ["train", "--lr", "inf"],
+    "eval_ids_without_split": ["eval", "--ids", "0"],
     "train_kernel_size_0": ["train", "--kernel-size", "0"],
     "bench_pool_size_1": ["bench", "--pool-size", "1"],
     "bench_repeats_0": ["bench", "--repeats", "0"],
@@ -344,6 +328,14 @@ def test_synth_axle_count_below_1_exits_2(tmp_path, capsys, distribution):
     out = tmp_path / "synth"
     assert run("synth", "--n", "2", f"--distribution={distribution}", "--out", str(out)) == 2
     assert "axle counts must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--fs=nan", "--noise-std=nan", "--distribution=8:inf"])
+def test_synth_non_finite_value_exits_2(tmp_path, capsys, flag):
+    out = tmp_path / "synth"
+    assert run("synth", "--n", "2", flag, "--out", str(out)) == 2
+    assert "must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -455,7 +447,7 @@ def test_config_switch_on(workspace, tmp_path, capsys):
     assert json.loads((out / "run.json").read_text())["config"]["verbose"] is True
 
 
-@pytest.mark.parametrize("command", ["plan", "transform", "eval", "detect"])
+@pytest.mark.parametrize("command", ["plan", "eval", "detect"])
 def test_seed_only_where_read(workspace, trained, tmp_path, capsys, command):
     argv = [command, "--seed", "1", "--out", str(tmp_path / "out")]
     if command != "plan":
@@ -485,10 +477,14 @@ def test_seed_env_not_an_integer_is_usage_error(tmp_path, monkeypatch, capsys):
     [
         ["--kernel-sizes", "3", "--pool-sizes", "2", "--pool-steps", "3", "--fl-useful", "0"],
         ["--kernel-sizes", "2", "--pool-sizes", "2", "--fl-certain", "0", "--fl-useful", "0"],
+        ["--fs", "nan"],
+        ["--fs", "inf"],
+        ["--fl-certain", "nan"],
     ],
 )
 def test_plan_zero_frequency_exits_2(tmp_path, capsys, flags):
-    """Every entry is underfit or invalid, so only the summary's object
+    """A zero or non-finite frequency is a data error. In the first two
+    cases every entry is underfit or invalid, so only the summary's object
     sizes see the zero frequency."""
     out = tmp_path / "plan"
     assert run("plan", *flags, "--out", str(out)) == 2

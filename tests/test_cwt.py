@@ -1,5 +1,5 @@
 """Wavelet transform tests: shapes, linearity, scale selectivity, a direct
-reference, IO."""
+reference."""
 
 import numpy as np
 import pytest
@@ -12,10 +12,8 @@ from vader.cwt import (
     _sampled_wavelet,
     _scalograms,
     cwt,
-    read_stack,
     scale_center_frequency,
     spectrogram_stack,
-    write_stack,
 )
 from vader.errors import ValidationError
 
@@ -182,15 +180,6 @@ def test_memory_ratio_is_96():
     x = np.random.default_rng(5).normal(size=7200).astype(np.float32)
     stack = spectrogram_stack(x)
     assert stack.nbytes == 96 * x.nbytes
-
-
-def test_stack_io_round_trip(tmp_path):
-    stack = spectrogram_stack(np.random.default_rng(6).normal(size=100))
-    path = write_stack(tmp_path / "a.stack", stack, meta={"passage_id": "p"})
-    again = read_stack(path)
-    assert np.array_equal(stack, again)
-    sidecar = (tmp_path / "a.stack.json").read_text()
-    assert "complex_gaussian_1" in sidecar and '"passage_id": "p"' in sidecar
 
 
 def test_wavelet_spec_validation():

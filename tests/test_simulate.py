@@ -89,31 +89,48 @@ def test_energy_locality_zero_noise():
     assert near > max(far_energies)
 
 
-def test_invalid_configs():
-    with pytest.raises(InvalidConfig):
-        BridgeConfig(damping_ratio=1.5).validate()
-    with pytest.raises(InvalidConfig):
-        BridgeConfig(sensor_positions=(99.0,)).validate()
-    with pytest.raises(InvalidConfig):
-        TrainConfig(axle_offsets=(0.0, 1.0), speed=30.0).validate()  # spacing < 2 m
-    with pytest.raises(InvalidConfig):
-        TrainConfig(axle_offsets=(0.0, 4.0), speed=-1.0).validate()
-    with pytest.raises(InvalidConfig):
-        generate_passage(BridgeConfig(), TrainConfig((0.0,), 30.0), noise_std=-0.1)
-
-
-def test_loaded_frequency_lowers_ringing():
-    bridge = BridgeConfig(
-        sensor_positions=(6.0,), fundamental_frequency=6.9, loaded_frequency=5.6
-    )
-    heavy = TrainConfig(axle_offsets=(0.0,), speed=30.0, load_scale=(2.0,))
-    p = generate_passage(bridge, heavy, noise_std=0.0, seed=0)
-    ch = p.channels[0]
-    spectrum = np.abs(np.fft.rfft(ch.samples))
-    freqs = np.fft.rfftfreq(ch.n_samples, 1.0 / ch.sample_rate)
-    band = (freqs > 3.0) & (freqs < 10.0)
-    peak = freqs[band][np.argmax(spectrum[band])]
-    assert peak == pytest.approx(5.6, abs=0.4)
+def test_invalid_configs(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    one_axle = TrainConfig((0.0,), 30.0)
+    for bridge in (
+        BridgeConfig(damping_ratio=1.5),
+        BridgeConfig(sensor_positions=(99.0,)),
+        BridgeConfig(sample_rate=nan),
+        BridgeConfig(sample_rate=inf),
+        BridgeConfig(fundamental_frequency=nan),
+        BridgeConfig(fundamental_frequency=inf),
+        BridgeConfig(span=inf),
+        BridgeConfig(click_gain=nan),
+        BridgeConfig(click_gain=inf),
+    ):
+        with pytest.raises(InvalidConfig):
+            bridge.validate()
+    for train in (
+        TrainConfig(axle_offsets=(0.0, 1.0), speed=30.0),  # spacing < 2 m
+        TrainConfig(axle_offsets=(0.0, 4.0), speed=-1.0),
+        TrainConfig(axle_offsets=(0.0, 4.0), speed=nan),
+        TrainConfig(axle_offsets=(0.0, inf), speed=30.0),
+        TrainConfig(axle_offsets=(0.0,), speed=30.0, load_scale=(nan,)),
+    ):
+        with pytest.raises(InvalidConfig):
+            train.validate()
+    for noise_std in (-0.1, nan, inf):
+        with pytest.raises(InvalidConfig):
+            generate_passage(BridgeConfig(), one_axle, noise_std=noise_std)
+    # refused before the first passage is drawn, so nothing is written
+    out = tmp_path / "d"
+    for distribution, config in (
+        ({8: nan}, DatasetConfig()),
+        ({8: inf}, DatasetConfig()),
+        ({8: 1.0}, DatasetConfig(speed_range=(20.0, nan))),
+        ({8: 1.0}, DatasetConfig(spacing_range=(2.5, inf))),
+        ({8: 1.0}, DatasetConfig(frequency_range=(5.0, nan))),
+        ({8: 1.0}, DatasetConfig(noise_std=nan)),
+        ({8: 1.0}, DatasetConfig(bridge=BridgeConfig(click_gain=inf))),
+    ):
+        with pytest.raises(InvalidConfig):
+            generate_dataset(2, distribution, out, config=config)
+        assert not out.exists()
 
 
 def test_generate_dataset_round_trip(tmp_path):
