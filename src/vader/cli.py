@@ -406,8 +406,7 @@ def _cmd_detect(args) -> int:
     passages = [dataset.by_id(args.passage)] if args.passage else list(dataset)
     shared_sample_rate(passages, cfg.sample_rate)
     out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     tmp = out.with_name(out.name + ".tmp")
     try:
         with tmp.open("w", newline="") as fh:

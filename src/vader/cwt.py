@@ -174,16 +174,3 @@ def spectrogram_stack(signal) -> np.ndarray:
         raise NonFiniteInput(f"spectrogram value {float(stack[~finite][0])!r} is not finite in float32")
     return out
 
-
-def scale_center_frequency(family: WaveletFamily, scale: float, sample_rate: float) -> float:
-    """Dominant response frequency (Hz, magnitude) of one dilated wavelet,
-    from the peak of its two-sided spectrum. Note that for broadband
-    (low-Q) wavelets the scale that responds most to a given sinusoid also
-    depends on the 1/sqrt(scale) normalisation, not on this peak alone."""
-    psi = _sampled_wavelet(family, scale)
-    n = max(1 << 14, psi.size)
-    spectrum = np.abs(np.fft.fft(psi, n=n))
-    freqs = np.fft.fftfreq(n, d=1.0 / sample_rate)
-    nonzero = freqs != 0
-    return float(abs(freqs[nonzero][np.argmax(spectrum[nonzero])]))
-

@@ -130,7 +130,8 @@ def shared_sample_rate(passages, expected: float | None = None) -> float | None:
 
 
 def validate_passage(p: Passage) -> list[str]:
-    """Check all passage invariants; returns human-readable violations."""
+    """Check all passage invariants; returns human-readable violations, one
+    per fault."""
     violations: list[str] = []
     if not p.channels:
         violations.append(f"passage {p.passage_id}: no channels")
@@ -162,25 +163,17 @@ def validate_passage(p: Passage) -> list[str]:
                 f"channel {ch.sensor_id}: {len(records)} axle records, expected {p.axle_count}"
             )
         times = [r.crossing_time for r in records]
-        if any(later <= earlier for earlier, later in zip(times, times[1:])):
+        # equal times are left to the label build, which refuses two crossings on one sample
+        if any(later < earlier for earlier, later in zip(times, times[1:])):
             violations.append(f"channel {ch.sensor_id}: crossing times {times} do not strictly increase")
         for i, rec in enumerate(records):
             if rec.velocity <= 0:
                 violations.append(f"channel {ch.sensor_id} axle {i}: velocity {rec.velocity} <= 0")
-            if not 0.0 <= rec.crossing_time < ch.duration:
-                violations.append(
-                    f"channel {ch.sensor_id} axle {i}: crossing {rec.crossing_time} s outside signal"
-                )
         if ch.sample_rate > 0 and ch.n_samples >= 1:
             try:
-                bits = build_label_vector(times, ch.sample_rate, ch.n_samples)
+                build_label_vector(times, ch.sample_rate, ch.n_samples)
             except (OutOfRangeCrossing, DuplicateSampleIndex) as exc:
-                violations.append(f"channel {ch.sensor_id}: label construction failed: {exc}")
-            else:
-                if int(bits.sum()) != p.axle_count:
-                    violations.append(
-                        f"channel {ch.sensor_id}: label sum {int(bits.sum())} != axle_count {p.axle_count}"
-                    )
+                violations.append(f"channel {ch.sensor_id}: {exc}")
     return violations
 
 

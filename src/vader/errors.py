@@ -114,10 +114,6 @@ class LengthMismatch(VaderError):
     """Label and velocity arrays differ in length."""
 
 
-class EmptyPairs(VaderError):
-    """Spatial error requested over an empty set of matched pairs."""
-
-
 class NonPositiveInput(VaderError):
     """Harmonic mean requires strictly positive inputs."""
 

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import EmptyPairs, LengthMismatch, NonPositiveInput
+from .errors import LengthMismatch, NonPositiveInput
 
 #: Spatial threshold (cm) that doubles as the zero point of the accuracy scale.
 SPATIAL_THRESHOLD_CM = 200.0
@@ -62,8 +62,6 @@ def _plateau_maxima(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = x.size
     if n == 0:
         return np.empty(0, dtype=int), np.empty(0)
-    if n == 1:
-        return np.array([0]), x[:1].copy()
     change = np.flatnonzero(x[1:] != x[:-1]) + 1
     starts = np.concatenate(([0], change))
     vals = x[starts]
@@ -124,14 +122,10 @@ def match_axles(
     if labels.size != vels.size:
         raise LengthMismatch(f"{labels.size} labels vs {vels.size} velocities")
 
-    if labels.size and peaks.size:
-        err_cm = np.abs(peaks[None, :] - labels[:, None]) * vels[:, None] * 100.0
-        li, pi = np.nonzero(err_cm <= threshold_cm)
-        cand_err = err_cm[li, pi]
-        order = np.lexsort((pi, li, cand_err))
-    else:
-        li = pi = cand_err = np.empty(0, dtype=int)
-        order = np.empty(0, dtype=int)
+    err_cm = np.abs(peaks[None, :] - labels[:, None]) * vels[:, None] * 100.0
+    li, pi = np.nonzero(err_cm <= threshold_cm)
+    cand_err = err_cm[li, pi]
+    order = np.lexsort((pi, li, cand_err))
 
     label_used = np.zeros(labels.size, dtype=bool)
     peak_used = np.zeros(peaks.size, dtype=bool)
@@ -170,14 +164,6 @@ def f1(tp: int, fp: int, fn: int) -> float:
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)
     return 2.0 * precision * recall / (precision + recall) * 100.0
-
-
-def mean_spatial_error(pairs) -> float:
-    """Mean absolute spatial error over matched pairs, in cm."""
-    pairs = tuple(pairs)
-    if not pairs:
-        raise EmptyPairs("no matched pairs")
-    return float(sum(p.error_cm for p in pairs) / len(pairs))
 
 
 def msa(mean_error_cm: float) -> float:

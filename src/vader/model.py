@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cwt import spectrogram_stack
+from .cwt import DEFAULT_STACK, N_SCALES, spectrogram_stack
 from .data import SensorChannel
 from .engine import (
     Add,
@@ -44,11 +44,11 @@ from .engine import (
     read_manifest,
 )
 from .errors import CheckpointError, InvalidHyperParams, ShapeMismatch
-from .planner import HyperParams, InputKind, mrf
+from .planner import HyperParams, InputKind
 
 #: Frequency bins and wavelet channels of the spectrogram input tensor.
-SPEC_BINS = 16
-SPEC_CHANNELS = 6
+SPEC_BINS = N_SCALES
+SPEC_CHANNELS = len(DEFAULT_STACK)
 #: Channel widths double per pooling level but never beyond this.
 MAX_WIDTH = 256
 
@@ -67,10 +67,6 @@ class VaderConfig:
             min(self.hyper.base_width * 2**j, MAX_WIDTH)
             for j in range(self.hyper.pool_steps + 1)
         )
-
-    @property
-    def mrf(self) -> int:
-        return mrf(self.hyper.kernel_size, self.hyper.pool_size, self.hyper.pool_steps)
 
     def record(self) -> dict:
         """JSON-ready form, which :meth:`from_record` turns back into the config."""

@@ -28,10 +28,6 @@ DEFAULT_POOL_STEPS = (3, 4)
 DEFAULT_F_LOW_CERTAIN = 5.0
 DEFAULT_F_LOW_USEFUL = 1.0
 
-#: Lowest frequency (Hz) effectively encoded into single spectrogram samples
-#: by the wavelet transform; reported as a bonus, never used to classify.
-SPECTROGRAM_ENCODED_LOW_HZ = 3.4
-
 
 class InputKind(enum.Enum):
     RAW = "raw"
@@ -82,9 +78,6 @@ class PlanEntry:
     hyper: HyperParams
     mrf: int
     classification: PlanClass
-    #: For spectrogram inputs: receptive field including what the wavelet
-    #: transform pre-encodes. Equal to ``mrf`` for raw inputs.
-    effective_mrf: int
 
 
 def mrf(kernel_size: int, pool_size: int, pool_steps: int) -> int:
@@ -144,6 +137,8 @@ def plan_grid(
     """
     if not kernel_sizes or not pool_sizes or not pool_steps:
         raise ValueError("grid axes must be nonempty")
+    for frequency in (f_low_certain, f_low_useful):
+        object_size(sample_rate, frequency)  # a bad frequency is a data error, before it is compared
     if f_low_useful > f_low_certain:
         raise ValueError(
             f"f_low_useful ({f_low_useful}) must not exceed f_low_certain ({f_low_certain})"
@@ -154,16 +149,11 @@ def plan_grid(
             for m in pool_sizes:
                 for p in pool_steps:
                     hyper = HyperParams(kind, k, m, p)
-                    field = hyper.mrf
-                    effective = field
-                    if kind is InputKind.SPECTROGRAM:
-                        effective = max(field, object_size(sample_rate, SPECTROGRAM_ENCODED_LOW_HZ))
                     entries.append(
                         PlanEntry(
                             hyper=hyper,
-                            mrf=field,
+                            mrf=hyper.mrf,
                             classification=classify(hyper, sample_rate, f_low_certain, f_low_useful),
-                            effective_mrf=effective,
                         )
                     )
     return entries

@@ -187,7 +187,8 @@ def generate_dataset(
     directory format. Per-passage randomness is derived from the seed and
     the passage index, so any generation order gives the same files. A
     non-finite weight, range bound or noise level is refused before the
-    first passage is drawn."""
+    first passage is drawn, and every passage is generated before the first
+    is saved, so a refused draw writes nothing."""
     if not axle_count_distribution:
         raise InvalidConfig("axle_count_distribution must be nonempty")
     counts = sorted(axle_count_distribution)
@@ -216,6 +217,7 @@ def generate_dataset(
             seed=int(rng.integers(0, 2**63 - 1)),
             passage_id=f"passage_{i:05d}",
         )
-        save_passage(passage, out_dir)
         passages.append(passage)
+    for passage in passages:
+        save_passage(passage, out_dir)
     return Dataset(root=str(out_dir), passages=tuple(passages))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, build_label_vector, label_indices
+from .data import Dataset, build_label_vector
 from .engine import LossConfig, ParamStore, adam_step, focal_loss
 from .errors import EmptyFold, naming
 from .metrics import MetricsAccumulator, score_series
@@ -107,7 +107,7 @@ def build_samples(dataset: Dataset, ids, input_kind: InputKind) -> list[Sample]:
                     sensor_id=ch.sensor_id,
                     x=x,
                     labels=bits,
-                    label_idx=label_indices(passage, ch.sensor_id),
+                    label_idx=np.flatnonzero(bits),
                     velocities=np.asarray(
                         [a.velocity for a in passage.axles[ch.sensor_id]], dtype=np.float64
                     ),

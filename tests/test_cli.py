@@ -2,9 +2,7 @@
 
 import csv
 import json
-import os
 import shutil
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,6 +337,15 @@ def test_synth_non_finite_value_exits_2(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+def test_synth_refused_draw_writes_nothing(tmp_path, capsys):
+    """Only some draws of a 1.9-4 m spacing range fall below the minimum
+    axle spacing; the first refused one leaves no earlier passage behind."""
+    out = tmp_path / "synth"
+    assert run("synth", "--n", "20", "--spacing-range", "1.9:4", "--seed", "0", "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("data error:")
+    assert not out.exists()
+
+
 def test_duplicate_passage_id_exits_2(workspace, tmp_path, capsys):
     data = tmp_path / "dup"
     shutil.copytree(workspace / "data" / "passages", data)
@@ -480,12 +487,13 @@ def test_seed_env_not_an_integer_is_usage_error(tmp_path, monkeypatch, capsys):
         ["--fs", "nan"],
         ["--fs", "inf"],
         ["--fl-certain", "nan"],
+        ["--fl-useful", "inf"],
     ],
 )
 def test_plan_zero_frequency_exits_2(tmp_path, capsys, flags):
-    """A zero or non-finite frequency is a data error. In the first two
-    cases every entry is underfit or invalid, so only the summary's object
-    sizes see the zero frequency."""
+    """A zero or non-finite frequency is a data error, also where every
+    entry is underfit or invalid (the first two cases) and where it would
+    fail the comparison of the two frequencies (the last)."""
     out = tmp_path / "plan"
     assert run("plan", *flags, "--out", str(out)) == 2
     assert capsys.readouterr().err.startswith("data error:")

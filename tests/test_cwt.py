@@ -12,7 +12,6 @@ from vader.cwt import (
     _sampled_wavelet,
     _scalograms,
     cwt,
-    scale_center_frequency,
     spectrogram_stack,
 )
 from vader.errors import ValidationError

@@ -18,7 +18,6 @@ from vader.data import (
     label_indices,
     load_dataset,
     save_dataset,
-    save_passage,
     validate_passage,
 )
 from vader.errors import (
@@ -112,6 +111,39 @@ def test_validate_label_sum_mismatch():
     p = _passage(axle_count=3)
     violations = validate_passage(p)
     assert any("axle records" in v for v in violations)
+
+
+@pytest.mark.parametrize(
+    "axles, axle_count, expected",
+    [
+        (
+            {"a": (AxleRecord(0.5, 0.05), AxleRecord(2.5, 0.05))},
+            2,
+            "channel a: crossing 2.5 s outside [0, 2.0) s",
+        ),
+        (
+            {"a": (AxleRecord(0.5, 0.05), AxleRecord(1.0, 0.05))},
+            3,
+            "channel a: 2 axle records, expected 3",
+        ),
+        (
+            {"a": (AxleRecord(1.0, 0.05), AxleRecord(1.0, 0.05))},
+            2,
+            "channel a: two crossings map to sample 600",
+        ),
+    ],
+    ids=["crossing_outside_signal", "record_count", "equal_crossing_times"],
+)
+def test_validate_reports_each_fault_once(axles, axle_count, expected):
+    p = _passage(channels=_passage().channels[:1], axles=axles, axle_count=axle_count)
+    assert validate_passage(p) == [expected]
+
+
+def test_validate_zero_sample_rate():
+    """A zero rate is one fault; the crossings are not judged against a
+    duration it cannot give."""
+    p = _passage(channels=(SensorChannel("a", np.zeros(1200), 0.0),), axles=_passage().axles)
+    assert validate_passage(p) == ["channel a: sample_rate 0.0 <= 0"]
 
 
 def test_validate_nonfinite():

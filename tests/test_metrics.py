@@ -2,18 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from vader.errors import EmptyPairs, LengthMismatch, NonPositiveInput
+from vader.errors import LengthMismatch, NonPositiveInput
 from vader.metrics import (
-    MatchedPair,
     MetricsAccumulator,
     PeakConfig,
     f1,
     harmonic_mean,
     match_axles,
-    mean_spatial_error,
     msa,
     pick_peaks,
     score_series,
@@ -216,21 +214,6 @@ def test_f1_monotone(tp, fp, fn):
     assert f1(tp, fp, fn + 1) <= f1(tp, fp, fn)
 
 
-def _pairs(errors):
-    return tuple(MatchedPair(0, 0, 0.05, e) for e in errors)
-
-
-def test_mean_spatial_error():
-    assert mean_spatial_error(_pairs([0.0, 0.0])) == 0.0
-    # 10 samples off at 0.02 m/sample -> 20 cm
-    res = match_axles([110], [100], [0.02], 200.0)
-    assert mean_spatial_error(res.pairs) == pytest.approx(20.0)
-    a = _pairs([10.0, 30.0, 5.0])
-    assert mean_spatial_error(a) == mean_spatial_error(tuple(reversed(a)))
-    with pytest.raises(EmptyPairs):
-        mean_spatial_error(())
-
-
 def test_msa_scale():
     assert msa(0.0) == 100.0
     assert msa(200.0) == 0.0
@@ -256,7 +239,7 @@ def test_msa_of_matched_errors_in_range():
         peaks = labels + rng.integers(-30, 30, size=6)
         res = match_axles(peaks, labels, np.full(6, 0.05), 200.0)
         if res.pairs:
-            assert 0.0 <= msa(mean_spatial_error(res.pairs)) <= 100.0
+            assert 0.0 <= msa(float(np.mean([p.error_cm for p in res.pairs]))) <= 100.0
 
 
 def test_score_series_matches_peaks_at_both_thresholds():
@@ -277,6 +260,20 @@ def test_accumulator_report(tiny_passage):
     assert report.f1_200 == 100.0
     assert set(report.per_sensor) == {"s0"}
     assert report.per_sensor["s0"]["tp"] == 2
+    assert report.mean_spatial_error_cm == pytest.approx(12.5)  # 0 and 5 samples at 5 cm each
+    # 10 samples off at 0.02 m/sample -> 20 cm
+    far = match_axles([110], [100], [0.02], 200.0)
+    acc.add("s1", far, far)
+    assert acc.report().per_sensor["s1"]["mean_spatial_error_cm"] == pytest.approx(20.0)
+    # the mean does not depend on the order the series arrive in
+    series = [match_axles([100 + d], [100], [0.05], 200.0) for d in (2, 6, 1)]  # 10, 30, 5 cm
+    forward, backward = MetricsAccumulator(), MetricsAccumulator()
+    for res in series:
+        forward.add("s0", res, res)
+    for res in reversed(series):
+        backward.add("s0", res, res)
+    assert forward.report() == backward.report()
+    assert forward.report().mean_spatial_error_cm == pytest.approx(15.0)
 
 
 def test_no_matched_pair_has_no_spatial_error():

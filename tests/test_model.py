@@ -51,7 +51,7 @@ def test_invalid_hyperparams_rejected():
 def test_walker_echoes_receptive_field_formula(kind, k, m, p):
     cfg = _cfg(kind, k, m, p, base=4)
     net = build_vader(cfg)
-    assert max_kernel_time_span(net) == k * m**p == cfg.mrf
+    assert max_kernel_time_span(net) == k * m**p == cfg.hyper.mrf
 
 
 def test_param_count_is_locked():
@@ -148,7 +148,7 @@ def test_checkpoint_manifest_describes_model(tmp_path):
     save_checkpoint(tmp_path / "model", net, seed=4)
     manifest = read_manifest(tmp_path / "model")
     assert VaderConfig.from_record(manifest["model"]) == cfg
-    assert cfg.mrf == 144
+    assert cfg.hyper.mrf == 144
     assert sum(int(np.prod(p["shape"])) for p in manifest["params"]) == net.param_count()
     kinds = {layer["kind"] for layer in manifest["layers"]}
     assert {"conv", "max_pool", "group_norm", "relu", "sigmoid", "concat", "add", "transposed_conv"} <= kinds

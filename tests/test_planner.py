@@ -106,13 +106,10 @@ def test_plan_grid_total_and_exclusive():
             assert e.classification is PlanClass.INVALID
 
 
-def test_plan_grid_spectrogram_effective_field():
+def test_plan_grid_spectrogram_classifies_like_raw():
     entries = plan_grid(kernel_sizes=(3,), pool_sizes=(2,), pool_steps=(3,))
     raw = next(e for e in entries if e.hyper.input_kind is InputKind.RAW)
     spec = next(e for e in entries if e.hyper.input_kind is InputKind.SPECTROGRAM)
-    assert raw.effective_mrf == raw.mrf == 24
-    assert spec.effective_mrf == object_size(600, 3.4) == 177
-    # classification still uses the plain field
     assert spec.classification is raw.classification
 
 

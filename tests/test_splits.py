@@ -1,6 +1,5 @@
 """Split construction: stratification, holdout cardinalities, determinism."""
 
-import numpy as np
 import pytest
 
 from vader.data import Dataset, Passage
