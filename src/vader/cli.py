@@ -214,7 +214,7 @@ def _cmd_plan(args) -> int:
                     e.hyper.pool_size,
                     e.hyper.pool_steps,
                     e.hyper.input_kind.value,
-                    e.mrf,
+                    e.hyper.mrf,
                     e.classification.value,
                 ]
             )
@@ -597,7 +597,7 @@ def main(argv=None) -> int:
     except VaderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, UnicodeDecodeError) as exc:  # an input file that is missing or not text
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

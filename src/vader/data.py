@@ -140,6 +140,8 @@ def validate_passage(p: Passage) -> list[str]:
     for ch in p.channels:
         if ch.sample_rate <= 0:
             violations.append(f"channel {ch.sensor_id}: sample_rate {ch.sample_rate} <= 0")
+        elif not math.isfinite(ch.sample_rate):
+            violations.append(f"channel {ch.sensor_id}: sample_rate {ch.sample_rate} is not finite")
         if ch.n_samples < 1:
             violations.append(f"channel {ch.sensor_id}: empty sample series")
         elif not np.all(np.isfinite(ch.samples)):
@@ -149,7 +151,8 @@ def validate_passage(p: Passage) -> list[str]:
             violations.append(
                 f"channel {ch.sensor_id} length {ch.n_samples} != channel {ref.sensor_id} length {ref.n_samples}"
             )
-        if ch.sample_rate != ref.sample_rate:
+        # a NaN rate, reported above, differs from every rate, itself included
+        if ch.sample_rate != ref.sample_rate and not math.isnan(ch.sample_rate + ref.sample_rate):
             violations.append(
                 f"channel {ch.sensor_id} rate {ch.sample_rate} != channel {ref.sensor_id} rate {ref.sample_rate}"
             )
@@ -167,9 +170,9 @@ def validate_passage(p: Passage) -> list[str]:
         if any(later < earlier for earlier, later in zip(times, times[1:])):
             violations.append(f"channel {ch.sensor_id}: crossing times {times} do not strictly increase")
         for i, rec in enumerate(records):
-            if rec.velocity <= 0:
-                violations.append(f"channel {ch.sensor_id} axle {i}: velocity {rec.velocity} <= 0")
-        if ch.sample_rate > 0 and ch.n_samples >= 1:
+            if not 0 < rec.velocity < math.inf:
+                violations.append(f"channel {ch.sensor_id} axle {i}: velocity {rec.velocity} is not finite and > 0")
+        if 0 < ch.sample_rate < math.inf and ch.n_samples >= 1:
             try:
                 build_label_vector(times, ch.sample_rate, ch.n_samples)
             except (OutOfRangeCrossing, DuplicateSampleIndex) as exc:
@@ -210,6 +213,14 @@ class Dataset:
         return dict(sorted(hist.items()))
 
 
+def json_list(value, types: tuple, what: str) -> list:
+    """``value`` if it is a list of values of exactly ``types`` (so a bool is
+    not an int), as parsed JSON gives it; TypeError naming ``what`` otherwise."""
+    if not isinstance(value, list) or any(type(v) not in types for v in value):
+        raise TypeError(f"{what} {value!r} is not a list of {'/'.join(t.__name__ for t in types)}")
+    return value
+
+
 def _read_samples(path: Path) -> np.ndarray:
     text = path.read_text(encoding="ascii")
     lines = text.split("\n")
@@ -234,11 +245,16 @@ def _load_passage(pdir: Path) -> Passage:
         raise ParseError(meta_path, exc.lineno, exc.msg) from None
     try:
         passage_id = meta["passage_id"]
+        if not isinstance(passage_id, str):
+            raise TypeError(f"passage_id {passage_id!r} is not a string")
         sample_rate = float(meta["sample_rate"])
         axle_count = int(meta["axle_count"])
-        crossing_times = meta["crossing_times"]
-        velocities = [float(v) for v in meta["velocities"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        velocities = [float(v) for v in json_list(meta["velocities"], (int, float), "velocities")]
+        crossing_times = {
+            sid: [float(t) for t in json_list(ts, (int, float), f"sensor {sid} crossing times")]
+            for sid, ts in meta["crossing_times"].items()
+        }
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(meta_path, 0, f"bad metadata: {exc!r}") from None
 
     channels = []
@@ -249,7 +265,7 @@ def _load_passage(pdir: Path) -> Passage:
             raise ParseError(csv_path, 0, "referenced sensor file missing")
         samples = _read_samples(csv_path)
         channels.append(SensorChannel(sensor_id, samples, sample_rate))
-        times = [float(t) for t in crossing_times[sensor_id]]
+        times = crossing_times[sensor_id]
         if len(times) != len(velocities):
             raise ParseError(
                 meta_path, 0, f"sensor {sensor_id}: {len(times)} crossings vs {len(velocities)} velocities"

@@ -10,7 +10,6 @@ from .layers import (
     Network,
     Param,
     ReLU,
-    ReduceMaxFreq,
     Sigmoid,
     TileFreq,
     TransposedConvTime,
@@ -37,7 +36,6 @@ __all__ = [
     "Network",
     "Param",
     "ReLU",
-    "ReduceMaxFreq",
     "Sigmoid",
     "TileFreq",
     "TransposedConvTime",

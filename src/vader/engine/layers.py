@@ -37,9 +37,10 @@ kernel under the complementary padding (Dumoulin & Visin 2016); the kernel
 gradient is one product of ``dy`` with the block rebuilt from the cached
 plane, summed back along the band.
 
-Max pooling and the frequency max keep no argmax: forward takes the maximum
-over the window's strided views, and backward sends the gradient to the
-first maximum in window order (frequency-major), the tie rule of argmax.
+Max pooling keeps no argmax: forward takes the maximum over the window's
+strided views, and backward sends the gradient to the first maximum in
+window order (frequency-major), the tie rule of argmax. The decoder's
+frequency max is a max-pool window over every bin and one time step.
 ``Network.forward`` releases each activation after its last consumer, with
 or without caches; a cache holds only what its layer's backward reads.
 """
@@ -50,9 +51,10 @@ import numpy as np
 
 from ..errors import MissingForwardCache, NonFiniteInput, ShapeMismatch
 
-#: Sigmoid outputs are clipped into this open interval so the probability
-#: contract stays strict even where float arithmetic would saturate.
-SIGMOID_EPS = 1e-7
+#: Probabilities stay in ``[PROB_EPS, 1 - PROB_EPS]``: sigmoid outputs are
+#: clipped into it so the probability contract stays strict where float
+#: arithmetic would saturate, and the focal loss clamps to it before logs.
+PROB_EPS = 1e-7
 
 
 class Param:
@@ -215,7 +217,6 @@ class Conv(Layer):
             raise ValueError(freq_padding)
         self.c_in, self.c_out, self.kf, self.kt = c_in, c_out, kf, kt
         self.freq_padding = freq_padding
-        self.name = name
         self.weight = Param(f"{name}.weight", np.zeros((c_out, c_in, kf, kt)))
         self.bias = Param(f"{name}.bias", np.zeros(c_out))
         self._freq_pads = ((kf - 1) // 2, kf // 2) if freq_padding == "same" else (0, 0)
@@ -312,9 +313,8 @@ class MaxPool(Layer):
 
     kind = "max_pool"
 
-    def __init__(self, pool_f, pool_t, name="pool"):
+    def __init__(self, pool_f, pool_t):
         self.pool_f, self.pool_t = pool_f, pool_t
-        self.name = name
 
     def config(self):
         return {"pool": [self.pool_f, self.pool_t]}
@@ -342,19 +342,13 @@ class MaxPool(Layer):
     def backward(self, cache, dy):
         x, y, F = _require(cache)
         dx = np.empty_like(x)  # the windows cover every element
-        _first_max_grad(self._windows(x), self._windows(dx), y, dy)
+        # dy goes to the first maximum in window order, as argmax breaks ties
+        free = np.ones(y.shape, dtype=bool)
+        for xw, dxw in zip(self._windows(x), self._windows(dx)):
+            hit = free & (xw == y)
+            np.multiply(dy, hit, out=dxw)
+            free &= ~hit
         return [np.ascontiguousarray(dx[:, :, :F])]
-
-
-def _first_max_grad(xs, dxs, y, dy):
-    """Route ``dy`` to the first of the views ``xs`` (into the matching
-    view of ``dxs``) whose value equals the maximum ``y``, as argmax breaks
-    ties."""
-    free = np.ones(y.shape, dtype=bool)
-    for x, dx in zip(xs, dxs):
-        hit = free & (x == y)
-        np.multiply(dy, hit, out=dx)
-        free &= ~hit
 
 
 class GroupNorm(Layer):
@@ -367,7 +361,6 @@ class GroupNorm(Layer):
         if channels % groups:
             raise ValueError(f"channels {channels} not divisible by groups {groups}")
         self.channels, self.groups, self.eps = channels, groups, eps
-        self.name = name
         self.gamma = Param(f"{name}.gamma", np.ones(channels))
         self.beta = Param(f"{name}.beta", np.zeros(channels))
 
@@ -436,12 +429,9 @@ class Sigmoid(Layer):
 
     def forward(self, xs, valids, want_cache):
         (x,) = xs
-        y = np.empty_like(x)
-        pos = x >= 0
-        y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        y[~pos] = ex / (1.0 + ex)
-        np.clip(y, SIGMOID_EPS, 1.0 - SIGMOID_EPS, out=y)
+        e = np.exp(-np.abs(x))  # never overflows
+        y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        np.clip(y, PROB_EPS, 1.0 - PROB_EPS, out=y)
         cache = y if want_cache else None
         return y, valids[0], cache
 
@@ -484,24 +474,6 @@ class Add(Layer):
 
     def backward(self, cache, dy):
         return [dy, dy.copy()]
-
-
-class ReduceMaxFreq(Layer):
-    """Collapse the frequency axis to a single bin by max."""
-
-    kind = "reduce_max_freq"
-
-    def forward(self, xs, valids, want_cache):
-        (x,) = xs
-        y = x.max(axis=2, keepdims=True)
-        return y, valids[0], (x, y) if want_cache else None
-
-    def backward(self, cache, dy):
-        x, y = _require(cache)
-        dx = np.empty_like(x)
-        bins = range(x.shape[2])
-        _first_max_grad([x[:, :, f : f + 1] for f in bins], [dx[:, :, f : f + 1] for f in bins], y, dy)
-        return [dx]
 
 
 class TileFreq(Layer):

@@ -4,7 +4,7 @@ The per-sample loss is ``-w * (1 - p_t)**gamma * log(p_t)`` with
 ``p_t = p`` for positive labels and ``1 - p`` otherwise; ``w`` weights
 positives by ``alpha`` and leaves negatives at 1, so ``gamma=0, alpha=1``
 reduces exactly to binary cross-entropy. Probabilities are clamped to
-``[1e-7, 1 - 1e-7]`` before taking logs.
+``[PROB_EPS, 1 - PROB_EPS]`` before taking logs.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ShapeMismatch
-
-PROB_EPS = 1e-7
+from .layers import PROB_EPS
 
 
 @dataclass(frozen=True)
@@ -59,10 +58,7 @@ def focal_loss(probs, labels, cfg: LossConfig, mask=None):
     per = -w * focal * np.log(pt)
     loss = float((per * mask).sum() / total)
 
-    # d per / d pt, with the gamma*… term vanishing cleanly at gamma == 0
-    if cfg.gamma == 0.0:
-        dpt = -w / pt
-    else:
-        dpt = w * (cfg.gamma * one_m ** (cfg.gamma - 1.0) * np.log(pt) - focal / pt)
+    # d per / d pt; finite at gamma == 0 too, because one_m >= PROB_EPS
+    dpt = w * (cfg.gamma * one_m ** (cfg.gamma - 1.0) * np.log(pt) - focal / pt)
     dp = np.where(pos, dpt, -dpt) * mask / total
     return loss, dp

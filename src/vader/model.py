@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .cwt import DEFAULT_STACK, N_SCALES, spectrogram_stack
-from .data import SensorChannel
+from .data import SensorChannel, json_list
 from .engine import (
     Add,
     Concat,
@@ -35,7 +35,6 @@ from .engine import (
     MaxPool,
     Network,
     ReLU,
-    ReduceMaxFreq,
     Sigmoid,
     TileFreq,
     TransposedConvTime,
@@ -77,6 +76,7 @@ class VaderConfig:
     def from_record(cls, rec: dict) -> VaderConfig:
         hyper = {k: v for k, v in rec.items() if k != "sample_rate"}
         hyper["input_kind"] = InputKind(hyper["input_kind"])
+        json_list([v for k, v in hyper.items() if k != "input_kind"], (int,), "hyperparameters")
         return cls(HyperParams(**hyper), sample_rate=float(rec["sample_rate"]))
 
 
@@ -163,7 +163,7 @@ def build_vader(cfg: VaderConfig, dtype=np.float32) -> Network:
         up = net.add(name, up_conv, [cur])
         skip, skip_freq = skips[level]
         if skip_freq > 1:
-            skip = net.add(b._name(f"dec{level}_skipmax"), ReduceMaxFreq(), [skip])
+            skip = net.add(b._name(f"dec{level}_skipmax"), MaxPool(skip_freq, 1), [skip])
         if freq > 1:
             skip = net.add(b._name(f"dec{level}_skiptile"), TileFreq(freq), [skip])
         cat = net.add(b._name(f"dec{level}_concat"), Concat(), [up, skip])

@@ -76,7 +76,6 @@ class HyperParams:
 @dataclass(frozen=True)
 class PlanEntry:
     hyper: HyperParams
-    mrf: int
     classification: PlanClass
 
 
@@ -152,7 +151,6 @@ def plan_grid(
                     entries.append(
                         PlanEntry(
                             hyper=hyper,
-                            mrf=hyper.mrf,
                             classification=classify(hyper, sample_rate, f_low_certain, f_low_useful),
                         )
                     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, json_list
 from .errors import EmptyDataset, SingleClassDataset, TieForModalCount, UnknownId, ValidationError
 
 N_FOLDS = 5
@@ -88,10 +88,10 @@ class SplitPlan:
             return SplitPlan(
                 scenario=Scenario(payload["scenario"]),
                 seed=int(payload["seed"]),
-                test_ids=tuple(payload["test"]),
-                folds=tuple(tuple(f) for f in payload["folds"]),
+                test_ids=tuple(json_list(payload["test"], (str,), "test ids")),
+                folds=tuple(tuple(json_list(f, (str,), "fold ids")) for f in payload["folds"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise ValidationError(f"not a split plan: {exc!r}") from None
 
 

@@ -84,7 +84,6 @@ class Sample:
     sensor_id: str
     x: np.ndarray  # (C, F, T)
     labels: np.ndarray  # (T,) uint8
-    label_idx: np.ndarray
     velocities: np.ndarray
 
 
@@ -107,7 +106,6 @@ def build_samples(dataset: Dataset, ids, input_kind: InputKind) -> list[Sample]:
                     sensor_id=ch.sensor_id,
                     x=x,
                     labels=bits,
-                    label_idx=np.flatnonzero(bits),
                     velocities=np.asarray(
                         [a.velocity for a in passage.axles[ch.sensor_id]], dtype=np.float64
                     ),
@@ -161,18 +159,18 @@ def make_batches(samples: list[Sample], batch_size: int, rng):
         yield [assemble_batch(part) for part in parts]
 
 
-def step_gradient(network, parts: list[Batch], loss_cfg: LossConfig) -> tuple[float, int]:
+def step_gradient(network, parts: list[Batch]) -> tuple[float, int]:
     """Set the network's gradients to those of one optimizer step over its
-    micro-batches ``parts``: each part's mean-loss gradient weighted by its
-    share of the step's valid samples. Returns the step's summed loss and
-    its count of valid samples."""
+    micro-batches ``parts``: each part's mean-loss gradient, under the
+    default loss configuration, weighted by its share of the step's valid
+    samples. Returns the step's summed loss and its count of valid samples."""
     counts = [int(batch.valid.sum()) for batch in parts]
     n_step = sum(counts)
     loss_sum = 0.0
     network.zero_grads()
     for batch, n_valid in zip(parts, counts):
         y, ctx = network.forward(batch.x, batch.valid, want_cache=True)
-        loss, dprobs = focal_loss(y[:, 0, 0, :], batch.labels, loss_cfg, batch.mask)
+        loss, dprobs = focal_loss(y[:, 0, 0, :], batch.labels, LossConfig(), batch.mask)
         network.backward(ctx, dprobs[:, None, None, :] * (n_valid / n_step))
         loss_sum += loss * n_valid
     return loss_sum, n_step
@@ -189,7 +187,7 @@ def evaluate_samples(network, samples):
         loss, _ = focal_loss(probs, s.labels, LossConfig())
         total_loss += loss * s.labels.size
         total_count += s.labels.size
-        acc.add(s.sensor_id, *score_series(probs, s.label_idx, s.velocities))
+        acc.add(s.sensor_id, *score_series(probs, np.flatnonzero(s.labels), s.velocities))
     return total_loss / max(total_count, 1), acc.report().f1_200
 
 
@@ -240,7 +238,7 @@ def train(
         loss_sum = 0.0
         count_sum = 0
         for parts in make_batches(train_samples, schedule.batch_size, rng):
-            step_loss, step_count = step_gradient(network, parts, LossConfig())
+            step_loss, step_count = step_gradient(network, parts)
             adam_step(store, lr)
             loss_sum += step_loss
             count_sum += step_count

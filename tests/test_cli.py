@@ -6,6 +6,8 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vader.cli import _estimate_velocities, main
 from vader.engine import ParamStore, save_checkpoint
@@ -390,6 +392,9 @@ CHECKPOINT_DAMAGE = {
     "no_params": lambda stem: _edit_manifest(stem, lambda m: m.pop("params")),
     "bad_model": lambda stem: _edit_manifest(stem, lambda m: m["model"].update(input_kind="audio")),
     "version_1": lambda stem: _edit_manifest(stem, lambda m: (m.pop("model"), m.update(version=1))),
+    "float_kernel_size": lambda stem: _edit_manifest(stem, lambda m: m["model"].update(kernel_size=5.0)),
+    "float_pool_steps": lambda stem: _edit_manifest(stem, lambda m: m["model"].update(pool_steps=2.0)),
+    "float_base_width": lambda stem: _edit_manifest(stem, lambda m: m["model"].update(base_width=4.5)),
     "no_bin": lambda stem: stem.with_suffix(".bin").unlink(),
     "short_bin": lambda stem: stem.with_suffix(".bin").write_bytes(stem.with_suffix(".bin").read_bytes()[:-3]),
 }
@@ -538,6 +543,53 @@ def test_decreasing_crossing_times_exit_2(workspace, trained, tmp_path, capsys):
     assert not (tmp_path / "eval").exists()
 
 
+@pytest.mark.parametrize(
+    "field, value, fault",
+    [
+        ("sample_rate", float("nan"), "sample_rate nan is not finite"),
+        ("sample_rate", float("inf"), "sample_rate inf is not finite"),
+        ("velocities", float("nan"), "velocity nan is not finite and > 0"),
+        ("velocities", float("inf"), "velocity inf is not finite and > 0"),
+    ],
+    ids=["rate_nan", "rate_inf", "velocity_nan", "velocity_inf"],
+)
+def test_non_finite_meta_exits_2(workspace, trained, tmp_path, capsys, field, value, fault):
+    """A non-finite rate or velocity is named once per channel, and is not
+    scored."""
+
+    def write_value(pdir):
+        meta = json.loads((pdir / "meta.json").read_text())
+        if field == "velocities":
+            meta[field][0] = value
+        else:
+            meta[field] = value
+        (pdir / "meta.json").write_text(json.dumps(meta))
+
+    data = _edited_copy(workspace, tmp_path, "passage_00000", write_value)
+    code = run("eval", "--dataset", str(data), "--checkpoint", str(trained / "model"), "--out", str(tmp_path / "eval"))
+    assert code == 2
+    err = capsys.readouterr().err
+    channels = len(json.loads((data / "passage_00000" / "meta.json").read_text())["crossing_times"])
+    assert err.count(fault) == channels and err.count(";") == channels - 1
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("target", ["meta.json", "sensor_s0.csv", "split.json"])
+def test_undecodable_input_exits_2(workspace, trained, tmp_path, capsys, target):
+    """A dataset or split file that is not text is a data error."""
+    data = _edited_copy(workspace, tmp_path, "passage_00000", lambda pdir: None)
+    split = tmp_path / "split.json"
+    shutil.copy(workspace / "split.json", split)
+    path = split if target == "split.json" else data / "passage_00000" / target
+    path.write_bytes(path.read_bytes() + b"\xff")
+    code = run(
+        "eval", "--dataset", str(data), "--checkpoint", str(trained / "model"), "--split", str(split),
+        "--out", str(tmp_path / "eval"),
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("data error:")
+
+
 def _overflow_s0(pdir):
     """Put a sample beyond float32 range into sensor s0 of a passage."""
     lines = (pdir / "sensor_s0.csv").read_text().split("\n")
@@ -600,3 +652,131 @@ def test_eval_without_matches_has_no_spatial_error(workspace, trained, tmp_path,
     for row in csv.DictReader((out / "per_sensor.csv").open()):
         assert row["tp"] == "0" and row["mean_spatial_error_cm"] == "" and row["msa"] == ""
     assert "mean spatial error n/a MSA n/a" in capsys.readouterr().out
+
+
+# -------------------------------------------------- contract: mutated inputs
+
+#: One value of each JSON type; a swap writes one of another type than the
+#: value it replaces (ints and floats are one type, JSON's number).
+JSON_VALUES = (None, True, 7, "abc", [], {})
+NON_FINITE = ("nan", "inf", "-inf")
+
+
+def _json_type(value):
+    return "number" if type(value) in (int, float) else type(value)
+
+
+def _json_paths(node, path=()):
+    """The path of ``node`` and of every value inside it."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+def _json_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutate_json(data, text, targets):
+    """``text`` with one value swapped for another JSON type or a non-finite
+    number, one object key deleted, or the document truncated; only values
+    whose path passes ``targets`` change."""
+    kind = data.draw(st.sampled_from(["swap", "non_finite", "delete", "truncate"]))
+    if kind == "truncate":
+        return text[: data.draw(st.integers(0, len(text.rstrip()) - 1))]
+    doc = json.loads(text)
+    paths = [p for p in _json_paths(doc) if targets(p)]
+    if kind == "delete":
+        paths = [p for p in paths if p and isinstance(_json_at(doc, p[:-1]), dict)]
+    path = data.draw(st.sampled_from(paths))
+    if kind == "delete":
+        del _json_at(doc, path[:-1])[path[-1]]
+        return json.dumps(doc)
+    if kind == "swap":
+        old = _json_at(doc, path)
+        value = data.draw(st.sampled_from([v for v in JSON_VALUES if _json_type(v) != _json_type(old)]))
+    else:
+        value = float(data.draw(st.sampled_from(NON_FINITE)))
+    if not path:
+        return json.dumps(value)
+    _json_at(doc, path[:-1])[path[-1]] = value
+    return json.dumps(doc)
+
+
+def _mutate_csv(data, text, meta):
+    """``text``, a sensor CSV, with one sample swapped for a token of another
+    JSON type or a non-finite number, or truncated before the sample of its
+    last crossing."""
+    lines = text.split("\n")[:-1]
+    kind = data.draw(st.sampled_from(["swap", "non_finite", "truncate"]))
+    if kind == "truncate":
+        last = max(max(times) for times in meta["crossing_times"].values()) * meta["sample_rate"]
+        return "".join(line + "\n" for line in lines[: data.draw(st.integers(0, int(last)))])
+    if kind == "swap":
+        tokens = [json.dumps(v) for v in JSON_VALUES if _json_type(v) != "number"]
+    else:  # 1e39 is finite in float64 but overflows the float32 network
+        tokens = NON_FINITE + ("1e39",)
+    lines[data.draw(st.integers(0, len(lines) - 1))] = data.draw(st.sampled_from(tokens))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.fixture(scope="module")
+def contract_files(workspace, trained, tmp_path_factory):
+    """A private copy of the workspace passages, split and checkpoint, and the
+    four files the contract test mutates: the meta.json and sensor CSV of a
+    test passage, the split JSON and the checkpoint's model.json."""
+    root = tmp_path_factory.mktemp("contract")
+    shutil.copytree(workspace / "data" / "passages", root / "passages")
+    shutil.copy(workspace / "split.json", root / "split.json")
+    stem = _copy_checkpoint(trained, root / "ckpt")
+    pdir = root / "passages" / json.loads((root / "split.json").read_text())["test"][0]
+    files = {
+        "meta": pdir / "meta.json",
+        "csv": pdir / "sensor_s0.csv",
+        "split": root / "split.json",
+        "model": stem.with_suffix(".json"),
+    }
+    return root, files
+
+
+#: The values of each JSON file the contract test may change. Left out are
+#: values whose change can be harmless: the split's seed, which nothing reads
+#: after splitting (``int`` takes a bool), and every manifest entry outside
+#: the model record (nothing reads ``seed`` or ``dtype``, and a ``has_adam``
+#: of ``null`` still means a weights-only checkpoint).
+CONTRACT_TARGETS = {
+    "meta": lambda path: True,
+    "split": lambda path: path[:1] != ("seed",),
+    "model": lambda path: path[:1] == ("model",),
+}
+
+
+@settings(database=None, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_mutated_input_exits_1_or_2(contract_files, data):
+    """Contract: a meta.json, sensor CSV, split JSON or model.json with a value
+    of another JSON type, a non-finite number, a missing key or a truncated
+    body makes eval return 1 or 2, and no exception escapes main."""
+    root, files = contract_files
+    name = data.draw(st.sampled_from(sorted(files)))
+    original = files[name].read_text()
+    if name == "csv":
+        mutated = _mutate_csv(data, original, json.loads(files["meta"].read_text()))
+    else:
+        mutated = _mutate_json(data, original, CONTRACT_TARGETS[name])
+    # the mutated passage is a test passage, so only a split mutation may
+    # evaluate a fold instead
+    ids = data.draw(st.sampled_from(["test", "0", "1", "2", "3", "4"])) if name == "split" else "test"
+    files[name].write_text(mutated)
+    try:
+        code = run(
+            "eval", "--dataset", str(root / "passages"), "--checkpoint", str(files["model"].with_suffix("")),
+            "--split", str(files["split"]), "--ids", ids, "--out", str(root / "eval"),
+        )
+    finally:
+        files[name].write_text(original)
+        shutil.rmtree(root / "eval", ignore_errors=True)
+    assert code in (1, 2)

@@ -260,6 +260,31 @@ def test_load_bad_meta_json(tmp_path, tiny_passage):
         load_dataset(root)
 
 
+META_DAMAGE = {
+    "crossing_times_list": lambda meta: meta.update(crossing_times=list(meta["crossing_times"])),
+    "crossing_times_int": lambda meta: meta.update(crossing_times=3),
+    "sensor_times_scalar": lambda meta: meta["crossing_times"].update(s0=0.5),
+    "sensor_times_text": lambda meta: meta["crossing_times"]["s0"].append("abc"),
+    "passage_id_int": lambda meta: meta.update(passage_id=7),
+    "passage_id_list": lambda meta: meta.update(passage_id=["x"]),
+    "axle_count_inf": lambda meta: meta.update(axle_count=float("inf")),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(META_DAMAGE))
+def test_load_refuses_meta_of_wrong_type(tmp_path, tiny_passage, damage):
+    """Crossing times are an object of number lists, the passage id is a
+    string and the axle count a finite number; anything else is a parse
+    error of ``meta.json``."""
+    root = save_dataset([tiny_passage], tmp_path / "ds")
+    path = root / "tiny" / "meta.json"
+    meta = json.loads(path.read_text())
+    META_DAMAGE[damage](meta)
+    path.write_text(json.dumps(meta))
+    with pytest.raises(ParseError, match="meta.json:0: bad metadata"):
+        load_dataset(root)
+
+
 def test_axle_count_index_and_histogram(small_dataset):
     index = small_dataset.axle_count_index()
     assert len(index) == len(small_dataset)

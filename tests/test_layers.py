@@ -14,7 +14,6 @@ from vader.engine import (
     MaxPool,
     Network,
     ReLU,
-    ReduceMaxFreq,
     Sigmoid,
     TileFreq,
     TransposedConvTime,
@@ -108,7 +107,7 @@ def test_concat_add_grad():
 
 
 def test_reduce_tile_grad():
-    assert fd_layer_check(ReduceMaxFreq(), [_x(2, 3, 5, 8)]) <= TOL
+    assert fd_layer_check(MaxPool(5, 1), [_x(2, 3, 5, 8)]) <= TOL
     assert fd_layer_check(TileFreq(4), [_x(2, 3, 1, 8)]) <= TOL
 
 
@@ -244,13 +243,13 @@ def _first_max_reference(x, pf, pt, dy):
 
 
 @pytest.mark.parametrize(
-    "layer", [MaxPool(2, 2), MaxPool(3, 2), ReduceMaxFreq()], ids=["pool2x2", "pool3x2", "reduce"]
+    "layer", [MaxPool(2, 2), MaxPool(3, 2), MaxPool(5, 1)], ids=["pool2x2", "pool3x2", "reduce"]
 )
 def test_pool_ties_send_gradient_to_first_in_window(layer):
     """Windows of equal values (all zero, as after ReLU, or tied ones) send
     the whole gradient to their first element in window order."""
     x = np.maximum(RNG.integers(-1, 2, size=(2, 3, 5, 8)), 0).astype(np.float64)
-    pf, pt = (x.shape[2], 1) if isinstance(layer, ReduceMaxFreq) else (layer.pool_f, layer.pool_t)
+    pf, pt = layer.pool_f, layer.pool_t
     y, _, cache = layer.forward([x], _full([x]), True)
     dy = RNG.normal(size=y.shape)
     (dx,) = layer.backward(cache, dy)

@@ -101,7 +101,7 @@ def test_plan_grid_total_and_exclusive():
     assert len(entries) == 128
     for e in entries:
         assert isinstance(e.classification, PlanClass)
-        assert e.mrf == e.hyper.kernel_size * e.hyper.pool_size**e.hyper.pool_steps
+        assert e.hyper.mrf == e.hyper.kernel_size * e.hyper.pool_size**e.hyper.pool_steps
         if e.hyper.kernel_size <= e.hyper.pool_size:
             assert e.classification is PlanClass.INVALID
 

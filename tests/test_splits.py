@@ -161,8 +161,14 @@ def test_split_works_on_dataset_object(small_dataset):
         '{"scenario": "stratified", "seed": 0, "test": [], "folds": [[], [], []]}',
         '{"scenario": "stratified", "seed": 0, "test": ["a"], "folds": [["a"], [], [], [], []]}',
         '{"scenario": "stratified", "seed": 0, "test": [], "folds": 7}',
+        '{"scenario": "stratified", "seed": 0, "test": "abc", "folds": [[], [], [], [], []]}',
+        '{"scenario": "stratified", "seed": 0, "test": [], "folds": [["a", 1], [], [], [], []]}',
+        '{"scenario": "stratified", "seed": Infinity, "test": [], "folds": [[], [], [], [], []]}',
     ],
-    ids=["not_json", "not_object", "no_folds", "bad_scenario", "three_folds", "overlap", "folds_int"],
+    ids=[
+        "not_json", "not_object", "no_folds", "bad_scenario", "three_folds", "overlap", "folds_int",
+        "test_text", "int_id", "seed_inf",
+    ],
 )
 def test_split_plan_from_json_rejects_malformed(text):
     with pytest.raises(ValidationError):

@@ -39,7 +39,6 @@ def _sample(length, seed=0):
         sensor_id="s0",
         x=rng.normal(size=(1, 1, length)).astype(np.float32),
         labels=labels,
-        label_idx=idx,
         velocities=np.full(3, 0.06),
     )
 
@@ -94,7 +93,7 @@ def test_micro_batch_step_equals_padded_batch_gradient():
 
     (parts,) = make_batches(samples, len(samples), np.random.default_rng(0))
     assert len(parts) >= 2
-    loss_sum, count = step_gradient(net, parts, loss_cfg)
+    loss_sum, count = step_gradient(net, parts)
     grads = [p.grad.copy() for p in net.params()]
 
     batch = assemble_batch(samples)
