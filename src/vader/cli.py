@@ -10,9 +10,9 @@ error.
 checkpoint ``model.json`` + ``model.bin``, which alone describes the
 detector: ``eval`` and ``detect`` take only its stem. The model's sample
 rate is the training data's; ``eval`` and ``detect`` refuse passages
-recorded at another rate. Both run each sensor through ``model.infer``;
-``eval`` scores it with ``metrics.score_series``, as training validation
-does.
+recorded at another rate. ``detect`` runs each sensor through
+``model.infer``; ``eval`` scores through ``training.evaluate_samples``, the
+function training validation runs.
 
 Every artifact-writing subcommand echoes its fully resolved configuration
 to ``run.json`` in the output directory, making reruns reproducible and
@@ -41,10 +41,10 @@ import numpy as np
 
 from . import __version__
 from .cwt import spectrogram_stack
-from .data import label_indices, load_dataset, shared_sample_rate
+from .data import load_dataset, shared_sample_rate
 from .engine import save_checkpoint
 from .errors import DataError, VaderError, naming
-from .metrics import MetricsAccumulator, PeakConfig, pick_peaks, score_series
+from .metrics import PeakConfig, pick_peaks
 from .model import VaderConfig, build_vader, infer, load_vader
 from .planner import (
     DEFAULT_F_LOW_CERTAIN,
@@ -59,7 +59,7 @@ from .planner import (
 )
 from .simulate import BridgeConfig, DatasetConfig, generate_dataset
 from .splits import DEFAULT_TEST_FRACTION, Scenario, SplitPlan, dgps_split, stratified_split
-from .training import TrainSchedule, train
+from .training import TrainSchedule, build_samples, evaluate_samples, train
 
 
 class UsageError(Exception):
@@ -329,16 +329,9 @@ def _cmd_eval(args) -> int:
     passages = [dataset.by_id(pid) for pid in sorted(ids)]
     shared_sample_rate(passages, cfg.sample_rate)
     peak_cfg = _checked(PeakConfig, args.min_confidence, args.min_distance)
-
-    acc = MetricsAccumulator()
-    for passage in passages:
-        for ch in passage.channels:
-            labels = label_indices(passage, ch.sensor_id)
-            vels = [a.velocity for a in passage.axles[ch.sensor_id]]
-            with naming(passage.passage_id, ch.sensor_id):
-                probs = infer(network, ch)
-            acc.add(ch.sensor_id, *score_series(probs, labels, vels, peak_cfg))
-    report = acc.report()
+    # built one passage at a time, so that eval holds one passage's spectrogram stacks
+    samples = (s for p in passages for s in build_samples(dataset, [p.passage_id], cfg.hyper.input_kind))
+    _, report = evaluate_samples(network, samples, peak_cfg)
     _write_run_json(out_dir, "eval", args)
     (out_dir / "metrics.json").write_text(
         json.dumps(report.to_dict(), indent=1, sort_keys=True) + "\n", encoding="utf-8"

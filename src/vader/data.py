@@ -213,9 +213,18 @@ class Dataset:
         return dict(sorted(hist.items()))
 
 
+def json_value(value, types: tuple, what: str):
+    """``value`` if it is of exactly one of ``types`` (so a bool is not an
+    int, nor a string a number), as parsed JSON gives it; TypeError naming
+    ``what`` otherwise."""
+    if type(value) not in types:
+        raise TypeError(f"{what} {value!r} is not {'/'.join(t.__name__ for t in types)}")
+    return value
+
+
 def json_list(value, types: tuple, what: str) -> list:
-    """``value`` if it is a list of values of exactly ``types`` (so a bool is
-    not an int), as parsed JSON gives it; TypeError naming ``what`` otherwise."""
+    """``value`` if it is a list of values of exactly ``types``, as
+    :func:`json_value` takes them; TypeError naming ``what`` otherwise."""
     if not isinstance(value, list) or any(type(v) not in types for v in value):
         raise TypeError(f"{what} {value!r} is not a list of {'/'.join(t.__name__ for t in types)}")
     return value
@@ -244,11 +253,9 @@ def _load_passage(pdir: Path) -> Passage:
     except json.JSONDecodeError as exc:
         raise ParseError(meta_path, exc.lineno, exc.msg) from None
     try:
-        passage_id = meta["passage_id"]
-        if not isinstance(passage_id, str):
-            raise TypeError(f"passage_id {passage_id!r} is not a string")
-        sample_rate = float(meta["sample_rate"])
-        axle_count = int(meta["axle_count"])
+        passage_id = json_value(meta["passage_id"], (str,), "passage_id")
+        sample_rate = float(json_value(meta["sample_rate"], (int, float), "sample_rate"))
+        axle_count = json_value(meta["axle_count"], (int,), "axle_count")
         velocities = [float(v) for v in json_list(meta["velocities"], (int, float), "velocities")]
         crossing_times = {
             sid: [float(t) for t in json_list(ts, (int, float), f"sensor {sid} crossing times")]

@@ -73,7 +73,7 @@ class TieForModalCount(DataError):
 
 
 # receptive-field planner
-class Overflow(VaderError):
+class Overflow(DataError):
     """Receptive field size exceeds the representable integer range."""
 
 
@@ -82,7 +82,7 @@ class NonPositiveFrequency(DataError):
 
 
 # nn engine
-class ShapeMismatch(VaderError):
+class ShapeMismatch(DataError):
     """Tensor shapes are incompatible with the requested operation, or a
     checkpoint describes a different network than it is loaded into."""
 

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .cwt import DEFAULT_STACK, N_SCALES, spectrogram_stack
-from .data import SensorChannel, json_list
+from .data import SensorChannel, json_list, json_value
 from .engine import (
     Add,
     Concat,
@@ -77,7 +77,8 @@ class VaderConfig:
         hyper = {k: v for k, v in rec.items() if k != "sample_rate"}
         hyper["input_kind"] = InputKind(hyper["input_kind"])
         json_list([v for k, v in hyper.items() if k != "input_kind"], (int,), "hyperparameters")
-        return cls(HyperParams(**hyper), sample_rate=float(rec["sample_rate"]))
+        rate = json_value(rec["sample_rate"], (int, float), "sample_rate")
+        return cls(HyperParams(**hyper), sample_rate=float(rate))
 
 
 class _Builder:
@@ -127,12 +128,13 @@ def build_vader(cfg: VaderConfig, dtype=np.float32) -> Network:
     """Assemble the detector network described by ``cfg``.
 
     Raises InvalidHyperParams when the kernel does not exceed the pooling
-    size (upsampling could not interpolate between pooled values).
+    size (upsampling could not interpolate between pooled values) or is
+    even (a 'same' convolution has no centre tap).
     """
     hp = cfg.hyper
     if not hp.valid:
         raise InvalidHyperParams(
-            f"kernel_size {hp.kernel_size} must exceed pool_size {hp.pool_size}"
+            f"kernel_size {hp.kernel_size} must be odd and exceed pool_size {hp.pool_size}"
         )
     k, m, p = hp.kernel_size, hp.pool_size, hp.pool_steps
     widths = cfg.widths

@@ -65,8 +65,9 @@ class HyperParams:
     @property
     def valid(self) -> bool:
         """Upsampling can only interpolate when the kernel spans more than
-        one pooled input value, i.e. kernel_size > pool_size."""
-        return self.kernel_size > self.pool_size
+        one pooled input value, i.e. kernel_size > pool_size; a 'same'
+        convolution centres its kernel, so kernel_size is odd."""
+        return self.kernel_size > self.pool_size and self.kernel_size % 2 == 1
 
     @property
     def mrf(self) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, json_list
+from .data import Dataset, json_list, json_value
 from .errors import EmptyDataset, SingleClassDataset, TieForModalCount, UnknownId, ValidationError
 
 N_FOLDS = 5
@@ -87,7 +87,7 @@ class SplitPlan:
             payload = json.loads(text)
             return SplitPlan(
                 scenario=Scenario(payload["scenario"]),
-                seed=int(payload["seed"]),
+                seed=json_value(payload["seed"], (int,), "seed"),
                 test_ids=tuple(json_list(payload["test"], (str,), "test ids")),
                 folds=tuple(tuple(json_list(f, (str,), "fold ids")) for f in payload["folds"]),
             )

@@ -25,7 +25,7 @@ import numpy as np
 from .data import Dataset, build_label_vector
 from .engine import LossConfig, ParamStore, adam_step, focal_loss
 from .errors import EmptyFold, naming
-from .metrics import MetricsAccumulator, score_series
+from .metrics import MetricsAccumulator, MetricsReport, PeakConfig, score_series
 from .model import VaderConfig, build_vader, network_input
 from .planner import InputKind
 from .splits import SplitPlan
@@ -176,19 +176,22 @@ def step_gradient(network, parts: list[Batch]) -> tuple[float, int]:
     return loss_sum, n_step
 
 
-def evaluate_samples(network, samples):
-    """Mean focal loss and matched-detection F1 at 200 cm, with the default
-    loss and peak configurations, over a list of samples."""
+def evaluate_samples(network, samples, peak_cfg: PeakConfig = PeakConfig()) -> tuple[float, MetricsReport]:
+    """Mean focal loss per sample position, under the default loss
+    configuration, and the metrics report of the peaks ``peak_cfg`` picks,
+    over the iterable ``samples``. Validation and ``vader eval`` both score
+    here; a forward-pass error names its passage and sensor."""
     total_loss = 0.0
     total_count = 0
     acc = MetricsAccumulator()
     for s in samples:
-        probs = network.forward(s.x[None, ...])[0, 0, 0]
+        with naming(s.passage_id, s.sensor_id):
+            probs = network.forward(s.x[None, ...])[0, 0, 0]
         loss, _ = focal_loss(probs, s.labels, LossConfig())
         total_loss += loss * s.labels.size
         total_count += s.labels.size
-        acc.add(s.sensor_id, *score_series(probs, np.flatnonzero(s.labels), s.velocities))
-    return total_loss / max(total_count, 1), acc.report().f1_200
+        acc.add(s.sensor_id, *score_series(probs, np.flatnonzero(s.labels), s.velocities, peak_cfg))
+    return total_loss / max(total_count, 1), acc.report()
 
 
 def train(
@@ -243,7 +246,8 @@ def train(
             loss_sum += step_loss
             count_sum += step_count
 
-        val_loss, val_f1 = evaluate_samples(network, val_samples)
+        val_loss, report = evaluate_samples(network, val_samples)
+        val_f1 = report.f1_200
         score = monitor(epoch, network) if monitor is not None else val_f1
         history.train_loss.append(float(loss_sum / max(count_sum, 1)))
         history.val_loss.append(val_loss)

@@ -395,6 +395,7 @@ CHECKPOINT_DAMAGE = {
     "float_kernel_size": lambda stem: _edit_manifest(stem, lambda m: m["model"].update(kernel_size=5.0)),
     "float_pool_steps": lambda stem: _edit_manifest(stem, lambda m: m["model"].update(pool_steps=2.0)),
     "float_base_width": lambda stem: _edit_manifest(stem, lambda m: m["model"].update(base_width=4.5)),
+    "layers_differ": lambda stem: _edit_manifest(stem, lambda m: m["layers"].pop()),
     "no_bin": lambda stem: stem.with_suffix(".bin").unlink(),
     "short_bin": lambda stem: stem.with_suffix(".bin").write_bytes(stem.with_suffix(".bin").read_bytes()[:-3]),
 }
@@ -503,6 +504,32 @@ def test_plan_zero_frequency_exits_2(tmp_path, capsys, flags):
     assert run("plan", *flags, "--out", str(out)) == 2
     assert capsys.readouterr().err.startswith("data error:")
     assert not out.exists()
+
+
+def test_plan_receptive_field_overflow_is_data_error(tmp_path, capsys):
+    out = tmp_path / "plan"
+    assert run("plan", "--kernel-sizes", "9", "--pool-sizes", "5", "--pool-steps", "30", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "exceeds 2^63-1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_even_kernel_size_exits_2(workspace, tmp_path, capsys, command):
+    """An even kernel has no centre tap for a 'same' convolution: the planner
+    calls it invalid, and train and bench refuse it before writing anything."""
+    out = tmp_path / "out"
+    if command == "train":
+        code = _train(workspace, out, kernel_size=4)
+    else:
+        code = run("bench", "--kernel-size", "4", "--n-samples", "64", "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "kernel_size 4 must be odd and exceed pool_size 2" in err
+    assert not out.exists()
+    plan = tmp_path / "plan"
+    assert run("plan", "--kernel-sizes", "4,8", "--pool-sizes", "2", "--pool-steps", "4", "--out", str(plan)) == 0
+    assert {row["class"] for row in csv.DictReader((plan / "plan.csv").open())} == {"invalid"}
 
 
 def test_history_csv_holds_plain_numbers(trained):
@@ -654,6 +681,41 @@ def test_eval_without_matches_has_no_spatial_error(workspace, trained, tmp_path,
     assert "mean spatial error n/a MSA n/a" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("input_kind", ["raw", "spectrogram"])
+def test_eval_of_a_fold_equals_its_validation(workspace, trained, tmp_path, input_kind):
+    """Validation and eval score through one function: eval of fold 0's
+    validation passages gives exactly the F1 that history.csv records at the
+    best epoch, whose weights the checkpoint holds."""
+    model_dir = trained
+    if input_kind == "spectrogram":
+        model_dir = tmp_path / "train"
+        assert _train(workspace, model_dir, input_kind="spectrogram") == 0
+    best_f1 = max(float(row["val_f1"]) for row in csv.DictReader((model_dir / "history.csv").open()))
+    out = tmp_path / "eval"
+    assert run(
+        "eval", "--dataset", str(workspace / "data" / "passages"), "--checkpoint", str(model_dir / "model"),
+        "--split", str(workspace / "split.json"), "--ids", "0", "--out", str(out),
+    ) == 0
+    assert json.loads((out / "metrics.json").read_text())["f1_200"] == best_f1
+
+
+def test_eval_and_detect_pick_the_same_peaks(workspace, trained, tmp_path):
+    """eval's peak options reach its scoring: with the same options, the
+    peaks eval scores (tp + fp at 200 cm, over all passages) are the rows
+    detect writes, and the options change that count."""
+    dataset = ["--dataset", str(workspace / "data" / "passages"), "--checkpoint", str(trained / "model")]
+    options = ["--min-confidence", "0.3", "--min-distance", "40"]
+    counts = []
+    for argv in (options, []):
+        assert run("eval", *dataset, *argv, "--out", str(tmp_path / "eval")) == 0
+        rows = csv.DictReader((tmp_path / "eval" / "per_sensor.csv").open())
+        scored = sum(int(row["tp"]) + int(row["fp"]) for row in rows)
+        assert run("detect", *dataset, *argv, "--out", str(tmp_path / "det.csv")) == 0
+        assert scored == len(list(csv.DictReader((tmp_path / "det.csv").open())))
+        counts.append(scored)
+    assert counts[0] != counts[1]
+
+
 # -------------------------------------------------- contract: mutated inputs
 
 #: One value of each JSON type; a swap writes one of another type than the
@@ -742,14 +804,14 @@ def contract_files(workspace, trained, tmp_path_factory):
     return root, files
 
 
-#: The values of each JSON file the contract test may change. Left out are
-#: values whose change can be harmless: the split's seed, which nothing reads
-#: after splitting (``int`` takes a bool), and every manifest entry outside
-#: the model record (nothing reads ``seed`` or ``dtype``, and a ``has_adam``
-#: of ``null`` still means a weights-only checkpoint).
+#: The values of each JSON file the contract test may change. Left out is
+#: every manifest entry outside the model record, because its change can be
+#: harmless: nothing reads ``seed`` or ``dtype``, and a ``has_adam`` of
+#: ``null`` still means a weights-only checkpoint. The split's seed is in:
+#: nothing reads it after splitting, but it must still be an integer.
 CONTRACT_TARGETS = {
     "meta": lambda path: True,
-    "split": lambda path: path[:1] != ("seed",),
+    "split": lambda path: True,
     "model": lambda path: path[:1] == ("model",),
 }
 
@@ -759,7 +821,9 @@ CONTRACT_TARGETS = {
 def test_mutated_input_exits_1_or_2(contract_files, data):
     """Contract: a meta.json, sensor CSV, split JSON or model.json with a value
     of another JSON type, a non-finite number, a missing key or a truncated
-    body makes eval return 1 or 2, and no exception escapes main."""
+    body makes eval return 1 or 2, and no exception escapes main. detect,
+    which reads its inputs through another path, must do the same for every
+    file but the split, which it does not read."""
     root, files = contract_files
     name = data.draw(st.sampled_from(sorted(files)))
     original = files[name].read_text()
@@ -770,13 +834,14 @@ def test_mutated_input_exits_1_or_2(contract_files, data):
     # the mutated passage is a test passage, so only a split mutation may
     # evaluate a fold instead
     ids = data.draw(st.sampled_from(["test", "0", "1", "2", "3", "4"])) if name == "split" else "test"
+    inputs = ["--dataset", str(root / "passages"), "--checkpoint", str(files["model"].with_suffix(""))]
     files[name].write_text(mutated)
     try:
-        code = run(
-            "eval", "--dataset", str(root / "passages"), "--checkpoint", str(files["model"].with_suffix("")),
-            "--split", str(files["split"]), "--ids", ids, "--out", str(root / "eval"),
-        )
+        codes = [run("eval", *inputs, "--split", str(files["split"]), "--ids", ids, "--out", str(root / "eval"))]
+        if name != "split":
+            codes.append(run("detect", *inputs, "--out", str(root / "detections.csv")))
     finally:
         files[name].write_text(original)
         shutil.rmtree(root / "eval", ignore_errors=True)
-    assert code in (1, 2)
+        (root / "detections.csv").unlink(missing_ok=True)
+    assert all(code in (1, 2) for code in codes)

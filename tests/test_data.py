@@ -268,14 +268,19 @@ META_DAMAGE = {
     "passage_id_int": lambda meta: meta.update(passage_id=7),
     "passage_id_list": lambda meta: meta.update(passage_id=["x"]),
     "axle_count_inf": lambda meta: meta.update(axle_count=float("inf")),
+    "axle_count_float": lambda meta: meta.update(axle_count=meta["axle_count"] + 0.7),
+    "axle_count_bool": lambda meta: meta.update(axle_count=True),
+    "sample_rate_text": lambda meta: meta.update(sample_rate=str(meta["sample_rate"])),
+    "sample_rate_bool": lambda meta: meta.update(sample_rate=True),
 }
 
 
 @pytest.mark.parametrize("damage", sorted(META_DAMAGE))
 def test_load_refuses_meta_of_wrong_type(tmp_path, tiny_passage, damage):
     """Crossing times are an object of number lists, the passage id is a
-    string and the axle count a finite number; anything else is a parse
-    error of ``meta.json``."""
+    string, the sample rate a number and the axle count an integer (a bool
+    is neither, a string no number); anything else is a parse error of
+    ``meta.json``."""
     root = save_dataset([tiny_passage], tmp_path / "ds")
     path = root / "tiny" / "meta.json"
     meta = json.loads(path.read_text())

@@ -33,6 +33,8 @@ def test_invalid_hyperparams_rejected():
         build_vader(_cfg(k=3, m=4, p=3))
     with pytest.raises(InvalidHyperParams):
         build_vader(_cfg(k=3, m=3, p=3))
+    with pytest.raises(InvalidHyperParams, match="kernel_size 4 must be odd and exceed pool_size 2"):
+        build_vader(_cfg(k=4, m=2, p=3))
 
 
 @pytest.mark.parametrize(

@@ -62,6 +62,9 @@ def test_hyper_validity_rule():
     assert HyperParams(InputKind.RAW, 9, 2, 4).valid
     assert not HyperParams(InputKind.RAW, 3, 4, 3).valid
     assert not HyperParams(InputKind.RAW, 3, 3, 3).valid
+    # an even kernel has no centre tap for a 'same' convolution
+    assert not HyperParams(InputKind.RAW, 4, 2, 4).valid
+    assert not HyperParams(InputKind.RAW, 8, 2, 4).valid
 
 
 def test_hyper_field_validation():
@@ -81,6 +84,8 @@ def test_classify_examples():
     assert classify(under, 600, 6.9, 1.0) is PlanClass.UNDERFIT
     invalid = HyperParams(InputKind.RAW, 3, 4, 3)
     assert classify(invalid, 600, 5.0, 1.0) is PlanClass.INVALID
+    even = HyperParams(InputKind.RAW, 8, 2, 4)  # field 128 would be ok
+    assert classify(even, 600, 5.0, 1.0) is PlanClass.INVALID
     big = HyperParams(InputKind.RAW, 17, 5, 4)  # 10625 > 600
     assert classify(big, 600, 5.0, 1.0) is PlanClass.BEYOND_USEFUL
 
@@ -91,7 +96,7 @@ def test_classify_boundaries_inclusive():
     assert classify(at_low, 600, 5.0, 1.0) is PlanClass.OK
     exactly_600 = classify(HyperParams(InputKind.RAW, 75, 2, 3), 600, 5.0, 1.0)  # 75*8=600
     assert exactly_600 is PlanClass.OK
-    just_over = classify(HyperParams(InputKind.RAW, 76, 2, 3), 600, 5.0, 1.0)  # 608
+    just_over = classify(HyperParams(InputKind.RAW, 77, 2, 3), 600, 5.0, 1.0)  # 616, the next odd kernel
     assert just_over is PlanClass.BEYOND_USEFUL
 
 

@@ -164,10 +164,13 @@ def test_split_works_on_dataset_object(small_dataset):
         '{"scenario": "stratified", "seed": 0, "test": "abc", "folds": [[], [], [], [], []]}',
         '{"scenario": "stratified", "seed": 0, "test": [], "folds": [["a", 1], [], [], [], []]}',
         '{"scenario": "stratified", "seed": Infinity, "test": [], "folds": [[], [], [], [], []]}',
+        '{"scenario": "stratified", "seed": true, "test": [], "folds": [[], [], [], [], []]}',
+        '{"scenario": "stratified", "seed": 1.5, "test": [], "folds": [[], [], [], [], []]}',
+        '{"scenario": "stratified", "seed": "1", "test": [], "folds": [[], [], [], [], []]}',
     ],
     ids=[
         "not_json", "not_object", "no_folds", "bad_scenario", "three_folds", "overlap", "folds_int",
-        "test_text", "int_id", "seed_inf",
+        "test_text", "int_id", "seed_inf", "seed_bool", "seed_float", "seed_text",
     ],
 )
 def test_split_plan_from_json_rejects_malformed(text):
