@@ -19,23 +19,35 @@ matrix product. The zero-padded input is copied once into a channel-major
 plane: a kernel spanning several frequency rows stacks them with the
 channels into ``F * C`` rows, and a one-row kernel leaves them in the
 columns next to the batch. A transient block stacks the plane's ``kt``
-time-shifted copies, and the kernel becomes a block-Toeplitz ("banded")
-matrix of ``F' * O`` rows whose row ``(fo, o)`` holds the taps that reach
-input row ``fi`` at ``fi - fo + lo`` and zeros elsewhere, so the whole
-correlation is ``band @ block`` (the unrolling of im2col and kn2row,
+time-shifted copies, row ``(plane row, shift)``, so it is the plane's
+sliding windows copied once. The kernel becomes a block-Toeplitz
+("banded") matrix of ``F' * O`` rows whose row ``(fo, o)`` holds the taps
+that reach input row ``fi`` at ``fi - fo + lo`` and zeros elsewhere, so the
+whole correlation is ``band @ block`` (the unrolling of im2col and kn2row,
 applied to time in the block and to frequency in the kernel; Vasudevan et
 al. 2017). The band multiplies its zeros, more of them the narrower the
 kernel is against the rows (about twice the useful work for a 9-row kernel
 over 16 rows, 5.6 times for a 3-row one), in exchange for one well-shaped
-product instead of one thin, memory-bound one per frequency tap. For a
-one-row kernel the band is the weight itself, reshaped.
-``TransposedConvTime`` correlates with a
-sub-kernel of ``stride * c_out`` output channels, one group per output time
-phase, and interleaves the phases (sub-pixel convolution; Shi et al. 2016).
-The input gradient correlates ``dy`` with the flipped, channel-swapped
-kernel under the complementary padding (Dumoulin & Visin 2016); the kernel
-gradient is one product of ``dy`` with the block rebuilt from the cached
-plane, summed back along the band.
+product instead of one thin, memory-bound one per frequency tap. Because
+the block's rows run (channel, shift), as the ``(O, C, 1, kt)`` weight's
+do, a stride-1 one-row kernel's band is a view of the weight: a forward
+pass copies no weight. ``TransposedConvTime`` correlates with a sub-kernel
+of ``stride * c_out`` output channels, one group per output time phase, and
+interleaves the phases (sub-pixel convolution; Shi et al. 2016). A phase's
+taps sit at consecutive shifts, so each phase fills its part of the
+sub-kernel from one strided slice of the weight. The input gradient
+correlates ``dy`` with the flipped, channel-swapped kernel under the
+complementary padding (Dumoulin & Visin 2016); the kernel gradient is one
+product of ``dy`` with the block rebuilt from the cached plane, summed back
+along the band.
+
+Group norm takes each group's sum and its centred sum of squares as float32
+BLAS reductions (a matrix-vector product over time rows and a batched dot
+product); centring first keeps the variance exact to float32 rounding
+however far the mean lies from zero, where ``E[x^2] - mean^2`` would cancel.
+It then normalises with one affine map per (sample, channel),
+``(x - mean) * scale + beta``, in place in its output, and caches only its
+input: backward recomputes the normalised input from it.
 
 Max pooling keeps no argmax: forward takes the maximum over the window's
 strided views, and backward sends the gradient to the first maximum in
@@ -79,6 +91,17 @@ def zero_invalid(arr: np.ndarray, valid: np.ndarray) -> np.ndarray:
         if v < T:
             arr[n, ..., v:] = 0
     return arr
+
+
+def _time_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over the last (time) axis as one BLAS matrix-vector product."""
+    T = a.shape[-1]
+    return (a.reshape(-1, T) @ np.ones(T, dtype=a.dtype)).reshape(a.shape[:-1])
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching last-axis rows as one batched BLAS product."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def groupnorm_groups(channels: int) -> int:
@@ -135,16 +158,15 @@ def _plane(x, rows, width, lo=0, slack=0):
 
 
 def _block(plane, kt, span):
-    """The first ``span`` columns of ``plane`` and its ``kt - 1`` successive
-    one-column shifts, stacked into a transient block of ``kt * C`` rows; for
-    one shift, a view of the plane itself."""
-    if kt == 1:
-        return plane[:, :span]
-    c = len(plane)
-    block = np.empty((kt * c, span), dtype=plane.dtype)
-    for j in range(kt):
-        block[j * c : (j + 1) * c] = plane[:, j : j + span]
-    return block
+    """The first ``span`` columns of the contiguous ``plane`` and its
+    ``kt - 1`` successive one-column shifts, stacked into a transient block
+    whose row ``r * kt + j`` is plane row ``r`` shifted by ``j``: the
+    plane's ``(rows, kt, span)`` sliding windows, copied once; for one shift,
+    a view of the plane itself."""
+    r, i = plane.strides
+    # numpy checks the windows against the plane's buffer
+    windows = np.ndarray((len(plane), kt, span), plane.dtype, plane, 0, (r, i, i))
+    return windows.reshape(-1, span)
 
 
 def _toeplitz(lead, rows, freq_pads, kf, dtype):
@@ -161,16 +183,17 @@ def _toeplitz(lead, rows, freq_pads, kf, dtype):
 
 
 def _band(w, rows, freq_pads):
-    """The ``(O, C, kf, kt)`` kernel as the banded ``(F' * O, kt * rows * C)``
+    """The ``(O, C, kf, kt)`` kernel as the banded ``(F' * O, rows * C * kt)``
     matrix of a correlation over ``rows`` stacked frequency rows: row
-    ``(fo, o)``, column ``(j, fi, c)`` holds ``w[o, c, fi - fo + lo, j]``
-    inside the band and zero outside. A one-row kernel is a plain reshape."""
+    ``(fo, o)``, column ``(fi, c, j)`` holds ``w[o, c, fi - fo + lo, j]``
+    inside the band and zero outside. A one-row kernel's band is the weight
+    itself, reshaped: a view, no copy, for a contiguous weight."""
     O, C, kf, kt = w.shape
     if kf == 1:
-        return w.transpose(2, 0, 3, 1).reshape(O, kt * C)
-    taps, band = _toeplitz((O, kt, C), rows, freq_pads, kf, w.dtype)
-    taps[...] = w.transpose(0, 3, 1, 2)[:, :, :, None, :]
-    return band.transpose(3, 0, 1, 4, 2).reshape(-1, kt * rows * C)
+        return w.reshape(O, C * kt)
+    taps, band = _toeplitz((O, C, kt), rows, freq_pads, kf, w.dtype)
+    taps[...] = w.transpose(0, 1, 3, 2)[:, :, :, None, :]
+    return band.transpose(3, 0, 4, 1, 2).reshape(-1, rows * C * kt)
 
 
 def _unband(band, shape, rows, freq_pads):
@@ -178,10 +201,10 @@ def _unband(band, shape, rows, freq_pads):
     banded matrix's, summed along the band."""
     O, C, kf, kt = shape
     if kf == 1:
-        return band.reshape(O, 1, kt, C).transpose(0, 3, 1, 2)
-    taps, view = _toeplitz((O, kt, C), rows, freq_pads, kf, band.dtype)
-    view[...] = band.reshape(-1, O, kt, rows, C).transpose(1, 2, 4, 0, 3)
-    return taps.sum(axis=3).transpose(0, 2, 3, 1)
+        return band.reshape(shape)
+    taps, view = _toeplitz((O, C, kt), rows, freq_pads, kf, band.dtype)
+    view[...] = band.reshape(-1, O, rows, C, kt).transpose(1, 3, 4, 0, 2)
+    return taps.sum(axis=3).transpose(0, 1, 3, 2)
 
 
 def _correlate(x, w, freq_pads, time_pads):
@@ -223,12 +246,19 @@ class Conv(Layer):
         # Time tap j takes input column c to output column stride*c + crop - j,
         # as correlating the zero-stuffed input padded by `crop` would: output
         # phase (crop - j) % stride, at input shift ceil((j - crop) / stride).
-        # With stride 1 the shifts are the 'same' padding's.
+        # A phase's taps j0, j0 + stride, ... sit at consecutive shifts, so
+        # each phase is one strided slice of the weight and one plain slice
+        # of the kernel. With stride 1 the shifts are the 'same' padding's.
         s, taps = self.stride, np.arange(kt)
         crop = (kt + s - 2) // 2
         shift = -((crop - taps) // s)
-        self._phase = (crop - taps) % s
-        self._slot = shift - shift.min()
+        slot = shift - shift.min()
+        self._phases = []  # (phase, weight taps, kernel shifts)
+        for p in range(s):
+            j0 = (crop - p) % s
+            if j0 < kt:
+                start = int(slot[j0])
+                self._phases.append((p, slice(j0, None, s), slice(start, start + len(range(j0, kt, s)))))
         self._time_pads = (-int(shift.min()), int(shift.max()))
 
     def init(self, rng):
@@ -250,10 +280,15 @@ class Conv(Layer):
     def _kernel(self, dtype):
         """The weight as the ``(stride * c_out, c_in, kf, n_shifts)`` kernel of
         a stride-1 correlation whose output channel ``p * c_out + o`` is
-        channel ``o`` at time phase ``p`` (sub-pixel convolution)."""
+        channel ``o`` at time phase ``p`` (sub-pixel convolution). With
+        stride 1 that kernel is the weight itself."""
+        w = self.weight.value.astype(dtype, copy=False)
+        if self.stride == 1:
+            return w
         s, n = self.stride, self._time_pads[0] + self._time_pads[1] + 1
         k = np.zeros((s, self.c_out, self.c_in, self.kf, n), dtype=dtype)
-        k[self._phase, ..., self._slot] = self.weight.value.transpose(3, 0, 1, 2)
+        for p, taps, slots in self._phases:
+            k[p, ..., slots] = w[..., taps]
         return k.reshape(s * self.c_out, self.c_in, self.kf, n)
 
     def forward(self, xs, valids, want_cache):
@@ -281,7 +316,8 @@ class Conv(Layer):
         band = dyp @ _block(plane, kt, dyp.shape[1]).T
         del dyp  # before the input gradient builds its own planes
         dk = _unband(band, k.shape, len(plane) // C, self._freq_pads).reshape(s, O, C, kf, kt)
-        self.weight.grad += dk[self._phase, ..., self._slot].transpose(1, 2, 3, 0)
+        for p, taps, slots in self._phases:
+            self.weight.grad[..., taps] += dk[p, ..., slots]
         self.bias.grad += dy.sum(axis=(0, 2, 3))
         # The input gradient correlates dy with the flipped, channel-swapped
         # kernel under the complementary padding.
@@ -376,37 +412,43 @@ class GroupNorm(Layer):
         N, C, F, T = x.shape
         if C != self.channels:
             raise ShapeMismatch(f"expected {self.channels} channels, got {C}")
-        g, cg = self.groups, C // self.groups
-        xg = x.reshape(N, g, cg, F, T)
-        count = (valid.astype(x.dtype) * cg * F).reshape(N, 1)
-        # padded tails are zero, so full-axis sums equal valid-position sums
-        s1 = xg.sum(axis=(2, 3, 4))
-        s2 = (xg * xg).sum(axis=(2, 3, 4))
-        mean = s1 / count
-        var = np.maximum(s2 / count - mean * mean, 0.0)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (xg - mean[:, :, None, None, None]) * inv_std[:, :, None, None, None]
-        y = xhat.reshape(N, C, F, T) * self.gamma.value[None, :, None, None]
-        y += self.beta.value[None, :, None, None]
-        cache = (xhat, inv_std, count, valid) if want_cache else None
+        g = self.groups
+        count = (valid.astype(x.dtype) * (C // g) * F).reshape(N, 1)
+        # padded tails are zero, so full-row sums equal valid-position sums
+        mean = _time_sums(x).reshape(N, g, -1).sum(axis=2) / count
+        y = x.reshape(N, g, -1) - mean[..., None]  # centred, re-zeroed for the squares
+        zero_invalid(y.reshape(N, C, F, T), valid)
+        inv_std = 1.0 / np.sqrt(_row_dots(y, y) / count + self.eps)
+        y = y.reshape(N, C, F, T)
+        y *= (self.gamma.value.reshape(g, -1) * inv_std[..., None]).reshape(N, C, 1, 1)
+        y += self.beta.value[:, None, None]
+        cache = (x, mean, inv_std, count, valid) if want_cache else None
         return y, valid, cache
 
     def backward(self, cache, dy):
-        xhat, inv_std, count, valid = _require(cache)
+        x, mean, inv_std, count, valid = _require(cache)
         N, C, F, T = dy.shape
-        g, cg = self.groups, C // self.groups
-        self.gamma.grad += (dy * xhat.reshape(N, C, F, T)).sum(axis=(0, 2, 3))
-        self.beta.grad += dy.sum(axis=(0, 2, 3))
-        dxhat = (dy * self.gamma.value[None, :, None, None]).reshape(N, g, cg, F, T)
-        # dy is zero on padded tails, so these sums run over valid positions
-        s_d = dxhat.sum(axis=(2, 3, 4))
-        s_dx = (dxhat * xhat).sum(axis=(2, 3, 4))
-        dx = (
-            dxhat
-            - (s_d / count)[:, :, None, None, None]
-            - xhat * (s_dx / count)[:, :, None, None, None]
-        ) * inv_std[:, :, None, None, None]
-        dx = dx.reshape(N, C, F, T)
+        g = self.groups
+        xhat = x.reshape(N, g, -1) - mean[..., None]
+        xhat *= inv_std[..., None]
+        xhat = zero_invalid(xhat.reshape(N, C, F, T), valid)
+        # per-(sample, channel) sums of dy and dy * xhat; dy is zero on
+        # padded tails, so they run over valid positions
+        s_d = _time_sums(dy).sum(axis=2)
+        s_dx = _row_dots(dy.reshape(N, C, -1), xhat.reshape(N, C, -1))
+        self.gamma.grad += s_dx.sum(axis=0)
+        self.beta.grad += s_d.sum(axis=0)
+        # dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv_std
+        # with dxhat = gamma * dy, the means taken over each group
+        gamma = self.gamma.value
+        m_d = (s_d * gamma).reshape(N, g, -1).sum(axis=2) / count * inv_std
+        m_dx = (s_dx * gamma).reshape(N, g, -1).sum(axis=2) / count * inv_std
+        dx = dy * (gamma.reshape(g, -1) * inv_std[..., None]).reshape(N, C, 1, 1)
+        xhat = xhat.reshape(N, g, -1)
+        xhat *= m_dx[..., None]
+        dxg = dx.reshape(N, g, -1)
+        dxg -= xhat
+        dxg -= m_d[..., None]
         return [zero_invalid(dx, valid)]
 
 

@@ -217,12 +217,12 @@ def train(
     if not train_ids or not val_ids:
         raise EmptyFold(f"fold {fold}: {len(train_ids)} train / {len(val_ids)} val passages")
 
+    network = build_vader(cfg)  # refuses invalid hyperparameters before any input work
     train_samples = build_samples(dataset, train_ids, cfg.hyper.input_kind)
     val_samples = build_samples(dataset, val_ids, cfg.hyper.input_kind)
     if not train_samples or not val_samples:
         raise EmptyFold(f"fold {fold} supplies no usable samples")
 
-    network = build_vader(cfg)
     for s in train_samples + val_samples:  # refuse an unusable input by name, before any step
         with naming(s.passage_id, s.sensor_id):
             network.cast_input(s.x[None])

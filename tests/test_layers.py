@@ -20,6 +20,7 @@ from vader.engine import (
     groupnorm_groups,
     zero_invalid,
 )
+from vader.engine.layers import _band
 from vader.errors import MissingForwardCache, ShapeMismatch
 
 RNG = np.random.default_rng(123)
@@ -149,6 +150,26 @@ def test_groupnorm_statistics():
     assert np.abs(per_group.var(axis=-1) - 1.0).max() <= 1e-4
 
 
+@pytest.mark.parametrize("offset", [0.0, 100.0], ids=["centred", "offset"])
+def test_groupnorm_float32_statistics_match_float64(offset):
+    """On float32 groups of 2**20 elements the layer normalises with the
+    float64 mean and variance, to 2**-16 of the spread (the mean's bound
+    grows with its distance from zero, in standard deviations). The offset
+    input is where E[x^2] - mean^2 would cancel."""
+    layer = GroupNorm(8, 2, name="g")
+    for p in layer.params():
+        p.value = p.value.astype(np.float32)
+    rng = np.random.default_rng(5)
+    x = ((rng.normal(size=(1, 8, 16, 16384)) + offset) * 3.0).astype(np.float32)
+    y, _, _ = layer.forward([x], _full([x]), False)
+    x64 = x.astype(np.float64).reshape(1, 2, -1)
+    ref = (x64 - x64.mean(axis=-1, keepdims=True)) / np.sqrt(x64.var(axis=-1, keepdims=True) + layer.eps)
+    y64 = y.astype(np.float64).reshape(1, 2, -1)
+    tol = 2.0**-16
+    assert np.abs(y64.mean(axis=-1) - ref.mean(axis=-1)).max() <= tol * (1 + offset)
+    assert np.abs(y64.var(axis=-1) / ref.var(axis=-1) - 1).max() <= tol
+
+
 def test_groupnorm_channels_divisible():
     with pytest.raises(ValueError):
         GroupNorm(6, 4)
@@ -181,6 +202,39 @@ def test_missing_forward_cache():
     layer = Conv(1, 1, 1, 3, name="c")
     with pytest.raises(MissingForwardCache):
         layer.backward(None, _x(1, 1, 1, 8))
+
+
+def test_one_row_band_is_the_weight():
+    """A stride-1 one-row kernel is multiplied as the weight itself, not a copy."""
+    layer = Conv(3, 4, 1, 9, name="c")
+    band = _band(layer._kernel(layer.weight.value.dtype), 1, layer._freq_pads)
+    assert band.shape == (4, 3 * 9)
+    assert np.shares_memory(band, layer.weight.value)
+
+
+def _ref_subpixel_kernel(w, s):
+    """The sub-pixel kernel of a stride-``s`` transposed convolution, tap by
+    tap: tap ``j`` sends input column ``c`` to output column
+    ``s * c + crop - j`` (``crop`` is the zero-stuffed reference's left
+    padding), so it lands in phase ``p`` at input shift ``(p + j - crop) / s``."""
+    O, C, kf, kt = w.shape
+    crop = (kt + s - 2) // 2
+    hits = [(p, j, (p + j - crop) // s) for j in range(kt) for p in range(s) if (p + j - crop) % s == 0]
+    lo = -min(shift for _, _, shift in hits)
+    k = np.zeros((s, O, C, kf, max(shift for _, _, shift in hits) + lo + 1))
+    for p, j, shift in hits:
+        k[p, :, :, :, shift + lo] = w[:, :, :, j]
+    return k.reshape(s * O, C, kf, -1), lo
+
+
+@pytest.mark.parametrize("kt", range(1, 10), ids=lambda kt: f"k{kt}")
+@pytest.mark.parametrize("stride", [2, 3], ids=lambda s: f"s{s}")
+def test_subpixel_kernel_matches_per_tap_loop(stride, kt):
+    layer = TransposedConvTime(2, 3, 2, kt, stride=stride, name="t")
+    layer.init(RNG)
+    ref, lo = _ref_subpixel_kernel(layer.weight.value, stride)
+    assert np.array_equal(layer._kernel(np.float64), ref)
+    assert layer._time_pads == (lo, ref.shape[-1] - 1 - lo)
 
 
 def test_zero_upstream_gradient_gives_zero_param_grads():

@@ -6,9 +6,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from vader import model
 from vader.data import Dataset
 from vader.engine import LossConfig, checkpoint_bytes, focal_loss
-from vader.errors import EmptyFold
+from vader.errors import EmptyFold, InvalidHyperParams
 from vader.model import VaderConfig, build_vader
 from vader.planner import HyperParams, InputKind
 from vader.simulate import DatasetConfig, generate_dataset
@@ -225,6 +226,19 @@ def test_empty_fold_raises():
             folds=((), (), (), (), ()),
         )
         train(_tiny_cfg(), Dataset(root="", passages=()), empty_plan, 0, _fast_schedule(), 0)
+
+
+def test_invalid_hyperparams_refused_before_any_transform(train_setup, monkeypatch):
+    """An even kernel is refused before a single series is wavelet-transformed."""
+    dataset, plan = train_setup
+
+    def transform(*_args, **_kw):
+        raise AssertionError("spectrogram_stack called before the network was built")
+
+    monkeypatch.setattr(model, "spectrogram_stack", transform)
+    cfg = VaderConfig(HyperParams(InputKind.SPECTROGRAM, 4, 2, 2, base_width=4))
+    with pytest.raises(InvalidHyperParams):
+        train(cfg, dataset, plan, fold=0, schedule=_fast_schedule(), seed=0)
 
 
 def test_schedule_validation():
