@@ -43,7 +43,7 @@ from . import __version__
 from .cwt import spectrogram_stack
 from .data import load_dataset, shared_sample_rate
 from .engine import save_checkpoint
-from .errors import DataError, VaderError, naming
+from .errors import DataError, EmptyDataset, VaderError, naming
 from .metrics import PeakConfig, pick_peaks
 from .model import VaderConfig, build_vader, infer, load_vader
 from .planner import (
@@ -304,8 +304,17 @@ def _cmd_train(args) -> int:
 # ---------------------------------------------------------------- eval
 
 
+def _selection(dataset: str, passages: list, sample_rate: float) -> list:
+    """``passages``, which ``eval`` or ``detect`` runs on: EmptyDataset when
+    there are none, SampleRateMismatch when one is not at the model's rate."""
+    if not passages:
+        raise EmptyDataset(f"{dataset}: no passages to run on")
+    shared_sample_rate(passages, sample_rate)
+    return passages
+
+
 def _cell(value) -> str:
-    """A per-sensor CSV cell: the exact float, empty for no value."""
+    """A per-sensor CSV cell: the exact number, empty for no value."""
     return "" if value is None else repr(value)
 
 
@@ -326,8 +335,7 @@ def _cmd_eval(args) -> int:
         ids = plan.test_ids if args.ids == "test" else plan.fold_val_ids(args.ids)
     else:
         ids = [p.passage_id for p in dataset]
-    passages = [dataset.by_id(pid) for pid in sorted(ids)]
-    shared_sample_rate(passages, cfg.sample_rate)
+    passages = _selection(args.dataset, [dataset.by_id(pid) for pid in sorted(ids)], cfg.sample_rate)
     peak_cfg = _checked(PeakConfig, args.min_confidence, args.min_distance)
     # built one passage at a time, so that eval holds one passage's spectrogram stacks
     samples = (s for p in passages for s in build_samples(dataset, [p.passage_id], cfg.hyper.input_kind))
@@ -338,20 +346,9 @@ def _cmd_eval(args) -> int:
     )
     with (out_dir / "per_sensor.csv").open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sensor", "tp", "fp", "fn", "f1_200", "f1_37", "mean_spatial_error_cm", "msa"])
+        writer.writerow(["sensor", *next(iter(report.per_sensor.values()))])
         for sensor_id, row in report.per_sensor.items():
-            writer.writerow(
-                [
-                    sensor_id,
-                    row["tp"],
-                    row["fp"],
-                    row["fn"],
-                    repr(row["f1_200"]),
-                    repr(row["f1_37"]),
-                    _cell(row["mean_spatial_error_cm"]),
-                    _cell(row["msa"]),
-                ]
-            )
+            writer.writerow([sensor_id, *map(_cell, row.values())])
     print(
         f"evaluated {len(passages)} passages: F1@200cm {report.f1_200:.2f} "
         f"F1@37cm {report.f1_37:.2f} mean spatial error {_fixed(report.mean_spatial_error_cm, ' cm')} "
@@ -396,8 +393,8 @@ def _cmd_detect(args) -> int:
     dataset = load_dataset(args.dataset)
     network, cfg = load_vader(args.checkpoint)
     peak_cfg = _checked(PeakConfig, args.min_confidence, args.min_distance)
-    passages = [dataset.by_id(args.passage)] if args.passage else list(dataset)
-    shared_sample_rate(passages, cfg.sample_rate)
+    selected = [dataset.by_id(args.passage)] if args.passage else list(dataset)
+    passages = _selection(args.dataset, selected, cfg.sample_rate)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     tmp = out.with_name(out.name + ".tmp")
@@ -463,8 +460,9 @@ def _cmd_bench(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def build_parser(environ=os.environ) -> _Parser:
-    """The ``vader`` parser; ``--seed`` defaults to ``environ["VADER_SEED"]``, else 0."""
+def build_parser() -> _Parser:
+    """The ``vader`` parser; ``--seed`` defaults to None, which :func:`main`
+    resolves to ``VADER_SEED``, else 0."""
     parser = _Parser(prog="vader", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"vader {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -472,9 +470,7 @@ def build_parser(environ=os.environ) -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", help="flat key = value config file")
     seeded = _Parser(add_help=False)
-    seeded.add_argument(
-        "--seed", type=int, default=environ.get("VADER_SEED", "0"), help="RNG seed (default: VADER_SEED, else 0)"
-    )
+    seeded.add_argument("--seed", type=int, default=None, help="RNG seed (default: VADER_SEED, else 0)")
     network = _Parser(add_help=False)
     network.add_argument("--kernel-size", type=int, default=9)
     network.add_argument("--pool-size", type=int, default=2)
@@ -567,19 +563,21 @@ def build_parser(environ=os.environ) -> _Parser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
     try:
-        # The first parse only finds the config file and the subcommand's
-        # options; VADER_SEED is left out so that a seed in the file can win.
-        args = build_parser(environ={}).parse_args(argv)
+        args = parser.parse_args(argv)
         if args.config:
             at = argv.index(args.command) + 1
             tokens = _config_tokens(args.config, vars(args))
             try:
-                args = build_parser().parse_args(argv[:at] + tokens + argv[at:])
+                args = parser.parse_args(argv[:at] + tokens + argv[at:])
             except UsageError as exc:
                 raise UsageError(f"{args.config}: {exc}") from None
-        else:
-            args = build_parser().parse_args(argv)
+        if vars(args).get("seed", 0) is None:  # neither the command line nor a config file gave one
+            try:
+                args.seed = int(os.environ.get("VADER_SEED", "0"))
+            except ValueError as exc:
+                raise UsageError(f"VADER_SEED: {exc}") from None
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -590,7 +588,8 @@ def main(argv=None) -> int:
     except VaderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, UnicodeDecodeError) as exc:  # an input file that is missing or not text
+    # an input path that is missing, a file where a directory belongs or the reverse, or not text
+    except (FileNotFoundError, NotADirectoryError, IsADirectoryError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

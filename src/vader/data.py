@@ -78,10 +78,6 @@ class Passage:
                 return ch
         raise KeyError(sensor_id)
 
-    @property
-    def sensor_ids(self) -> tuple[str, ...]:
-        return tuple(ch.sensor_id for ch in self.channels)
-
 
 def crossing_index(crossing_time: float, sample_rate: float) -> int:
     """Sample index of a crossing, rounding half away from zero."""
@@ -131,17 +127,19 @@ def shared_sample_rate(passages, expected: float | None = None) -> float | None:
 
 def validate_passage(p: Passage) -> list[str]:
     """Check all passage invariants; returns human-readable violations, one
-    per fault."""
+    per fault. The sample rate and the axle velocities are the passage's,
+    checked once on the first channel and the first sensor with records;
+    every other channel and sensor must repeat them."""
     violations: list[str] = []
     if not p.channels:
         violations.append(f"passage {p.passage_id}: no channels")
         return violations
     ref = p.channels[0]
+    if ref.sample_rate <= 0:
+        violations.append(f"channel {ref.sensor_id}: sample_rate {ref.sample_rate} <= 0")
+    elif not math.isfinite(ref.sample_rate):
+        violations.append(f"channel {ref.sensor_id}: sample_rate {ref.sample_rate} is not finite")
     for ch in p.channels:
-        if ch.sample_rate <= 0:
-            violations.append(f"channel {ch.sensor_id}: sample_rate {ch.sample_rate} <= 0")
-        elif not math.isfinite(ch.sample_rate):
-            violations.append(f"channel {ch.sensor_id}: sample_rate {ch.sample_rate} is not finite")
         if ch.n_samples < 1:
             violations.append(f"channel {ch.sensor_id}: empty sample series")
         elif not np.all(np.isfinite(ch.samples)):
@@ -156,6 +154,7 @@ def validate_passage(p: Passage) -> list[str]:
             violations.append(
                 f"channel {ch.sensor_id} rate {ch.sample_rate} != channel {ref.sensor_id} rate {ref.sample_rate}"
             )
+    shared = None  # (sensor id, velocities) of the first sensor with records
     for ch in p.channels:
         records = p.axles.get(ch.sensor_id)
         if records is None:
@@ -169,9 +168,16 @@ def validate_passage(p: Passage) -> list[str]:
         # equal times are left to the label build, which refuses two crossings on one sample
         if any(later < earlier for earlier, later in zip(times, times[1:])):
             violations.append(f"channel {ch.sensor_id}: crossing times {times} do not strictly increase")
-        for i, rec in enumerate(records):
-            if not 0 < rec.velocity < math.inf:
-                violations.append(f"channel {ch.sensor_id} axle {i}: velocity {rec.velocity} is not finite and > 0")
+        velocities = [r.velocity for r in records]
+        if shared is None:
+            shared = ch.sensor_id, velocities
+            for i, v in enumerate(velocities):
+                if not 0 < v < math.inf:
+                    violations.append(f"channel {ch.sensor_id} axle {i}: velocity {v} is not finite and > 0")
+        elif len(velocities) == len(shared[1]) and not np.array_equal(velocities, shared[1], equal_nan=True):
+            violations.append(
+                f"channel {ch.sensor_id} velocities {velocities} != channel {shared[0]} velocities {shared[1]}"
+            )
         if 0 < ch.sample_rate < math.inf and ch.n_samples >= 1:
             try:
                 build_label_vector(times, ch.sample_rate, ch.n_samples)
@@ -289,13 +295,14 @@ def _load_passage(pdir: Path) -> Passage:
 def load_dataset(root) -> Dataset:
     """Load and validate every passage directory under ``root``.
 
-    Raises ParseError on malformed files and ValidationError on the first
-    passage violating an invariant or reusing another directory's passage id.
+    Raises FileNotFoundError for a root that does not exist, ParseError on
+    malformed files and ValidationError on the first passage violating an
+    invariant or reusing another directory's passage id.
     """
     root = Path(root)
     dirs: dict[str, Path] = {}  # passage_id -> its directory
     passages = []
-    for pdir in sorted(d for d in root.iterdir() if d.is_dir()) if root.exists() else []:
+    for pdir in sorted(d for d in root.iterdir() if d.is_dir()):
         if not (pdir / "meta.json").exists():
             continue
         passage = _load_passage(pdir)
@@ -331,10 +338,3 @@ def save_passage(passage: Passage, root) -> Path:
         body = "\n".join(repr(float(x)) for x in ch.samples.tolist())
         (pdir / f"sensor_{ch.sensor_id}.csv").write_text(body + "\n", encoding="ascii")
     return pdir
-
-
-def save_dataset(passages, root) -> Path:
-    root = Path(root)
-    for p in passages:
-        save_passage(p, root)
-    return root

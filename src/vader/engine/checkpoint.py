@@ -6,7 +6,8 @@ parameter shapes, optimizer step counter and the RNG seed the run started
 from. Loading refuses a network whose record, layers or parameters differ,
 and manifests older than version 2, which had no ``model`` record. Values
 are widened to float64 on save and narrowed back on load, which is
-lossless for float32 training, so a save/load cycle is bit-exact.
+lossless for float32 training, so a save/load cycle is bit-exact; loading
+refuses a value, weight or moment, that is not finite in the network's dtype.
 """
 
 from __future__ import annotations
@@ -129,6 +130,10 @@ def load_checkpoint(stem, network: Network, store: ParamStore | None = None) -> 
     if len(raw) != 8 * need:
         raise CheckpointError(f"{stem}: expected {8 * need} bytes of values, found {len(raw)}")
     flat = np.frombuffer(raw, dtype="<f8")
+    limit = np.finfo(network.dtype).max
+    if not (-limit <= flat.min() and flat.max() <= limit):  # False for a NaN, which min and max return
+        bad = flat[~(np.abs(flat) <= limit)][0]
+        raise CheckpointError(f"{stem}: value {bad} is not finite in {np.dtype(network.dtype).name}")
 
     def take(offset, target):
         for arr, size in zip(target, sizes):

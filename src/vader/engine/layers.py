@@ -582,9 +582,6 @@ class Network:
         for p in self.params():
             p.grad[...] = 0
 
-    def param_count(self) -> int:
-        return int(sum(p.value.size for p in self.params()))
-
     def init_params(self, seed: int) -> None:
         ss = np.random.SeedSequence(seed)
         children = ss.spawn(len(self.nodes))

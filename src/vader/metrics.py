@@ -38,11 +38,10 @@ class PeakConfig:
 
 @dataclass(frozen=True)
 class MatchedPair:
-    """One accepted (label, prediction) pair with its spatial error."""
+    """The predicted peak of one accepted (label, prediction) pair, with its
+    spatial error."""
 
-    label_index: int
     peak_index: int
-    velocity: float  # meters per sample
     error_cm: float
 
 
@@ -135,9 +134,7 @@ def match_axles(
         if label_used[a] or peak_used[b]:
             continue
         label_used[a] = peak_used[b] = True
-        pairs.append(
-            MatchedPair(int(labels[a]), int(peaks[b]), float(vels[a]), float(cand_err[k]))
-        )
+        pairs.append(MatchedPair(int(peaks[b]), float(cand_err[k])))
     tp = len(pairs)
     return MatchResult(tp=tp, fp=int(peaks.size - tp), fn=int(labels.size - tp), pairs=tuple(pairs))
 

@@ -65,12 +65,6 @@ class SplitPlan:
                 ids.extend(f)
         return tuple(sorted(ids))
 
-    def all_ids(self) -> tuple[str, ...]:
-        ids = list(self.test_ids)
-        for f in self.folds:
-            ids.extend(f)
-        return tuple(sorted(ids))
-
     def to_json(self) -> str:
         payload = {
             "scenario": self.scenario.value,

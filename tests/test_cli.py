@@ -114,6 +114,26 @@ def test_missing_dataset_exits_2(tmp_path):
     assert run("split", "--dataset", str(tmp_path / "nope"), "--out", str(tmp_path / "s.json")) == 2
 
 
+@pytest.mark.parametrize("command", ["eval", "detect"])
+def test_missing_or_empty_dataset_exits_2(trained, tmp_path, capsys, command):
+    """A dataset root that does not exist or is a file, and one without a
+    passage, are data errors naming the root: no score of nothing, no empty
+    detections."""
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "out"
+    for dataset, says in (
+        (tmp_path / "typo", "No such file or directory"),
+        (tmp_path / "file", "Not a directory"),
+        (empty, "no passages"),
+    ):
+        assert run(command, "--dataset", str(dataset), "--checkpoint", str(trained / "model"), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(dataset) in err and says in err
+        assert not out.exists()
+
+
 def test_data_error_exits_2(tmp_path):
     # single axle count cannot satisfy the holdout scenario
     root = tmp_path / "one"
@@ -174,7 +194,7 @@ def test_train_writes_weights_only(workspace, trained, tmp_path):
     """``train`` saves no optimizer moments; a checkpoint that holds them, as
     earlier versions of ``train`` wrote, still evaluates to the same report."""
     network, _ = load_vader(trained / "model")
-    assert (trained / "model.bin").stat().st_size == 8 * network.param_count()
+    assert (trained / "model.bin").stat().st_size == 8 * sum(p.value.size for p in network.params())
     assert not json.loads((trained / "model.json").read_text())["has_adam"]
     with_moments = tmp_path / "with_moments" / "model"
     save_checkpoint(with_moments, network, ParamStore(network.params()), seed=7)
@@ -364,6 +384,10 @@ def test_malformed_split_exits_2(workspace, tmp_path):
         "train", "--dataset", str(workspace / "data" / "passages"), "--split", str(split),
         "--out", str(tmp_path / "train"),
     ) == 2
+    assert run(
+        "train", "--dataset", str(workspace / "data" / "passages"), "--split", str(tmp_path),
+        "--out", str(tmp_path / "train"),
+    ) == 2
     assert not (tmp_path / "train" / "run.json").exists()
 
 
@@ -383,6 +407,12 @@ def _edit_manifest(stem, edit):
     path.write_text(json.dumps(manifest))
 
 
+def _fill_bin(stem, value):
+    """Overwrite every value of the checkpoint's .bin with ``value``."""
+    path = stem.with_suffix(".bin")
+    path.write_bytes(np.full(path.stat().st_size // 8, value, dtype="<f8").tobytes())
+
+
 CHECKPOINT_DAMAGE = {
     "truncated_json": lambda stem: stem.with_suffix(".json").write_text(
         stem.with_suffix(".json").read_text()[:200]
@@ -398,6 +428,8 @@ CHECKPOINT_DAMAGE = {
     "layers_differ": lambda stem: _edit_manifest(stem, lambda m: m["layers"].pop()),
     "no_bin": lambda stem: stem.with_suffix(".bin").unlink(),
     "short_bin": lambda stem: stem.with_suffix(".bin").write_bytes(stem.with_suffix(".bin").read_bytes()[:-3]),
+    "nan_bin": lambda stem: _fill_bin(stem, np.nan),
+    "beyond_float32_bin": lambda stem: _fill_bin(stem, 1e39),
 }
 
 
@@ -414,6 +446,8 @@ def test_malformed_checkpoint_exits_2(workspace, trained, tmp_path, capsys, dama
     assert err.startswith("data error:")
     if damage == "version_1":
         assert "retrain" in err
+    if damage in ("nan_bin", "beyond_float32_bin"):
+        assert "is not finite in float32" in err
 
 
 def test_config_file_then_abbreviated_flag(tmp_path):
@@ -581,8 +615,7 @@ def test_decreasing_crossing_times_exit_2(workspace, trained, tmp_path, capsys):
     ids=["rate_nan", "rate_inf", "velocity_nan", "velocity_inf"],
 )
 def test_non_finite_meta_exits_2(workspace, trained, tmp_path, capsys, field, value, fault):
-    """A non-finite rate or velocity is named once per channel, and is not
-    scored."""
+    """A non-finite rate or velocity is named once, and is not scored."""
 
     def write_value(pdir):
         meta = json.loads((pdir / "meta.json").read_text())
@@ -596,8 +629,7 @@ def test_non_finite_meta_exits_2(workspace, trained, tmp_path, capsys, field, va
     code = run("eval", "--dataset", str(data), "--checkpoint", str(trained / "model"), "--out", str(tmp_path / "eval"))
     assert code == 2
     err = capsys.readouterr().err
-    channels = len(json.loads((data / "passage_00000" / "meta.json").read_text())["crossing_times"])
-    assert err.count(fault) == channels and err.count(";") == channels - 1
+    assert err.count(fault) == 1 and ";" not in err
     assert not (tmp_path / "eval").exists()
 
 
@@ -789,12 +821,13 @@ def _mutate_csv(data, text, meta):
 def contract_files(workspace, trained, tmp_path_factory):
     """A private copy of the workspace passages, split and checkpoint, and the
     four files the contract test mutates: the meta.json and sensor CSV of a
-    test passage, the split JSON and the checkpoint's model.json."""
+    passage of fold 0, which fold 0's training and evaluation both read, the
+    split JSON and the checkpoint's model.json."""
     root = tmp_path_factory.mktemp("contract")
     shutil.copytree(workspace / "data" / "passages", root / "passages")
     shutil.copy(workspace / "split.json", root / "split.json")
     stem = _copy_checkpoint(trained, root / "ckpt")
-    pdir = root / "passages" / json.loads((root / "split.json").read_text())["test"][0]
+    pdir = root / "passages" / json.loads((root / "split.json").read_text())["folds"][0][0]
     files = {
         "meta": pdir / "meta.json",
         "csv": pdir / "sensor_s0.csv",
@@ -821,9 +854,10 @@ CONTRACT_TARGETS = {
 def test_mutated_input_exits_1_or_2(contract_files, data):
     """Contract: a meta.json, sensor CSV, split JSON or model.json with a value
     of another JSON type, a non-finite number, a missing key or a truncated
-    body makes eval return 1 or 2, and no exception escapes main. detect,
-    which reads its inputs through another path, must do the same for every
-    file but the split, which it does not read."""
+    body makes eval return 1 or 2, and no exception escapes main. detect and
+    train, which read their inputs through other paths, must do the same for
+    every file they read: detect all but the split, train all but the
+    model."""
     root, files = contract_files
     name = data.draw(st.sampled_from(sorted(files)))
     original = files[name].read_text()
@@ -831,17 +865,24 @@ def test_mutated_input_exits_1_or_2(contract_files, data):
         mutated = _mutate_csv(data, original, json.loads(files["meta"].read_text()))
     else:
         mutated = _mutate_json(data, original, CONTRACT_TARGETS[name])
-    # the mutated passage is a test passage, so only a split mutation may
-    # evaluate a fold instead
-    ids = data.draw(st.sampled_from(["test", "0", "1", "2", "3", "4"])) if name == "split" else "test"
+    # the mutated passage is one of fold 0, so only a split mutation may
+    # evaluate another set instead
+    ids = data.draw(st.sampled_from(["test", "0", "1", "2", "3", "4"])) if name == "split" else "0"
     inputs = ["--dataset", str(root / "passages"), "--checkpoint", str(files["model"].with_suffix(""))]
     files[name].write_text(mutated)
     try:
         codes = [run("eval", *inputs, "--split", str(files["split"]), "--ids", ids, "--out", str(root / "eval"))]
         if name != "split":
             codes.append(run("detect", *inputs, "--out", str(root / "detections.csv")))
+        if name != "model":
+            codes.append(run(
+                "train", "--dataset", str(root / "passages"), "--split", str(files["split"]), "--kernel-size", "5",
+                "--pool-steps", "2", "--base-width", "4", "--epochs", "1", "--batch-size", "4",
+                "--out", str(root / "train"),
+            ))
     finally:
         files[name].write_text(original)
         shutil.rmtree(root / "eval", ignore_errors=True)
+        shutil.rmtree(root / "train", ignore_errors=True)
         (root / "detections.csv").unlink(missing_ok=True)
     assert all(code in (1, 2) for code in codes)

@@ -17,7 +17,7 @@ from vader.data import (
     crossing_index,
     label_indices,
     load_dataset,
-    save_dataset,
+    save_passage,
     validate_passage,
 )
 from vader.errors import (
@@ -159,6 +159,43 @@ def test_validate_bad_velocity():
     assert any("velocity" in v for v in validate_passage(p))
 
 
+def test_validate_sensors_share_rate_and_velocities():
+    """A rate or a velocity list that differs from the first channel's is
+    one fault of the channel that differs."""
+    a, b = _passage().channels
+    p = _passage(channels=(a, SensorChannel("b", b.samples, 300.0)))
+    assert validate_passage(p) == ["channel b rate 300.0 != channel a rate 600.0"]
+    p = _passage(axles={"a": (AxleRecord(0.5, 0.05), AxleRecord(1.0, 0.05)),
+                        "b": (AxleRecord(0.7, 0.05), AxleRecord(1.2, 0.04))})
+    assert validate_passage(p) == ["channel b velocities [0.05, 0.04] != channel a velocities [0.05, 0.05]"]
+
+
+@pytest.mark.parametrize(
+    "field, value, fault",
+    [
+        ("sample_rate", 0.0, "channel a: sample_rate 0.0 <= 0"),
+        ("sample_rate", float("nan"), "channel a: sample_rate nan is not finite"),
+        ("velocities", -1.0, "channel a axle 0: velocity -1.0 is not finite and > 0"),
+        ("velocities", float("nan"), "channel a axle 0: velocity nan is not finite and > 0"),
+    ],
+    ids=["rate_zero", "rate_nan", "velocity_negative", "velocity_nan"],
+)
+def test_two_sensor_passage_names_a_passage_fault_once(tmp_path, field, value, fault):
+    """meta.json holds one sample rate and one velocity list for all sensors:
+    a fault in either is one violation, not one per sensor."""
+    root = save_passage(_passage(), tmp_path / "ds").parent
+    path = root / "p0" / "meta.json"
+    meta = json.loads(path.read_text())
+    if field == "velocities":
+        meta[field][0] = value
+    else:
+        meta[field] = value
+    path.write_text(json.dumps(meta))
+    with pytest.raises(ValidationError) as err:
+        load_dataset(root)
+    assert str(err.value) == f"{root / 'p0'}: {fault}"
+
+
 def test_validate_decreasing_crossing_times():
     """Axles pass a sensor in order; a record order that disagrees would pair
     each label with another axle's velocity."""
@@ -194,8 +231,14 @@ def test_empty_dataset_dir(tmp_path):
     assert len(ds) == 0
 
 
+def test_missing_dataset_root_is_an_error(tmp_path):
+    with pytest.raises(FileNotFoundError, match="nope"):
+        load_dataset(tmp_path / "nope")
+
+
 def test_round_trip_bit_exact(tmp_path, tiny_passage):
-    root = save_dataset([tiny_passage], tmp_path / "ds")
+    root = tmp_path / "ds"
+    save_passage(tiny_passage, root)
     loaded = load_dataset(root)
     assert len(loaded) == 1
     p = loaded.passages[0]
@@ -208,7 +251,8 @@ def test_round_trip_bit_exact(tmp_path, tiny_passage):
     for sid in p.axles:
         assert p.axles[sid] == tiny_passage.axles[sid]
     # save(load(x)) == load(x) byte for byte
-    again = save_dataset(loaded.passages, tmp_path / "ds2")
+    for p in loaded.passages:
+        save_passage(p, tmp_path / "ds2")
     for f in sorted((tmp_path / "ds").rglob("*")):
         twin = tmp_path / "ds2" / f.relative_to(tmp_path / "ds")
         if f.is_file():
@@ -216,7 +260,7 @@ def test_round_trip_bit_exact(tmp_path, tiny_passage):
 
 
 def test_load_rejects_nonfinite(tmp_path, tiny_passage):
-    root = save_dataset([tiny_passage], tmp_path / "ds")
+    root = save_passage(tiny_passage, tmp_path / "ds").parent
     csv = root / "tiny" / "sensor_s0.csv"
     lines = csv.read_text().split("\n")
     lines[5] = "nan"
@@ -226,7 +270,7 @@ def test_load_rejects_nonfinite(tmp_path, tiny_passage):
 
 
 def test_load_parse_error_names_file_and_line(tmp_path, tiny_passage):
-    root = save_dataset([tiny_passage], tmp_path / "ds")
+    root = save_passage(tiny_passage, tmp_path / "ds").parent
     csv = root / "tiny" / "sensor_s0.csv"
     lines = csv.read_text().split("\n")
     lines[3] = "bogus"
@@ -238,14 +282,14 @@ def test_load_parse_error_names_file_and_line(tmp_path, tiny_passage):
 
 
 def test_load_missing_sensor_file(tmp_path, tiny_passage):
-    root = save_dataset([tiny_passage], tmp_path / "ds")
+    root = save_passage(tiny_passage, tmp_path / "ds").parent
     (root / "tiny" / "sensor_s1.csv").unlink()
     with pytest.raises(ParseError):
         load_dataset(root)
 
 
 def test_load_rejects_duplicate_passage_id(tmp_path, tiny_passage):
-    root = save_dataset([tiny_passage], tmp_path / "ds")
+    root = save_passage(tiny_passage, tmp_path / "ds").parent
     shutil.copytree(root / "tiny", root / "tiny_copy")
     with pytest.raises(ValidationError) as err:
         load_dataset(root)
@@ -254,7 +298,7 @@ def test_load_rejects_duplicate_passage_id(tmp_path, tiny_passage):
 
 
 def test_load_bad_meta_json(tmp_path, tiny_passage):
-    root = save_dataset([tiny_passage], tmp_path / "ds")
+    root = save_passage(tiny_passage, tmp_path / "ds").parent
     (root / "tiny" / "meta.json").write_text("{not json")
     with pytest.raises(ParseError):
         load_dataset(root)
@@ -281,7 +325,7 @@ def test_load_refuses_meta_of_wrong_type(tmp_path, tiny_passage, damage):
     string, the sample rate a number and the axle count an integer (a bool
     is neither, a string no number); anything else is a parse error of
     ``meta.json``."""
-    root = save_dataset([tiny_passage], tmp_path / "ds")
+    root = save_passage(tiny_passage, tmp_path / "ds").parent
     path = root / "tiny" / "meta.json"
     meta = json.loads(path.read_text())
     META_DAMAGE[damage](meta)

@@ -16,7 +16,7 @@ from vader.engine import (
     load_checkpoint,
     save_checkpoint,
 )
-from vader.errors import ShapeMismatch
+from vader.errors import CheckpointError, ShapeMismatch
 from vader.model import VaderConfig, build_vader
 from vader.planner import HyperParams, InputKind
 
@@ -173,6 +173,25 @@ def test_checkpoint_with_moments_loads_weights_without_store(tmp_path):
     assert load_checkpoint(tmp_path / "model", net2)["has_adam"]
     for a, b in zip(net.params(), net2.params()):
         assert np.array_equal(a.value, b.value)
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf, 1e39])
+def test_checkpoint_value_not_finite_in_float32_is_refused(tmp_path, value):
+    """A moment, like a weight, must be finite in the network's dtype, also
+    where the load restores weights only; the network keeps its values."""
+    net = _small_net()
+    save_checkpoint(tmp_path / "model", net, ParamStore(net.params()), seed=17)
+    path = tmp_path / "model.bin"
+    values = np.fromfile(path, dtype="<f8")
+    values[-1] = value  # the last second moment
+    path.write_bytes(values.tobytes())
+    net2 = _small_net()
+    net2.init_params(99)
+    before = [p.value.copy() for p in net2.params()]
+    for store in (ParamStore(net2.params()), None):
+        with pytest.raises(CheckpointError, match="is not finite in float32"):
+            load_checkpoint(tmp_path / "model", net2, store)
+    assert all(np.array_equal(a, p.value) for a, p in zip(before, net2.params()))
 
 
 def test_checkpoint_hash_stability(tmp_path):

@@ -65,7 +65,7 @@ def test_param_count_is_locked():
     }
     for (kind, m), expect in golden.items():
         net = build_vader(_cfg(kind, 9, m, 4, base=16))
-        assert net.param_count() == expect, (kind, m)
+        assert sum(p.value.size for p in net.params()) == expect, (kind, m)
 
 
 def test_widths_double_and_cap():
@@ -151,7 +151,7 @@ def test_checkpoint_manifest_describes_model(tmp_path):
     manifest = read_manifest(tmp_path / "model")
     assert VaderConfig.from_record(manifest["model"]) == cfg
     assert cfg.hyper.mrf == 144
-    assert sum(int(np.prod(p["shape"])) for p in manifest["params"]) == net.param_count()
+    assert sum(int(np.prod(p["shape"])) for p in manifest["params"]) == sum(p.value.size for p in net.params())
     kinds = {layer["kind"] for layer in manifest["layers"]}
     assert {"conv", "max_pool", "group_norm", "relu", "sigmoid", "concat", "add", "transposed_conv"} <= kinds
     loaded, loaded_cfg = load_vader(tmp_path / "model")

@@ -39,7 +39,7 @@ def test_single_axle_zero_noise_matches_forward_model():
 
 def test_label_sum_matches_axles(tiny_passage):
     assert validate_passage(tiny_passage) == []
-    for sid in tiny_passage.sensor_ids:
+    for sid in (ch.sensor_id for ch in tiny_passage.channels):
         assert len(tiny_passage.axles[sid]) == tiny_passage.axle_count == 3
 
 
