@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import timeit
@@ -147,11 +148,14 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 
 def _parse_positions(text: str) -> dict[str, float]:
-    """'s0=4.1,s1=12.3' -> {sensor id: position in m}."""
+    """'s0=4.1,s1=12.3' -> {sensor id: finite position in m}."""
     out = {}
     for part in filter(None, text.split(",")):
         sensor_id, pos = part.split("=")
-        out[sensor_id.strip()] = float(pos)
+        value = float(pos)
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"expected a finite position, got {part!r}")
+        out[sensor_id.strip()] = value
     return out
 
 
@@ -253,9 +257,16 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    stratified = args.scenario == Scenario.STRATIFIED.value
+    # an option of the other scenario would be silently ignored
+    if stratified and args.modal_axles is not None:
+        raise UsageError("--modal-axles applies to --scenario dgps only")
+    if not stratified and args.fraction is not None:
+        raise UsageError("--fraction applies to --scenario stratified only")
     dataset = load_dataset(args.dataset)
-    if args.scenario == Scenario.STRATIFIED.value:
-        plan = stratified_split(dataset, test_fraction=args.fraction, seed=args.seed)
+    if stratified:
+        fraction = DEFAULT_TEST_FRACTION if args.fraction is None else args.fraction
+        plan = stratified_split(dataset, test_fraction=fraction, seed=args.seed)
     else:
         plan = dgps_split(dataset, seed=args.seed, modal_axles=args.modal_axles)
     out = Path(args.out)
@@ -511,7 +522,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("split", parents=[common, seeded], help="build a train/val/test split plan")
     p.add_argument("--dataset", required=True)
     p.add_argument("--scenario", choices=[s.value for s in Scenario], default=Scenario.STRATIFIED.value)
-    p.add_argument("--fraction", type=_parse_fraction, default=DEFAULT_TEST_FRACTION, help="test fraction (stratified)")
+    p.add_argument(
+        "--fraction", type=_parse_fraction, default=None,
+        help=f"test fraction (stratified only; default {DEFAULT_TEST_FRACTION:.4g})",
+    )
     p.add_argument("--modal-axles", type=int, default=None, help="tie override (dgps)")
     p.add_argument("--out", default="split.json")
     p.set_defaults(func=_cmd_split)

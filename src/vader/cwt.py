@@ -12,13 +12,15 @@ steps over [-8*scale, +8*scale] and truncated where the amplitude falls
 below 1e-8 of the peak; same-length output comes from symmetric boundary
 padding.
 
-The correlations run by FFT. The signal is padded symmetrically once, by
-the untruncated half-width of the widest wavelet (a symmetric pad by more
-samples holds every narrower pad as its middle), and transformed once; each
-16-row scalogram is then one inverse FFT of its product with the kernel
-spectra. A kernel is placed in its FFT frame so that the first ``n`` output
-samples are the rows, and every FFT is long enough that none wraps around.
-The kernel spectra of the last two FFT lengths are cached.
+The correlations run by FFT in overlap-save blocks. The signal is padded
+symmetrically once, by the untruncated half-width ``PAD`` of the widest
+wavelet (a symmetric pad by more samples holds every narrower pad as its
+middle). Each ``BLOCK``-sample segment of the padded signal, the next one
+starting ``BLOCK - 2*PAD`` samples later, is transformed once and
+multiplied by one table of all 96 kernel spectra; one inverse FFT then
+gives that segment's first ``BLOCK - 2*PAD`` output samples of every row,
+none wrapped around. The table does not depend on the signal's length and
+is built once per process.
 """
 
 from __future__ import annotations
@@ -66,6 +68,12 @@ DEFAULT_STACK: tuple[WaveletSpec, ...] = (
     WaveletSpec(WaveletFamily.FREQUENCY_BSPLINE, 10.0, 40.0),
 )
 
+#: Symmetric pad of every signal and overlap of consecutive FFT blocks: the
+#: half-width of the widest untruncated wavelet of the stack.
+PAD = max(int(np.floor(WAVELET_HALF_WIDTH * spec.scale_upper)) for spec in DEFAULT_STACK)
+#: FFT length of one block; each block yields ``BLOCK - 2*PAD`` output samples.
+BLOCK = 4096
+
 
 def mother_wavelet(family: WaveletFamily, x: np.ndarray) -> np.ndarray:
     """Evaluate the mother wavelet on dimensionless positions ``x``."""
@@ -91,82 +99,54 @@ def _sampled_wavelet(family: WaveletFamily, scale: float) -> np.ndarray:
     return psi[margin : psi.size - margin]
 
 
-def _fft_length(m: int) -> int:
-    """The smallest ``2**a * 3**b * 5**c >= m``, a length numpy's FFT runs
-    without a slow prime-size pass."""
-    best = 1 << (m - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p = p35
-            while p < m:
-                p *= 2
-            best = min(best, p)
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def _pad_width(specs) -> int:
-    """Half-width of the widest untruncated wavelet of ``specs``."""
-    return max(int(np.floor(WAVELET_HALF_WIDTH * spec.scale_upper)) for spec in specs)
-
-
-@functools.lru_cache(maxsize=2)
-def _kernel_spectra(specs: tuple[WaveletSpec, ...], nfft: int) -> tuple[tuple[np.ndarray, bool], ...]:
-    """Per spec, the read-only ``(16, nfft)`` spectra of its normalised
-    conjugate wavelets and whether they are complex. Tap ``m`` of a wavelet
-    of half-width ``h`` sits at ``h - pad - m`` (mod ``nfft``), so that
-    circular convolution with the padded signal puts the correlation at
-    each original sample's own index."""
-    pad = _pad_width(specs)
-    out = []
-    for spec in specs:
-        frame = np.zeros((N_SCALES, nfft), dtype=np.complex128)
-        is_complex = False
+@functools.cache
+def _kernel_spectra() -> tuple[np.ndarray, np.ndarray]:
+    """The read-only ``(16, 6, BLOCK)`` spectra of the normalised conjugate
+    wavelets of the stack, and per spec whether they are real. Tap ``m``
+    of a wavelet of half-width ``h`` sits at ``h - PAD - m`` (mod ``BLOCK``),
+    so that circular convolution with the ``BLOCK`` padded samples from
+    ``o`` on puts the correlation at original sample ``o + i`` at index
+    ``i``, for every ``i < BLOCK - 2*PAD``."""
+    frame = np.zeros((N_SCALES, len(DEFAULT_STACK), BLOCK), dtype=np.complex128)
+    real = np.ones(len(DEFAULT_STACK), dtype=bool)
+    for k, spec in enumerate(DEFAULT_STACK):
         for j, s in enumerate(spec.scales()):
             psi = _sampled_wavelet(spec.family, s)
             half = psi.size // 2
-            frame[j, (half - pad - np.arange(psi.size)) % nfft] = np.conj(psi) / np.sqrt(s)
-            is_complex |= np.iscomplexobj(psi)
-        spectra = np.fft.fft(frame, axis=1)
-        spectra.flags.writeable = False
-        out.append((spectra, is_complex))
-    return tuple(out)
+            frame[j, k, (half - PAD - np.arange(psi.size)) % BLOCK] = np.conj(psi) / np.sqrt(s)
+            real[k] &= np.isrealobj(psi)
+    spectra = np.fft.fft(frame, axis=-1)
+    spectra.flags.writeable = False
+    real.flags.writeable = False
+    return spectra, real
 
 
-def _scalograms(signal, specs: tuple[WaveletSpec, ...]) -> np.ndarray:
-    """The ``(16, len(specs), n)`` float64 scalograms of ``signal``."""
+def _scalograms(signal) -> np.ndarray:
+    """The ``(16, 6, n)`` float64 scalograms of ``signal``."""
     x = np.asarray(signal, dtype=np.float64).ravel()
     if x.size == 0:
         raise ShapeMismatch("empty signal")
     if not np.all(np.isfinite(x)):
         raise ValidationError("signal contains non-finite samples")
-    padded = np.pad(x, _pad_width(specs), mode="symmetric")
-    nfft = _fft_length(padded.size)
-    spectrum = np.fft.fft(padded, nfft)
-    rows = np.empty((N_SCALES, len(specs), x.size), dtype=np.float64)
-    for k, (spectra, is_complex) in enumerate(_kernel_spectra(specs, nfft)):
-        resp = np.fft.ifft(spectra * spectrum, axis=1)[:, : x.size]
-        rows[:, k] = np.abs(resp) if is_complex else resp.real
+    padded = np.pad(x, PAD, mode="symmetric")
+    spectra, real = _kernel_spectra()
+    step = BLOCK - 2 * PAD
+    rows = np.empty((N_SCALES, len(DEFAULT_STACK), x.size), dtype=np.float64)
+    buf = np.empty_like(spectra)
+    for o in range(0, x.size, step):
+        # the last segment is shorter; fft zero-fills it to BLOCK
+        np.multiply(spectra, np.fft.fft(padded[o : o + BLOCK], BLOCK), out=buf)
+        resp = np.fft.ifft(buf, axis=-1, out=buf)[..., : min(step, x.size - o)]
+        np.abs(resp, out=rows[..., o : o + step])  # complex families: modulus
+        rows[:, real, o : o + step] = resp[:, real].real
     return rows
-
-
-def cwt(signal, wavelet: WaveletSpec) -> np.ndarray:
-    """Scalogram of shape (16, len(signal)): one row per scale.
-
-    Rows of complex families are reduced to their modulus; real families
-    keep their sign.
-    """
-    return _scalograms(signal, (wavelet,))[:, 0]
 
 
 def spectrogram_stack(signal) -> np.ndarray:
     """The (16, 6, n) float32 input tensor: six scalograms in table order.
     Raises NonFiniteInput, naming the value, for a scalogram value beyond
     float32 range."""
-    stack = _scalograms(signal, DEFAULT_STACK)
+    stack = _scalograms(signal)
     with np.errstate(over="ignore"):  # an overflowing cast is refused below
         out = stack.astype(np.float32)
     finite = np.isfinite(out)

@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import AxleRecord, Dataset, Passage, SensorChannel, save_passage
-from .errors import InvalidConfig
+from .data import AxleRecord, Dataset, Passage, SensorChannel, save_passage, validate_passage
+from .errors import InvalidConfig, ValidationError
 
 #: Minimum assumed distance between two axles (meters).
 MIN_AXLE_SPACING_M = 2.0
@@ -187,8 +187,9 @@ def generate_dataset(
     directory format. Per-passage randomness is derived from the seed and
     the passage index, so any generation order gives the same files. A
     non-finite weight, range bound or noise level is refused before the
-    first passage is drawn, and every passage is generated before the first
-    is saved, so a refused draw writes nothing."""
+    first passage is drawn, and every passage is generated and validated
+    before the first is saved, so a refused draw, or a passage that
+    ``load_dataset`` would refuse (ValidationError), writes nothing."""
     if not axle_count_distribution:
         raise InvalidConfig("axle_count_distribution must be nonempty")
     counts = sorted(axle_count_distribution)
@@ -217,6 +218,9 @@ def generate_dataset(
             seed=int(rng.integers(0, 2**63 - 1)),
             passage_id=f"passage_{i:05d}",
         )
+        violations = validate_passage(passage)
+        if violations:
+            raise ValidationError(f"{passage.passage_id}: " + "; ".join(violations))
         passages.append(passage)
     for passage in passages:
         save_passage(passage, out_dir)

@@ -302,6 +302,10 @@ MALFORMED_VALUES = {
     "fraction_zero_denominator": ["split", "--fraction", "1/0"],
     "fraction_zero": ["split", "--fraction", "0"],
     "detect_position_without_sensor": ["detect", "--sensor-positions", "s0"],
+    "detect_position_inf": ["detect", "--sensor-positions", "s0=0,s1=inf"],
+    "detect_position_nan": ["detect", "--sensor-positions", "s0=nan,s1=12.3"],
+    "split_fraction_under_dgps": ["split", "--scenario", "dgps", "--fraction", "0.9"],
+    "split_modal_axles_under_stratified": ["split", "--modal-axles", "3"],
     "synth_position_not_a_number": ["synth", "--sensor-positions", "a"],
     "synth_n_0": ["synth", "--n", "0"],
     "synth_n_negative": ["synth", "--n", "-3"],
@@ -365,6 +369,15 @@ def test_synth_refused_draw_writes_nothing(tmp_path, capsys):
     out = tmp_path / "synth"
     assert run("synth", "--n", "20", "--spacing-range", "1.9:4", "--seed", "0", "--out", str(out)) == 2
     assert capsys.readouterr().err.startswith("data error:")
+    assert not out.exists()
+
+
+def test_synth_refuses_a_passage_split_would_refuse(tmp_path, capsys):
+    """At 10 Hz two crossings of one draw round to the same sample: every
+    drawn passage is validated before the first is saved."""
+    out = tmp_path / "synth"
+    assert run("synth", "--n", "4", "--fs", "10", "--seed", "1", "--out", str(out)) == 2
+    assert "two crossings map to sample" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -5,16 +5,20 @@ import numpy as np
 import pytest
 
 from vader.cwt import (
+    BLOCK,
     DEFAULT_STACK,
+    PAD,
     WaveletFamily,
     WaveletSpec,
     _kernel_spectra,
     _sampled_wavelet,
     _scalograms,
-    cwt,
     spectrogram_stack,
 )
-from vader.errors import ValidationError
+from vader.errors import NonFiniteInput, ShapeMismatch, ValidationError
+
+#: Output samples of one overlap-save block.
+STEP = BLOCK - 2 * PAD
 
 
 def test_stack_shape_and_order():
@@ -48,19 +52,19 @@ def test_zero_signal_zero_stack():
 def test_real_family_linearity():
     rng = np.random.default_rng(1)
     x = rng.normal(size=300)
-    spec = WaveletSpec(WaveletFamily.GAUSSIAN_1, 0.6, 6.5)
-    base = cwt(x, spec)
-    assert np.allclose(cwt(2.5 * x, spec), 2.5 * base, atol=1e-10)
-    assert np.allclose(cwt(-x, spec), -base, atol=1e-10)
+    k = DEFAULT_STACK.index(WaveletSpec(WaveletFamily.GAUSSIAN_1, 0.6, 6.5))
+    base = _scalograms(x)[:, k]
+    assert np.allclose(_scalograms(2.5 * x)[:, k], 2.5 * base, atol=1e-10)
+    assert np.allclose(_scalograms(-x)[:, k], -base, atol=1e-10)
 
 
 def test_complex_family_modulus_scaling():
     rng = np.random.default_rng(2)
     x = rng.normal(size=300)
-    spec = WaveletSpec(WaveletFamily.COMPLEX_GAUSSIAN_1, 1.0, 8.0)
-    base = cwt(x, spec)
+    k = DEFAULT_STACK.index(WaveletSpec(WaveletFamily.COMPLEX_GAUSSIAN_1, 1.0, 8.0))
+    base = _scalograms(x)[:, k]
     assert np.all(base >= 0.0)
-    assert np.allclose(cwt(-3.0 * x, spec), 3.0 * base, atol=1e-10)
+    assert np.allclose(_scalograms(-3.0 * x)[:, k], 3.0 * base, atol=1e-10)
 
 
 # Frequency (cycles per unit position) at which a wavelet of scale s gives
@@ -102,7 +106,7 @@ def test_sinusoid_peaks_at_matching_scale(spec, j):
     freq = RIDGE_CYCLES[spec.family] / scale
     n = max(3000, int(50 / freq))
     x = np.sin(2 * np.pi * freq * np.arange(n))
-    rows = cwt(x, spec)
+    rows = _scalograms(x)[:, DEFAULT_STACK.index(spec)]
     interior = slice(n // 4, 3 * n // 4)
     strength = np.abs(rows[:, interior]).mean(axis=1)
     assert abs(int(np.argmax(strength)) - j) <= 1
@@ -117,8 +121,9 @@ def test_shift_equivariance_interior():
     x = rng.normal(size=n)
     shifted = np.concatenate([np.zeros(d), x[:-d]])
     spec = WaveletSpec(WaveletFamily.COMPLEX_GAUSSIAN_1, 1.0, 8.0)
-    a = cwt(x, spec)
-    b = cwt(shifted, spec)
+    k = DEFAULT_STACK.index(spec)
+    a = _scalograms(x)[:, k]
+    b = _scalograms(shifted)[:, k]
     # largest support: |x| <= ~4.3 * scale for the gaussian envelope
     margin = int(4.5 * spec.scale_upper) + d
     assert np.allclose(b[:, margin : n - margin], a[:, margin - d : n - margin - d], atol=1e-9)
@@ -139,10 +144,11 @@ def reference_scalogram(x, spec):
     return np.asarray(rows), np.asarray(bounds)
 
 
-@pytest.mark.parametrize("n", [1, 5, 50, 8846])
+@pytest.mark.parametrize("n", [1, 5, 50, STEP - 1, STEP, STEP + 1, 2 * STEP + 1, 8846])
 def test_stack_matches_direct_correlation(n):
-    """The FFT stack against per-scale padding and convolution, for signals
-    shorter and longer than the widest wavelet (801 samples). FFT rounding
+    """The block FFT stack against per-scale padding and convolution, for
+    signals shorter and longer than the widest wavelet (801 samples) and
+    than one block's output (``STEP``), across block seams. FFT rounding
     scales with the input, not with the row: rows of a 1- or 5-sample
     signal are near zero, so the tolerance is relative to each row's bound;
     on the longer signals it also holds relative to the row's own maximum."""
@@ -150,29 +156,38 @@ def test_stack_matches_direct_correlation(n):
     _kernel_spectra.cache_clear()
     stack = spectrogram_stack(x)
     assert spectrogram_stack(x).tobytes() == stack.tobytes()  # cold and cached spectra
-    rows = _scalograms(x, DEFAULT_STACK)
+    rows = _scalograms(x)
     assert np.array_equal(rows.astype(np.float32), stack)
     for k, spec in enumerate(DEFAULT_STACK):
         want, bound = reference_scalogram(x, spec)
-        for got in (rows[:, k], cwt(x, spec)):  # one pad for the stack, one per spec
-            err = np.abs(got - want).max(axis=1)
-            assert np.all(err <= 1e-12 * bound)
-            if n >= 50:
-                assert np.all(err <= 1e-12 * np.abs(want).max(axis=1))
+        err = np.abs(rows[:, k] - want).max(axis=1)
+        assert np.all(err <= 1e-12 * bound)
+        if n >= 50:
+            assert np.all(err <= 1e-12 * np.abs(want).max(axis=1))
+
+
+def test_kernel_table_is_built_once_for_every_length():
+    _kernel_spectra.cache_clear()
+    for n in (300, STEP + 7, 8846):
+        spectrogram_stack(np.random.default_rng(n).normal(size=n))
+    assert _kernel_spectra.cache_info().misses == 1
 
 
 def test_no_nan_for_finite_input():
     rng = np.random.default_rng(4)
     x = rng.normal(size=500) * 1e6
-    for spec in DEFAULT_STACK:
-        assert np.all(np.isfinite(cwt(x, spec)))
+    assert np.all(np.isfinite(_scalograms(x)))
 
 
 def test_rejects_nonfinite():
     x = np.zeros(100)
     x[3] = np.inf
     with pytest.raises(ValidationError):
-        cwt(x, DEFAULT_STACK[0])
+        spectrogram_stack(x)
+    with pytest.raises(ShapeMismatch):
+        spectrogram_stack(np.zeros(0))
+    with pytest.raises(NonFiniteInput, match="not finite in float32"):
+        spectrogram_stack(np.full(100, 1e300))  # finite in float64
 
 
 def test_memory_ratio_is_96():
