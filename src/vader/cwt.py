@@ -13,11 +13,11 @@ below 1e-8 of the peak; same-length output comes from symmetric boundary
 padding.
 
 The correlations run by FFT in overlap-save blocks. The signal is padded
-symmetrically once, by the untruncated half-width ``PAD`` of the widest
-wavelet (a symmetric pad by more samples holds every narrower pad as its
-middle). Each ``BLOCK``-sample segment of the padded signal, the next one
-starting ``BLOCK - 2*PAD`` samples later, is transformed once and
-multiplied by one table of all 96 kernel spectra; one inverse FFT then
+symmetrically once, by the half-width ``PAD`` of the widest sampled
+(truncated) wavelet (a symmetric pad by more samples holds every narrower
+pad as its middle). Each ``BLOCK``-sample segment of the padded signal,
+the next one starting ``BLOCK - 2*PAD`` samples later, is transformed once
+and multiplied by one table of all 96 kernel spectra; one inverse FFT then
 gives that segment's first ``BLOCK - 2*PAD`` output samples of every row,
 none wrapped around. The table does not depend on the signal's length and
 is built once per process.
@@ -68,9 +68,6 @@ DEFAULT_STACK: tuple[WaveletSpec, ...] = (
     WaveletSpec(WaveletFamily.FREQUENCY_BSPLINE, 10.0, 40.0),
 )
 
-#: Symmetric pad of every signal and overlap of consecutive FFT blocks: the
-#: half-width of the widest untruncated wavelet of the stack.
-PAD = max(int(np.floor(WAVELET_HALF_WIDTH * spec.scale_upper)) for spec in DEFAULT_STACK)
 #: FFT length of one block; each block yields ``BLOCK - 2*PAD`` output samples.
 BLOCK = 4096
 
@@ -97,6 +94,12 @@ def _sampled_wavelet(family: WaveletFamily, scale: float) -> np.ndarray:
     # keep the support symmetric around zero
     margin = min(lo, psi.size - 1 - hi)
     return psi[margin : psi.size - margin]
+
+
+#: Symmetric pad of every signal and overlap of consecutive FFT blocks: the
+#: half-width of the widest sampled wavelet of the stack, each range's
+#: widest being at its top scale.
+PAD = max(_sampled_wavelet(spec.family, spec.scale_upper).size // 2 for spec in DEFAULT_STACK)
 
 
 @functools.cache

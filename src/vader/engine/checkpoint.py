@@ -27,6 +27,14 @@ MAGIC = "vader-checkpoint"
 VERSION = 2
 #: Manifest entries that must equal those of the network being loaded into.
 _ARCHITECTURE = ("model", "layers", "params")
+#: The manifest's other entries, each with the test its parsed JSON value
+#: must pass (exact types: no bool is an int) and what that test asks for.
+_SCALARS = {
+    "seed": (lambda v: v is None or type(v) is int, "an integer or null"),
+    "dtype": (lambda v: type(v) is str, "a string"),
+    "step": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
+    "has_adam": (lambda v: type(v) is bool, "true or false"),
+}
 
 
 def _manifest(network: Network, store: ParamStore | None, seed) -> dict:
@@ -89,7 +97,8 @@ def save_checkpoint(stem, network: Network, store: ParamStore | None = None, see
 
 def read_manifest(stem) -> dict:
     """Parse ``<stem>.json``; CheckpointError unless it is a complete manifest
-    of the current version."""
+    of the current version whose entries outside the architecture have their
+    exact JSON types."""
     path = Path(stem).with_suffix(".json")
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
@@ -101,9 +110,12 @@ def read_manifest(stem) -> dict:
         raise CheckpointError(
             f"{path}: checkpoint version {manifest.get('version')} is not {VERSION}; retrain the model"
         )
-    missing = sorted({"step", "has_adam", *_ARCHITECTURE} - manifest.keys())
+    missing = sorted({*_SCALARS, *_ARCHITECTURE} - manifest.keys())
     if missing:
         raise CheckpointError(f"{path}: manifest lacks {', '.join(missing)}")
+    for key, (valid, what) in _SCALARS.items():
+        if not valid(manifest[key]):
+            raise CheckpointError(f"{path}: manifest {key} {manifest[key]!r} is not {what}")
     return manifest
 
 
@@ -146,5 +158,5 @@ def load_checkpoint(stem, network: Network, store: ParamStore | None = None) -> 
     if manifest["has_adam"] and store is not None:
         offset = take(offset, store.m)
         take(offset, store.v)
-        store.step_count = int(manifest["step"])
+        store.step_count = manifest["step"]
     return manifest

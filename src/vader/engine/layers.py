@@ -33,9 +33,10 @@ the block's rows run (channel, shift), as the ``(O, C, 1, kt)`` weight's
 do, a stride-1 one-row kernel's band is a view of the weight: a forward
 pass copies no weight. ``TransposedConvTime`` correlates with a sub-kernel
 of ``stride * c_out`` output channels, one group per output time phase, and
-interleaves the phases (sub-pixel convolution; Shi et al. 2016). A phase's
-taps sit at consecutive shifts, so each phase fills its part of the
-sub-kernel from one strided slice of the weight. The input gradient
+interleaves the phases (sub-pixel convolution; Shi et al. 2016). That
+sub-kernel is the weight zero-extended in time to a multiple of ``stride``
+taps and cut into ``stride``-wide rows: row ``m`` holds shift ``m``'s taps,
+one per phase, in reverse phase order. The input gradient
 correlates ``dy`` with the flipped, channel-swapped kernel under the
 complementary padding (Dumoulin & Visin 2016); the kernel gradient is one
 product of ``dy`` with the block rebuilt from the cached plane, summed back
@@ -244,22 +245,16 @@ class Conv(Layer):
         self.bias = Param(f"{name}.bias", np.zeros(c_out))
         self._freq_pads = ((kf - 1) // 2, kf // 2) if freq_padding == "same" else (0, 0)
         # Time tap j takes input column c to output column stride*c + crop - j,
-        # as correlating the zero-stuffed input padded by `crop` would: output
-        # phase (crop - j) % stride, at input shift ceil((j - crop) / stride).
-        # A phase's taps j0, j0 + stride, ... sit at consecutive shifts, so
-        # each phase is one strided slice of the weight and one plain slice
-        # of the kernel. With stride 1 the shifts are the 'same' padding's.
-        s, taps = self.stride, np.arange(kt)
+        # as correlating the zero-stuffed input padded by `crop` would. With
+        # `lead` zero taps in front of the weight, extended tap J then lands in
+        # output phase stride - 1 - J % stride at shift J // stride - crop //
+        # stride: the sub-pixel kernel is the extended weight cut into
+        # stride-wide rows. With stride 1 the shifts are the 'same' padding's.
+        s = self.stride
         crop = (kt + s - 2) // 2
-        shift = -((crop - taps) // s)
-        slot = shift - shift.min()
-        self._phases = []  # (phase, weight taps, kernel shifts)
-        for p in range(s):
-            j0 = (crop - p) % s
-            if j0 < kt:
-                start = int(slot[j0])
-                self._phases.append((p, slice(j0, None, s), slice(start, start + len(range(j0, kt, s)))))
-        self._time_pads = (-int(shift.min()), int(shift.max()))
+        self._lead = s - 1 - crop % s
+        n = -(-(self._lead + kt) // s)
+        self._time_pads = (crop // s, n - 1 - crop // s)
 
     def init(self, rng):
         fan_in = self.c_in * self.kf * self.kt
@@ -280,16 +275,17 @@ class Conv(Layer):
     def _kernel(self, dtype):
         """The weight as the ``(stride * c_out, c_in, kf, n_shifts)`` kernel of
         a stride-1 correlation whose output channel ``p * c_out + o`` is
-        channel ``o`` at time phase ``p`` (sub-pixel convolution). With
-        stride 1 that kernel is the weight itself."""
+        channel ``o`` at time phase ``p`` (sub-pixel convolution): the weight,
+        zero-extended to ``n_shifts * stride`` taps, cut into rows of
+        ``stride`` taps with the phases reversed. With stride 1 that kernel is
+        the weight itself, a view."""
         w = self.weight.value.astype(dtype, copy=False)
-        if self.stride == 1:
-            return w
-        s, n = self.stride, self._time_pads[0] + self._time_pads[1] + 1
-        k = np.zeros((s, self.c_out, self.c_in, self.kf, n), dtype=dtype)
-        for p, taps, slots in self._phases:
-            k[p, ..., slots] = w[..., taps]
-        return k.reshape(s * self.c_out, self.c_in, self.kf, n)
+        s, O, C, kf, kt = self.stride, self.c_out, self.c_in, self.kf, self.kt
+        n = sum(self._time_pads) + 1
+        if n * s > kt:
+            w, taps = np.zeros((O, C, kf, n * s), dtype), w
+            w[..., self._lead : self._lead + kt] = taps
+        return w.reshape(O, C, kf, n, s)[..., ::-1].transpose(4, 0, 1, 2, 3).reshape(s * O, C, kf, n)
 
     def forward(self, xs, valids, want_cache):
         (x,) = xs
@@ -316,8 +312,8 @@ class Conv(Layer):
         band = dyp @ _block(plane, kt, dyp.shape[1]).T
         del dyp  # before the input gradient builds its own planes
         dk = _unband(band, k.shape, len(plane) // C, self._freq_pads).reshape(s, O, C, kf, kt)
-        for p, taps, slots in self._phases:
-            self.weight.grad[..., taps] += dk[p, ..., slots]
+        dw = dk[::-1].transpose(1, 2, 3, 4, 0).reshape(O, C, kf, -1)  # the cut undone
+        self.weight.grad += dw[..., self._lead : self._lead + self.kt]
         self.bias.grad += dy.sum(axis=(0, 2, 3))
         # The input gradient correlates dy with the flipped, channel-swapped
         # kernel under the complementary padding.

@@ -439,6 +439,21 @@ CHECKPOINT_DAMAGE = {
     "float_pool_steps": lambda stem: _edit_manifest(stem, lambda m: m["model"].update(pool_steps=2.0)),
     "float_base_width": lambda stem: _edit_manifest(stem, lambda m: m["model"].update(base_width=4.5)),
     "layers_differ": lambda stem: _edit_manifest(stem, lambda m: m["layers"].pop()),
+    **{
+        f"{key}_{name}": (lambda stem, key=key, value=value: _edit_manifest(stem, lambda m: m.update({key: value})))
+        for key, name, value in (
+            ("seed", "string", "abc"),
+            ("seed", "float", 1.5),
+            ("seed", "bool", True),
+            ("dtype", "int", 5),
+            ("step", "negative", -4),
+            ("step", "string", "x"),
+            ("step", "bool", False),
+            ("has_adam", "string", "no"),
+            ("has_adam", "int", 1),
+            ("has_adam", "null", None),
+        )
+    },
     "no_bin": lambda stem: stem.with_suffix(".bin").unlink(),
     "short_bin": lambda stem: stem.with_suffix(".bin").write_bytes(stem.with_suffix(".bin").read_bytes()[:-3]),
     "nan_bin": lambda stem: _fill_bin(stem, np.nan),
@@ -461,6 +476,8 @@ def test_malformed_checkpoint_exits_2(workspace, trained, tmp_path, capsys, dama
         assert "retrain" in err
     if damage in ("nan_bin", "beyond_float32_bin"):
         assert "is not finite in float32" in err
+    if damage.startswith(("seed_", "dtype_", "step_", "has_adam_")):
+        assert f"manifest {damage.rsplit('_', 1)[0]} " in err
 
 
 def test_config_file_then_abbreviated_flag(tmp_path):
@@ -850,15 +867,14 @@ def contract_files(workspace, trained, tmp_path_factory):
     return root, files
 
 
-#: The values of each JSON file the contract test may change. Left out is
-#: every manifest entry outside the model record, because its change can be
-#: harmless: nothing reads ``seed`` or ``dtype``, and a ``has_adam`` of
-#: ``null`` still means a weights-only checkpoint. The split's seed is in:
-#: nothing reads it after splitting, but it must still be an integer.
+#: The values of each JSON file the contract test may change. Of the
+#: manifest, the model record and the typed entries beside it are in, but
+#: not ``seed``, whose ``null`` is valid. The split's seed is in: nothing
+#: reads it after splitting, but it must still be an integer.
 CONTRACT_TARGETS = {
     "meta": lambda path: True,
     "split": lambda path: True,
-    "model": lambda path: path[:1] == ("model",),
+    "model": lambda path: path[:1] in (("model",), ("dtype",), ("step",), ("has_adam",)),
 }
 
 

@@ -147,7 +147,7 @@ def reference_scalogram(x, spec):
 @pytest.mark.parametrize("n", [1, 5, 50, STEP - 1, STEP, STEP + 1, 2 * STEP + 1, 8846])
 def test_stack_matches_direct_correlation(n):
     """The block FFT stack against per-scale padding and convolution, for
-    signals shorter and longer than the widest wavelet (801 samples) and
+    signals shorter and longer than the widest wavelet (639 samples) and
     than one block's output (``STEP``), across block seams. FFT rounding
     scales with the input, not with the row: rows of a 1- or 5-sample
     signal are near zero, so the tolerance is relative to each row's bound;
@@ -164,6 +164,12 @@ def test_stack_matches_direct_correlation(n):
         assert np.all(err <= 1e-12 * bound)
         if n >= 50:
             assert np.all(err <= 1e-12 * np.abs(want).max(axis=1))
+
+
+def test_pad_is_the_widest_sampled_half_width():
+    """No kernel of the 96 reaches past ``PAD``, and the widest meets it."""
+    halves = [_sampled_wavelet(spec.family, s).size // 2 for spec in DEFAULT_STACK for s in spec.scales()]
+    assert max(halves) == PAD == 319
 
 
 def test_kernel_table_is_built_once_for_every_length():

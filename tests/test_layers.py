@@ -227,10 +227,17 @@ def _ref_subpixel_kernel(w, s):
     return k.reshape(s * O, C, kf, -1), lo
 
 
-@pytest.mark.parametrize("kt", range(1, 10), ids=lambda kt: f"k{kt}")
-@pytest.mark.parametrize("stride", [2, 3], ids=lambda s: f"s{s}")
+#: Stride 1, a plain Conv, whose time kernels are odd, and every stride the
+#: planner's pool sizes give.
+SUBPIXEL_CASES = [(s, kt) for s in range(1, 6) for kt in (*range(1, 10), 17) if s > 1 or kt % 2]
+
+
+@pytest.mark.parametrize("stride, kt", SUBPIXEL_CASES, ids=[f"s{s}-k{kt}" for s, kt in SUBPIXEL_CASES])
 def test_subpixel_kernel_matches_per_tap_loop(stride, kt):
-    layer = TransposedConvTime(2, 3, 2, kt, stride=stride, name="t")
+    if stride == 1:
+        layer = Conv(2, 3, 2, kt, name="c")
+    else:
+        layer = TransposedConvTime(2, 3, 2, kt, stride=stride, name="t")
     layer.init(RNG)
     ref, lo = _ref_subpixel_kernel(layer.weight.value, stride)
     assert np.array_equal(layer._kernel(np.float64), ref)
@@ -394,8 +401,8 @@ REFERENCE_CASES = {
         f"tconv_s{s}_k{kt}_f{kf}": (
             lambda s=s, kt=kt, kf=kf: TransposedConvTime(3, 2, kf, kt, stride=s, name="t")
         )
-        for s in (2, 3, 4)
-        for kt in (1, 2, 3, 4, 5, 9)
+        for s in (2, 3, 4, 5)
+        for kt in (1, 2, 3, 4, 5, 9, 17)
         for kf in (1, 3)
     },
 }
