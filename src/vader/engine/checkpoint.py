@@ -3,9 +3,9 @@
 The manifest ``<stem>.json`` fully describes the saved network: the
 ``model`` record it was built from (``Network.spec``), the layer topology,
 parameter shapes, optimizer step counter and the RNG seed the run started
-from. Loading refuses a network whose record, layers or parameters differ,
-and manifests older than version 2, which had no ``model`` record. Values
-are widened to float64 on save and narrowed back on load, which is
+from. Loading refuses a network whose dtype, record, layers or parameters
+differ, and manifests older than version 2, which had no ``model`` record.
+Values are widened to float64 on save and narrowed back on load, which is
 lossless for float32 training, so a save/load cycle is bit-exact; loading
 refuses a value, weight or moment, that is not finite in the network's dtype.
 """
@@ -123,12 +123,15 @@ def load_checkpoint(stem, network: Network, store: ParamStore | None = None) -> 
     """Restore parameters into ``network``, and the optimizer moments into
     ``store`` when one is given and the checkpoint holds them.
 
-    The manifest's model record, layers and parameter shapes must equal the
-    target network's (ShapeMismatch otherwise); returns the manifest dict.
+    The manifest's dtype must be the network's (CheckpointError otherwise),
+    and its model record, layers and parameter shapes must equal the target
+    network's (ShapeMismatch otherwise); returns the manifest dict.
     """
     stem = Path(stem)
     manifest = read_manifest(stem)
     expected = _manifest(network, store, None)
+    if manifest["dtype"] != expected["dtype"]:
+        raise CheckpointError(f"{stem}: manifest dtype {manifest['dtype']!r} is not the network's {expected['dtype']}")
     for key in _ARCHITECTURE:
         if manifest[key] != expected[key]:
             raise ShapeMismatch(

@@ -14,13 +14,16 @@ training owns its parameters exclusively. A layer computes in its input's
 dtype; its parameters are float64 until ``Network.add`` gives them the
 network's.
 
-Every convolution pass is one stride-1 correlation, ``_correlate``, and one
-matrix product. The zero-padded input is copied once into a channel-major
-plane: a kernel spanning several frequency rows stacks them with the
-channels into ``F * C`` rows, and a one-row kernel leaves them in the
-columns next to the batch. A transient block stacks the plane's ``kt``
-time-shifted copies, row ``(plane row, shift)``, so it is the plane's
-sliding windows copied once. The kernel becomes a block-Toeplitz
+Every convolution pass is one stride-1 correlation, ``_correlate``: one
+matrix product per ``TILE`` columns. The zero-padded input is copied once
+into a channel-major plane: a kernel spanning several frequency rows stacks
+them with the channels into ``F * C`` rows, and a one-row kernel leaves them
+in the columns next to the batch. A transient block stacks the plane's
+``kt`` time-shifted copies, row ``(plane row, shift)``, so it is the
+plane's sliding windows copied once; it is built for one tile of columns at
+a time, so it never holds more than ``kt * F * C`` rows of ``TILE`` columns
+(14 MB for the spectrogram input convolution), however long the series.
+The kernel becomes a block-Toeplitz
 ("banded") matrix of ``F' * O`` rows whose row ``(fo, o)`` holds the taps
 that reach input row ``fi`` at ``fi - fo + lo`` and zeros elsewhere, so the
 whole correlation is ``band @ block`` (the unrolling of im2col and kn2row,
@@ -38,9 +41,9 @@ sub-kernel is the weight zero-extended in time to a multiple of ``stride``
 taps and cut into ``stride``-wide rows: row ``m`` holds shift ``m``'s taps,
 one per phase, in reverse phase order. The input gradient
 correlates ``dy`` with the flipped, channel-swapped kernel under the
-complementary padding (Dumoulin & Visin 2016); the kernel gradient is one
-product of ``dy`` with the block rebuilt from the cached plane, summed back
-along the band.
+complementary padding (Dumoulin & Visin 2016); the kernel gradient is a
+sum, in column order, of tile products of ``dy`` with the block's tiles
+rebuilt from the cached plane, summed back along the band.
 
 Group norm takes each group's sum and its centred sum of squares as float32
 BLAS reductions (a matrix-vector product over time rows and a batched dot
@@ -68,6 +71,10 @@ from ..errors import MissingForwardCache, NonFiniteInput, ShapeMismatch
 #: clipped into it so the probability contract stays strict where float
 #: arithmetic would saturate, and the focal loss clamps to it before logs.
 PROB_EPS = 1e-7
+#: Columns per product of a convolution pass, so that its shift block holds
+#: at most ``kt * F * C`` rows of ``TILE`` columns however long the series.
+#: At 4096 the detectors' forward is bit-identical to one untiled product.
+TILE = 4096
 
 
 class Param:
@@ -158,15 +165,15 @@ def _plane(x, rows, width, lo=0, slack=0):
     return plane
 
 
-def _block(plane, kt, span):
-    """The first ``span`` columns of the contiguous ``plane`` and its
-    ``kt - 1`` successive one-column shifts, stacked into a transient block
-    whose row ``r * kt + j`` is plane row ``r`` shifted by ``j``: the
-    plane's ``(rows, kt, span)`` sliding windows, copied once; for one shift,
-    a view of the plane itself."""
+def _block(plane, kt, span, start):
+    """The ``span`` columns of the contiguous ``plane`` from column ``start``
+    and their ``kt - 1`` successive one-column shifts, stacked into a
+    transient block whose row ``r * kt + j`` is plane row ``r`` shifted by
+    ``j``: the plane's ``(rows, kt, span)`` sliding windows, copied once; for
+    one shift, a view of the plane itself."""
     r, i = plane.strides
     # numpy checks the windows against the plane's buffer
-    windows = np.ndarray((len(plane), kt, span), plane.dtype, plane, 0, (r, i, i))
+    windows = np.ndarray((len(plane), kt, span), plane.dtype, plane, start * i, (r, i, i))
     return windows.reshape(-1, span)
 
 
@@ -221,7 +228,10 @@ def _correlate(x, w, freq_pads, time_pads):
         raise ShapeMismatch(f"{F + sum(freq_pads)} padded frequency rows, kernel spans {kf}")
     rows, width = _rows(kf, F), T + sum(time_pads)
     plane = _plane(x, rows, width, time_pads[0], kt - 1)
-    y = _band(w, rows, freq_pads) @ _block(plane, kt, plane.shape[1] - kt + 1)
+    band, span = _band(w, rows, freq_pads), plane.shape[1] - kt + 1
+    y = np.empty((len(band), span), dtype=x.dtype)
+    for a in range(0, span, TILE):
+        np.matmul(band, _block(plane, kt, min(TILE, span - a), a), out=y[:, a : a + TILE])
     y = y.reshape(-1, O, N, F // rows, width).transpose(1, 2, 0, 3, 4).reshape(O, N, -1, width)
     return y[..., : width - kt + 1], plane
 
@@ -295,7 +305,8 @@ class Conv(Layer):
         y, plane = _correlate(x.transpose(1, 0, 2, 3), self._kernel(x.dtype), self._freq_pads, self._time_pads)
         s, O, F = self.stride, self.c_out, y.shape[2]
         out = np.empty((N, O, F, T, s), dtype=x.dtype)  # phases interleave in time
-        np.add(y.reshape(s, O, N, F, T).transpose(2, 1, 3, 4, 0), self.bias.value[:, None, None, None], out=out)
+        for p, phase in enumerate(y.reshape(s, O, N, F, T).transpose(0, 2, 1, 3, 4)):  # one strided add each
+            np.add(phase, self.bias.value[:, None, None], out=out[..., p])
         return out.reshape(N, O, F, T * s), valids[0] * s, plane if want_cache else None
 
     def backward(self, cache, dy):
@@ -306,10 +317,12 @@ class Conv(Layer):
         dy_phases = dy.reshape(N, O, F, T, s).transpose(4, 1, 0, 2, 3).reshape(s * O, N, F, T)
         k = self._kernel(dy.dtype)
         kf, kt = k.shape[2:]
-        # dK is one product of dy, laid out as the forward's output plane,
-        # with the block rebuilt from its input plane, summed along the band.
+        # dK: the column-ordered sum of tile products of dy, laid out as the
+        # forward's output plane, with the rebuilt block's tiles; then the band sum.
         dyp = _plane(dy_phases, _rows(kf, F), T + kt - 1)
-        band = dyp @ _block(plane, kt, dyp.shape[1]).T
+        span = dyp.shape[1]
+        tiles = range(0, span, TILE)
+        band = sum(dyp[:, a : a + TILE] @ _block(plane, kt, min(TILE, span - a), a).T for a in tiles)
         del dyp  # before the input gradient builds its own planes
         dk = _unband(band, k.shape, len(plane) // C, self._freq_pads).reshape(s, O, C, kf, kt)
         dw = dk[::-1].transpose(1, 2, 3, 4, 0).reshape(O, C, kf, -1)  # the cut undone

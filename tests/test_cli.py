@@ -446,6 +446,7 @@ CHECKPOINT_DAMAGE = {
             ("seed", "float", 1.5),
             ("seed", "bool", True),
             ("dtype", "int", 5),
+            ("dtype", "float64", "float64"),
             ("step", "negative", -4),
             ("step", "string", "x"),
             ("step", "bool", False),

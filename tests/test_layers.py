@@ -20,6 +20,7 @@ from vader.engine import (
     groupnorm_groups,
     zero_invalid,
 )
+from vader.engine import layers
 from vader.engine.layers import _band
 from vader.errors import MissingForwardCache, ShapeMismatch
 
@@ -432,6 +433,20 @@ def test_conv_over_rows_matches_plain_loop_reference(case):
     _check_against_reference(make(), F)
 
 
+@pytest.mark.parametrize(
+    "make, F",
+    [(REFERENCE_CASES[c], None) for c in sorted(REFERENCE_CASES)] + [ROW_CASES[c] for c in sorted(ROW_CASES)],
+    ids=sorted(REFERENCE_CASES) + sorted(ROW_CASES),
+)
+def test_tiled_conv_matches_plain_loop_reference(monkeypatch, make, F):
+    """Seven-column tiles: tile boundaries inside and across samples, and a
+    remainder tile, in the forward, input-gradient and weight-gradient
+    products."""
+    monkeypatch.setattr(layers, "TILE", 7)
+    layer = make()
+    _check_against_reference(layer, F or (5 if layer.kf > 1 else 1))
+
+
 def _check_against_reference(layer, F):
     rng = np.random.default_rng(7)
     layer.init(rng)
@@ -446,3 +461,38 @@ def _check_against_reference(layer, F):
     for got, want in ((y, ref_y), (dx, ref_dx), (layer.weight.grad, ref_dw), (layer.bias.grad, ref_db)):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-10
+
+
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_conv_transient_does_not_grow_with_series():
+    """The spectrogram input convolution (6 channels, 9x9 kernel over 16
+    rows) builds its shift block one tile at a time: from 2 to 4 tiles of
+    series, the peak of a forward or a backward pass grows by no more than
+    its planes, outputs and gradients do, and not by the ``kt * F * C``
+    block rows of every added column."""
+    C, O, F = 6, 16, 16
+    layer = Conv(C, O, 9, 9, name="c")
+    layer.init(np.random.default_rng(0))
+    peaks = []
+    for T in (2 * layers.TILE, 4 * layers.TILE):
+        x = np.random.default_rng(1).normal(size=(1, C, F, T)).astype(np.float32)
+        valid = np.array([T])
+        fwd = _peak_bytes(lambda: layer.forward([x], [valid], want_cache=False))
+        y, _, cache = layer.forward([x], [valid], want_cache=True)
+        bwd = _peak_bytes(lambda: layer.backward(cache, y))
+        peaks.append((fwd, bwd))
+    added = 2 * layers.TILE * np.dtype(np.float32).itemsize  # bytes per row
+    (fwd2, bwd2), (fwd4, bwd4) = peaks
+    # forward: the input plane, the product and the biased output
+    assert fwd4 - fwd2 <= added * (F * C + 2 * F * O)
+    # backward: the planes of dy for the kernel and the input gradient, the
+    # input gradient's product and its contiguous copy
+    assert bwd4 - bwd2 <= added * (2 * F * O + 2 * F * C)
