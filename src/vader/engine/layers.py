@@ -15,35 +15,44 @@ dtype; its parameters are float64 until ``Network.add`` gives them the
 network's.
 
 Every convolution pass is one stride-1 correlation, ``_correlate``: one
-matrix product per ``TILE`` columns. The zero-padded input is copied once
-into a channel-major plane: a kernel spanning several frequency rows stacks
-them with the channels into ``F * C`` rows, and a one-row kernel leaves them
-in the columns next to the batch. A transient block stacks the plane's
-``kt`` time-shifted copies, row ``(plane row, shift)``, so it is the
-plane's sliding windows copied once; it is built for one tile of columns at
-a time, so it never holds more than ``kt * F * C`` rows of ``TILE`` columns
-(14 MB for the spectrogram input convolution), however long the series.
-The kernel becomes a block-Toeplitz
-("banded") matrix of ``F' * O`` rows whose row ``(fo, o)`` holds the taps
-that reach input row ``fi`` at ``fi - fo + lo`` and zeros elsewhere, so the
-whole correlation is ``band @ block`` (the unrolling of im2col and kn2row,
-applied to time in the block and to frequency in the kernel; Vasudevan et
-al. 2017). The band multiplies its zeros, more of them the narrower the
-kernel is against the rows (about twice the useful work for a 9-row kernel
-over 16 rows, 5.6 times for a 3-row one), in exchange for one well-shaped
-product instead of one thin, memory-bound one per frequency tap. Because
-the block's rows run (channel, shift), as the ``(O, C, 1, kt)`` weight's
-do, a stride-1 one-row kernel's band is a view of the weight: a forward
-pass copies no weight. ``TransposedConvTime`` correlates with a sub-kernel
-of ``stride * c_out`` output channels, one group per output time phase, and
-interleaves the phases (sub-pixel convolution; Shi et al. 2016). That
-sub-kernel is the weight zero-extended in time to a multiple of ``stride``
-taps and cut into ``stride``-wide rows: row ``m`` holds shift ``m``'s taps,
-one per phase, in reverse phase order. The input gradient
-correlates ``dy`` with the flipped, channel-swapped kernel under the
-complementary padding (Dumoulin & Visin 2016); the kernel gradient is a
-sum, in column order, of tile products of ``dy`` with the block's tiles
-rebuilt from the cached plane, summed back along the band.
+matrix product per tile of at most ``TILE`` output columns. The input is
+laid out once as a channel-major plane, each element written once (its time
+pads zeroed, its interior copied; with no pads, as for every 1x1 kernel, at
+batch 1 the plane is a view of the input): a kernel spanning several
+frequency rows stacks them with the channels into ``F * C`` rows, and a
+one-row kernel leaves them in the columns next to the batch. A transient
+block stacks the plane's ``kt`` time-shifted copies, row ``(plane row,
+shift)``, so it is the plane's sliding windows copied once; it is built for
+one tile at a time (whole sample rows, or one row's ``TILE``-column pieces;
+with one shift, any ``TILE`` columns, a view), so it never holds more than
+``kt * F * C`` rows of ``TILE`` columns (14 MB for the spectrogram input
+convolution), however long the series. Only columns that hold output are
+computed: the plane has no slack columns. The kernel becomes a
+block-Toeplitz ("banded") matrix of ``O * F'`` rows whose row ``(o, fo)``
+holds the taps that reach input row ``fi`` at ``fi - fo + lo`` and zeros
+elsewhere, so the whole correlation is ``band @ block`` (the unrolling of
+im2col and kn2row, applied to time in the block and to frequency in the
+kernel; Vasudevan et al. 2017), and for one sample the ``(O, F', T')``
+product already is the output: a stride-1 batch-1 convolution adds its
+bias to it in place, where other strides and batches interleave phases and
+samples into a biased copy. The band multiplies its zeros, more of them the
+narrower the kernel is against the rows (about twice the useful work for a
+9-row kernel over 16 rows, 5.6 times for a 3-row one), in exchange for one
+well-shaped product instead of one thin, memory-bound one per frequency
+tap. Because the block's rows run (channel, shift), as the ``(O, C, 1,
+kt)`` weight's do, a stride-1 one-row kernel's band is a view of the
+weight: a forward pass copies no weight. ``TransposedConvTime`` correlates
+with a sub-kernel of ``stride * c_out`` output channels, one group per
+output time phase, and interleaves the phases (sub-pixel convolution; Shi
+et al. 2016). That sub-kernel is the weight zero-extended in time to a
+multiple of ``stride`` taps and cut into ``stride``-wide rows: row ``m``
+holds shift ``m``'s taps, one per phase, in reverse phase order; the
+forward cache carries it to backward. The input gradient correlates ``dy``
+with the flipped, channel-swapped kernel under the complementary padding
+(Dumoulin & Visin 2016); the kernel gradient is a sum, in column order, of
+tile products of ``dy``, laid out as the forward's product (a view at
+batch 1), with the block's tiles rebuilt from the cached plane, summed back
+along the band.
 
 Group norm takes each group's sum and its centred sum of squares as float32
 BLAS reductions (a matrix-vector product over time rows and a batched dot
@@ -59,6 +68,12 @@ window order (frequency-major), the tie rule of argmax. The decoder's
 frequency max is a max-pool window over every bin and one time step.
 ``Network.forward`` releases each activation after its last consumer, with
 or without caches; a cache holds only what its layer's backward reads.
+Without caches it also tells each layer which of its inputs no later node
+reads (its dead inputs, the cast copy of the network input included):
+ReLU, Add and group norm's centring step write their output into a dead
+input instead of a fresh array. A direct ``Layer.forward`` call and a
+cached forward overwrite no input, so no caller's array and no backward
+cache is ever changed.
 """
 
 from __future__ import annotations
@@ -71,9 +86,10 @@ from ..errors import MissingForwardCache, NonFiniteInput, ShapeMismatch
 #: clipped into it so the probability contract stays strict where float
 #: arithmetic would saturate, and the focal loss clamps to it before logs.
 PROB_EPS = 1e-7
-#: Columns per product of a convolution pass, so that its shift block holds
-#: at most ``kt * F * C`` rows of ``TILE`` columns however long the series.
-#: At 4096 the detectors' forward is bit-identical to one untiled product.
+#: Output columns per product of a convolution pass, so that its shift block
+#: holds at most ``kt * F * C`` rows of ``TILE`` columns however long the
+#: series. At 4096 the benchmark's detection series match one untiled
+#: product bit for bit, but for 4 of 120 raw series (within 1.1e-6).
 TILE = 4096
 
 
@@ -130,7 +146,11 @@ class Layer:
     def config(self) -> dict:
         return {}
 
-    def forward(self, xs, valids, want_cache):
+    def forward(self, xs, valids, want_cache, dead=()):
+        """``(y, valid, cache)`` for the inputs ``xs`` valid up to ``valids``.
+        ``dead`` holds the positions in ``xs`` of inputs that nothing reads
+        afterwards, which the layer may overwrite; every other input is left
+        as it was."""
         raise NotImplementedError
 
     def backward(self, cache, dy):
@@ -150,31 +170,47 @@ def _rows(kf, freq):
     return freq if kf > 1 else 1
 
 
-def _plane(x, rows, width, lo=0, slack=0):
-    """The channel-major ``(C, N, F, T)`` array ``x`` copied into a zero
-    plane: frequency row ``f < rows`` and channel ``c`` make row ``(f, c)``,
-    the remaining frequency rows stay in the columns, each sample row starts
-    at time offset ``lo`` in a row of ``width``, and ``slack`` zero columns
-    follow."""
+def _plane(x, rows, width, lo):
+    """The channel-major ``(C, N, F, T)`` array ``x`` as a plane: frequency
+    row ``f < rows`` and channel ``c`` make row ``(f, c)``, the remaining
+    frequency rows stay in the columns, and each sample row starts at time
+    offset ``lo`` in a row of ``width``. Each element is written once: the
+    pads are zeroed and the interior copied; without pads the plane is a
+    view of ``x`` where its layout allows (a one-row kernel at batch 1)."""
     C, N, F, T = x.shape
-    rest = F // rows
-    span = N * rest * width
-    plane = np.zeros((rows * C, span + slack), dtype=x.dtype)
-    grid = plane[:, :span].reshape(rows, C, N, rest, width)
-    grid[..., lo : lo + T] = x.reshape(C, N, rows, rest, T).transpose(2, 0, 1, 3, 4)
-    return plane
+    grid = x.reshape(C, N, rows, F // rows, T).transpose(2, 0, 1, 3, 4)
+    if width == T:
+        return np.ascontiguousarray(grid).reshape(rows * C, -1)
+    plane = np.empty(grid.shape[:-1] + (width,), dtype=x.dtype)
+    plane[..., :lo] = 0
+    plane[..., lo + T :] = 0
+    plane[..., lo : lo + T] = grid
+    return plane.reshape(rows * C, -1)
 
 
-def _block(plane, kt, span, start):
-    """The ``span`` columns of the contiguous ``plane`` from column ``start``
-    and their ``kt - 1`` successive one-column shifts, stacked into a
-    transient block whose row ``r * kt + j`` is plane row ``r`` shifted by
-    ``j``: the plane's ``(rows, kt, span)`` sliding windows, copied once; for
-    one shift, a view of the plane itself."""
+def _tiles(plane, kt, t_out):
+    """The contiguous ``plane``'s sliding windows, tile by tile. Its sample
+    rows are ``t_out + kt - 1`` columns wide; a tile is at most ``TILE`` of
+    their ``t_out`` output columns (whole sample rows, or one row's
+    ``TILE``-column pieces). Yields each tile's slice of the output columns
+    and its ``(rows, kt, ...)`` windows, which ``reshape(rows * kt, -1)``
+    turns into the tile's transient shift block, row ``r * kt + j`` being
+    plane row ``r`` shifted by ``j``: copied once at the product, so one
+    tile's block is alive at a time; for one shift, a view of the plane."""
+    width = t_out + kt - 1
+    if kt == 1:  # the sample rows run on into each other, as one
+        n_rows, t_out = 1, plane.shape[1]
+    else:
+        n_rows = plane.shape[1] // width
     r, i = plane.strides
     # numpy checks the windows against the plane's buffer
-    windows = np.ndarray((len(plane), kt, span), plane.dtype, plane, start * i, (r, i, i))
-    return windows.reshape(-1, span)
+    windows = np.ndarray((len(plane), kt, n_rows, t_out), plane.dtype, plane, 0, (r, i, width * i, i))
+    step = max(1, TILE // max(t_out, 1))  # sample rows per tile
+    for a in range(0, n_rows, step):
+        for b in range(0, t_out, TILE):
+            tile = windows[:, :, a : a + step, b : b + TILE]
+            start = a * t_out + b
+            yield slice(start, start + tile.shape[2] * tile.shape[3]), tile
 
 
 def _toeplitz(lead, rows, freq_pads, kf, dtype):
@@ -191,9 +227,9 @@ def _toeplitz(lead, rows, freq_pads, kf, dtype):
 
 
 def _band(w, rows, freq_pads):
-    """The ``(O, C, kf, kt)`` kernel as the banded ``(F' * O, rows * C * kt)``
+    """The ``(O, C, kf, kt)`` kernel as the banded ``(O * F', rows * C * kt)``
     matrix of a correlation over ``rows`` stacked frequency rows: row
-    ``(fo, o)``, column ``(fi, c, j)`` holds ``w[o, c, fi - fo + lo, j]``
+    ``(o, fo)``, column ``(fi, c, j)`` holds ``w[o, c, fi - fo + lo, j]``
     inside the band and zero outside. A one-row kernel's band is the weight
     itself, reshaped: a view, no copy, for a contiguous weight."""
     O, C, kf, kt = w.shape
@@ -201,7 +237,7 @@ def _band(w, rows, freq_pads):
         return w.reshape(O, C * kt)
     taps, band = _toeplitz((O, C, kt), rows, freq_pads, kf, w.dtype)
     taps[...] = w.transpose(0, 1, 3, 2)[:, :, :, None, :]
-    return band.transpose(3, 0, 4, 1, 2).reshape(-1, rows * C * kt)
+    return band.transpose(0, 3, 4, 1, 2).reshape(-1, rows * C * kt)
 
 
 def _unband(band, shape, rows, freq_pads):
@@ -211,7 +247,7 @@ def _unband(band, shape, rows, freq_pads):
     if kf == 1:
         return band.reshape(shape)
     taps, view = _toeplitz((O, C, kt), rows, freq_pads, kf, band.dtype)
-    view[...] = band.reshape(-1, O, rows, C, kt).transpose(1, 3, 4, 0, 2)
+    view[...] = band.reshape(O, -1, rows, C, kt).transpose(0, 3, 4, 1, 2)
     return taps.sum(axis=3).transpose(0, 1, 3, 2)
 
 
@@ -219,21 +255,23 @@ def _correlate(x, w, freq_pads, time_pads):
     """Stride-1 correlation of the channel-major ``(C, N, F, T)`` input ``x``,
     zero-padded by the ``(lo, hi)`` pairs, with the ``(O, C, kf, kt)`` kernel
     ``w``: one product of the banded kernel (:func:`_band`) with the block of
-    ``kt`` time shifts of the input plane. Returns the ``(O, N, F', T')``
-    output, a view of the output plane, and the input plane, which has
-    ``kt - 1`` slack columns."""
+    ``kt`` time shifts of the input plane per tile, into output columns only.
+    Returns the ``(O, N, F', T')`` output, a view of the product (at batch 1
+    a contiguous one), and the input plane."""
     C, N, F, T = x.shape
     O, _, kf, kt = w.shape
     if F + sum(freq_pads) < kf:
         raise ShapeMismatch(f"{F + sum(freq_pads)} padded frequency rows, kernel spans {kf}")
     rows, width = _rows(kf, F), T + sum(time_pads)
-    plane = _plane(x, rows, width, time_pads[0], kt - 1)
-    band, span = _band(w, rows, freq_pads), plane.shape[1] - kt + 1
-    y = np.empty((len(band), span), dtype=x.dtype)
-    for a in range(0, span, TILE):
-        np.matmul(band, _block(plane, kt, min(TILE, span - a), a), out=y[:, a : a + TILE])
-    y = y.reshape(-1, O, N, F // rows, width).transpose(1, 2, 0, 3, 4).reshape(O, N, -1, width)
-    return y[..., : width - kt + 1], plane
+    t_out = width - kt + 1
+    plane = _plane(x, rows, width, time_pads[0])
+    band = _band(w, rows, freq_pads)
+    y = np.empty((len(band), N * F // rows * t_out), dtype=x.dtype)
+    for cols, tile in _tiles(plane, kt, t_out):
+        np.matmul(band, tile.reshape(band.shape[1], -1), out=y[:, cols])
+    f_out, rest = len(band) // O, F // rows
+    y = y.reshape(O, f_out, N, rest, t_out).transpose(0, 2, 1, 3, 4).reshape(O, N, f_out * rest, t_out)
+    return y, plane
 
 
 class Conv(Layer):
@@ -297,33 +335,38 @@ class Conv(Layer):
             w[..., self._lead : self._lead + kt] = taps
         return w.reshape(O, C, kf, n, s)[..., ::-1].transpose(4, 0, 1, 2, 3).reshape(s * O, C, kf, n)
 
-    def forward(self, xs, valids, want_cache):
+    def forward(self, xs, valids, want_cache, dead=()):
         (x,) = xs
         N, C, _, T = x.shape
         if C != self.c_in:
             raise ShapeMismatch(f"input has {C} channels, kernel expects {self.c_in}")
-        y, plane = _correlate(x.transpose(1, 0, 2, 3), self._kernel(x.dtype), self._freq_pads, self._time_pads)
+        k = self._kernel(x.dtype)
+        y, plane = _correlate(x.transpose(1, 0, 2, 3), k, self._freq_pads, self._time_pads)
         s, O, F = self.stride, self.c_out, y.shape[2]
+        cache = (plane, k) if want_cache else None
+        if s == 1 and N == 1:  # the contiguous (O, 1, F, T) product is the output
+            out = y.transpose(1, 0, 2, 3)
+            out += self.bias.value[:, None, None]
+            return out, valids[0], cache
         out = np.empty((N, O, F, T, s), dtype=x.dtype)  # phases interleave in time
         for p, phase in enumerate(y.reshape(s, O, N, F, T).transpose(0, 2, 1, 3, 4)):  # one strided add each
             np.add(phase, self.bias.value[:, None, None], out=out[..., p])
-        return out.reshape(N, O, F, T * s), valids[0] * s, plane if want_cache else None
+        return out.reshape(N, O, F, T * s), valids[0] * s, cache
 
     def backward(self, cache, dy):
-        plane = _require(cache)
+        plane, k = _require(cache)
         s, O, C = self.stride, self.c_out, self.c_in
         N, _, F, T = dy.shape
         T //= s
         dy_phases = dy.reshape(N, O, F, T, s).transpose(4, 1, 0, 2, 3).reshape(s * O, N, F, T)
-        k = self._kernel(dy.dtype)
         kf, kt = k.shape[2:]
         # dK: the column-ordered sum of tile products of dy, laid out as the
-        # forward's output plane, with the rebuilt block's tiles; then the band sum.
-        dyp = _plane(dy_phases, _rows(kf, F), T + kt - 1)
-        span = dyp.shape[1]
-        tiles = range(0, span, TILE)
-        band = sum(dyp[:, a : a + TILE] @ _block(plane, kt, min(TILE, span - a), a).T for a in tiles)
-        del dyp  # before the input gradient builds its own planes
+        # forward's product (rows (o, fo), or o with the rows in the columns),
+        # with the rebuilt block's tiles; then the band sum.
+        fb = F if kf > 1 else 1
+        dyc = dy_phases.reshape(s * O, N, fb, F // fb, T).transpose(0, 2, 1, 3, 4).reshape(s * O * fb, -1)
+        band = sum(dyc[:, cols] @ tile.reshape(len(plane) * kt, -1).T for cols, tile in _tiles(plane, kt, T))
+        del dyc  # before the input gradient builds its own planes
         dk = _unband(band, k.shape, len(plane) // C, self._freq_pads).reshape(s, O, C, kf, kt)
         dw = dk[::-1].transpose(1, 2, 3, 4, 0).reshape(O, C, kf, -1)  # the cut undone
         self.weight.grad += dw[..., self._lead : self._lead + self.kt]
@@ -370,7 +413,7 @@ class MaxPool(Layer):
         pf, pt = self.pool_f, self.pool_t
         return [x[:, :, a::pf, b::pt] for a in range(pf) for b in range(pt)]
 
-    def forward(self, xs, valids, want_cache):
+    def forward(self, xs, valids, want_cache, dead=()):
         (x,) = xs
         F, T = x.shape[2:]
         if T % self.pool_t:
@@ -379,8 +422,8 @@ class MaxPool(Layer):
         if fpad:
             x = np.pad(x, ((0, 0), (0, 0), (0, fpad), (0, 0)), constant_values=np.finfo(x.dtype).min)
         views = self._windows(x)
-        y = views[0].copy()
-        for view in views[1:]:
+        y = np.maximum(views[0], views[1]) if len(views) > 1 else views[0].copy()
+        for view in views[2:]:
             np.maximum(y, view, out=y)
         return y, -(-valids[0] // self.pool_t), (x, y, F) if want_cache else None
 
@@ -415,7 +458,7 @@ class GroupNorm(Layer):
     def config(self):
         return {"channels": self.channels, "groups": self.groups, "eps": self.eps}
 
-    def forward(self, xs, valids, want_cache):
+    def forward(self, xs, valids, want_cache, dead=()):
         (x,) = xs
         valid = valids[0]
         N, C, F, T = x.shape
@@ -425,7 +468,8 @@ class GroupNorm(Layer):
         count = (valid.astype(x.dtype) * (C // g) * F).reshape(N, 1)
         # padded tails are zero, so full-row sums equal valid-position sums
         mean = _time_sums(x).reshape(N, g, -1).sum(axis=2) / count
-        y = x.reshape(N, g, -1) - mean[..., None]  # centred, re-zeroed for the squares
+        xg = x.reshape(N, g, -1)
+        y = np.subtract(xg, mean[..., None], out=xg if 0 in dead else None)  # centred, re-zeroed for the squares
         zero_invalid(y.reshape(N, C, F, T), valid)
         inv_std = 1.0 / np.sqrt(_row_dots(y, y) / count + self.eps)
         y = y.reshape(N, C, F, T)
@@ -464,11 +508,10 @@ class GroupNorm(Layer):
 class ReLU(Layer):
     kind = "relu"
 
-    def forward(self, xs, valids, want_cache):
+    def forward(self, xs, valids, want_cache, dead=()):
         (x,) = xs
-        y = np.maximum(x, 0)
         cache = (x > 0) if want_cache else None
-        return y, valids[0], cache
+        return np.maximum(x, 0, out=x if 0 in dead else None), valids[0], cache
 
     def backward(self, cache, dy):
         pos = _require(cache)
@@ -478,7 +521,7 @@ class ReLU(Layer):
 class Sigmoid(Layer):
     kind = "sigmoid"
 
-    def forward(self, xs, valids, want_cache):
+    def forward(self, xs, valids, want_cache, dead=()):
         (x,) = xs
         e = np.exp(-np.abs(x))  # never overflows
         y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
@@ -496,7 +539,7 @@ class Concat(Layer):
 
     kind = "concat"
 
-    def forward(self, xs, valids, want_cache):
+    def forward(self, xs, valids, want_cache, dead=()):
         base = xs[0].shape
         for x in xs[1:]:
             if x.shape[0] != base[0] or x.shape[2:] != base[2:]:
@@ -517,11 +560,12 @@ class Concat(Layer):
 class Add(Layer):
     kind = "add"
 
-    def forward(self, xs, valids, want_cache):
+    def forward(self, xs, valids, want_cache, dead=()):
         a, b = xs
         if a.shape != b.shape:
             raise ShapeMismatch(f"add inputs disagree: {a.shape} vs {b.shape}")
-        return a + b, np.minimum.reduce(valids), ()
+        out = a if 0 in dead else b if 1 in dead else None
+        return np.add(a, b, out=out), np.minimum.reduce(valids), ()
 
     def backward(self, cache, dy):
         return [dy, dy.copy()]
@@ -538,7 +582,7 @@ class TileFreq(Layer):
     def config(self):
         return {"reps": self.reps}
 
-    def forward(self, xs, valids, want_cache):
+    def forward(self, xs, valids, want_cache, dead=()):
         (x,) = xs
         if x.shape[2] != 1:
             raise ShapeMismatch(f"tile expects one frequency bin, got {x.shape[2]}")
@@ -624,7 +668,8 @@ class Network:
         """Run the graph on an ``(N, C, F, T)`` input of any dtype and length,
         valid up to ``valid`` (default ``T``); returns the output, and with
         ``want_cache`` a context for :meth:`backward`. Each activation is
-        released after its last consumer. Raises as :meth:`cast_input`."""
+        released after its last consumer; without caches, that consumer may
+        write its output into it. Raises as :meth:`cast_input`."""
         xp, valid = self.cast_input(x, valid)
         pad = xp.shape[-1] - np.shape(x)[-1]
         last_use = {j: i for i, node in enumerate(self.nodes) for j in node.inputs}
@@ -638,7 +683,9 @@ class Network:
             for j in set(node.inputs):
                 if last_use[j] == i:  # dead after this node; only its cache may keep it
                     del acts[j]
-            y, v, cache = node.layer.forward(xs, vs, want_cache)
+            # without caches, no later reader sees a dead input: the layer may overwrite it
+            dead = () if want_cache else tuple(p for p, j in enumerate(node.inputs) if last_use[j] == i)
+            y, v, cache = node.layer.forward(xs, vs, want_cache, dead)
             del xs
             zero_invalid(y, v)
             acts[i] = y

@@ -294,6 +294,102 @@ def test_forward_leaves_caller_input_unchanged():
     assert np.array_equal(y, net.forward(zeroed, valid=[4]))
 
 
+#: One layer of every kind, with the (channels, frequency rows) of its inputs.
+KIND_CASES = {
+    "conv": (lambda: Conv(3, 4, 1, 1, name="c"), [(3, 5)]),  # at batch 1 its plane is a view of x
+    "transposed_conv": (lambda: TransposedConvTime(3, 2, 3, 4, stride=2, name="t"), [(3, 5)]),
+    "max_pool": (lambda: MaxPool(2, 2), [(3, 5)]),
+    "group_norm": (lambda: GroupNorm(4, 2, name="g"), [(4, 5)]),
+    "relu": (lambda: ReLU(), [(3, 5)]),
+    "sigmoid": (lambda: Sigmoid(), [(3, 5)]),
+    "concat": (lambda: Concat(), [(3, 5), (2, 5)]),
+    "add": (lambda: Add(), [(3, 5), (3, 5)]),
+    "tile_freq": (lambda: TileFreq(4), [(3, 1)]),
+}
+
+
+def test_kind_cases_cover_every_layer_kind():
+    kinds, todo = set(), list(layers.Layer.__subclasses__())
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        kinds.add(cls.kind)
+    assert kinds == set(KIND_CASES)
+
+
+@pytest.mark.parametrize("want_cache", [False, True], ids=["uncached", "cached"])
+@pytest.mark.parametrize("n", [1, 2], ids=["batch1", "batch2"])
+@pytest.mark.parametrize("kind", sorted(KIND_CASES))
+def test_direct_forward_leaves_inputs_unchanged(kind, n, want_cache):
+    """A layer called directly writes into none of its inputs, and its output
+    shares no memory with them: overwriting the output, as the network's
+    valid-length masking does, leaves every input bit-identical."""
+    make, shapes = KIND_CASES[kind]
+    layer = make()
+    if hasattr(layer, "init"):
+        layer.init(RNG)
+    xs = [RNG.normal(size=(n, c, f, 12)) for c, f in shapes]
+    kept = [x.copy() for x in xs]
+    y, _, _ = layer.forward(xs, _full(xs), want_cache)
+    assert layer.kind == kind
+    y[...] = np.nan
+    for x, k in zip(xs, kept):
+        assert np.array_equal(x, k)
+
+
+@pytest.mark.parametrize(
+    "make, dead",
+    [(ReLU, (0,)), (lambda: GroupNorm(4, 2, name="g"), (0,)), (Add, (0,)), (Add, (1,))],
+    ids=["relu", "group_norm", "add_first", "add_second"],
+)
+def test_dead_input_takes_the_output(make, dead):
+    """Given a dead input, ReLU, group norm and Add write their output into it,
+    with the same bits as out of place."""
+    layer = make()
+    n_in = 2 if isinstance(layer, Add) else 1
+    xs = [RNG.normal(size=(1, 4, 3, 12)) for _ in range(n_in)]
+    want, _, _ = layer.forward([x.copy() for x in xs], _full(xs), False)
+    y, _, _ = layer.forward(xs, _full(xs), False, dead)
+    assert np.shares_memory(y, xs[dead[0]]) and np.array_equal(y, want)
+
+
+@pytest.mark.parametrize("n", [1, 2], ids=["batch1", "batch2"])
+def test_uncached_forward_overwrites_only_dead_inputs(n):
+    """Activations read by a ReLU, a group norm or an Add and again by a later
+    node survive them: the uncached forward, whose layers may overwrite dead
+    inputs, equals the cached forward bit for bit."""
+    net = Network(dtype=np.float64)
+    i0 = net.add("r0", ReLU(), [-1])  # the network input is read again by c1
+    i1 = net.add("c1", Conv(1, 4, 1, 1, name="c1"), [-1])
+    i2 = net.add("r2", ReLU(), [i1])  # i1 is read again by g3 and a4
+    i3 = net.add("g3", GroupNorm(4, 2, name="g3"), [i1])
+    i4 = net.add("a4", Add(), [i2, i1])
+    i5 = net.add("a5", Add(), [i3, i4])
+    i6 = net.add("c6", Conv(4, 1, 1, 3, name="c6"), [i5])
+    net.add("a7", Add(), [i0, i6])
+    net.init_params(0)
+    for layer in (net.nodes[i1].layer, net.nodes[i6].layer):
+        layer.bias.value[...] = RNG.normal(size=layer.bias.shape)
+    x = RNG.normal(size=(n, 1, 1, 40))
+    valid = np.array([40, 31][:n])
+    cached, _ = net.forward(x, valid, want_cache=True)
+    assert np.array_equal(net.forward(x, valid), cached)
+
+
+def test_transposed_backward_reuses_forward_kernel(monkeypatch):
+    """Backward takes the sub-pixel kernel from the forward cache: one build
+    per forward-backward pair."""
+    built = []
+    kernel = TransposedConvTime._kernel
+    monkeypatch.setattr(TransposedConvTime, "_kernel", lambda self, dtype: built.append(dtype) or kernel(self, dtype))
+    layer = TransposedConvTime(3, 2, 1, 5, stride=2, name="t")
+    layer.init(RNG)
+    x = _x(2, 3, 1, 12)
+    y, _, cache = layer.forward([x], _full([x]), True)
+    layer.backward(cache, np.ones_like(y))
+    assert len(built) == 1
+
+
 def _first_max_reference(x, pf, pt, dy):
     """Pooling gradient by argmax over each window, flattened frequency-major."""
     dx = np.zeros_like(x)
@@ -475,8 +571,8 @@ def _peak_bytes(run):
 def test_conv_transient_does_not_grow_with_series():
     """The spectrogram input convolution (6 channels, 9x9 kernel over 16
     rows) builds its shift block one tile at a time: from 2 to 4 tiles of
-    series, the peak of a forward or a backward pass grows by no more than
-    its planes, outputs and gradients do, and not by the ``kt * F * C``
+    series, the peak of a batch-1 forward or backward pass grows by no more
+    than its planes, outputs and gradients do, and not by the ``kt * F * C``
     block rows of every added column."""
     C, O, F = 6, 16, 16
     layer = Conv(C, O, 9, 9, name="c")
@@ -491,8 +587,8 @@ def test_conv_transient_does_not_grow_with_series():
         peaks.append((fwd, bwd))
     added = 2 * layers.TILE * np.dtype(np.float32).itemsize  # bytes per row
     (fwd2, bwd2), (fwd4, bwd4) = peaks
-    # forward: the input plane, the product and the biased output
-    assert fwd4 - fwd2 <= added * (F * C + 2 * F * O)
-    # backward: the planes of dy for the kernel and the input gradient, the
-    # input gradient's product and its contiguous copy
-    assert bwd4 - bwd2 <= added * (2 * F * O + 2 * F * C)
+    # forward: the input plane and the product, which takes the bias in place
+    assert fwd4 - fwd2 <= added * (F * C + F * O)
+    # backward: the input gradient's plane of dy and its product; dy as the
+    # kernel gradient reads it and the batch-major input gradient are views
+    assert bwd4 - bwd2 <= added * (F * O + F * C)

@@ -207,8 +207,8 @@ def _recording(network):
     for node in network.nodes:
         fwd, bwd = node.layer.forward, node.layer.backward
 
-        def forward(xs, valids, want_cache, fwd=fwd, name=node.name):
-            out = fwd(xs, valids, want_cache)
+        def forward(xs, valids, want_cache, dead=(), fwd=fwd, name=node.name):
+            out = fwd(xs, valids, want_cache, dead)
             seen.append((name, out[0]))
             return out
 
