@@ -365,7 +365,8 @@ class Conv(Layer):
         # with the rebuilt block's tiles; then the band sum.
         fb = F if kf > 1 else 1
         dyc = dy_phases.reshape(s * O, N, fb, F // fb, T).transpose(0, 2, 1, 3, 4).reshape(s * O * fb, -1)
-        band = sum(dyc[:, cols] @ tile.reshape(len(plane) * kt, -1).T for cols, tile in _tiles(plane, kt, T))
+        tiles = (dyc[:, cols] @ tile.reshape(len(plane) * kt, -1).T for cols, tile in _tiles(plane, kt, T))
+        band = sum(tiles, np.zeros((len(dyc), len(plane) * kt), dyc.dtype))  # a zero-length series has no tiles
         del dyc  # before the input gradient builds its own planes
         dk = _unband(band, k.shape, len(plane) // C, self._freq_pads).reshape(s, O, C, kf, kt)
         dw = dk[::-1].transpose(1, 2, 3, 4, 0).reshape(O, C, kf, -1)  # the cut undone

@@ -55,6 +55,27 @@ class TrainSchedule:
             raise ValueError("stop_patience must be >= plateau_patience")
 
 
+class Plateau:
+    """The schedule's policy: ``step(score)`` returns ``(is_best, stop)``, best
+    being a strict rise. Stop ``stop_patience`` epochs after the best; before
+    that, scale ``lr`` by ``lr_factor`` every ``plateau_patience`` of them."""
+
+    def __init__(self, schedule: TrainSchedule):
+        self.schedule = schedule
+        self.lr = schedule.initial_lr
+        self.best, self.wait = -np.inf, 0  # the best score and the epochs since it
+
+    def step(self, score: float) -> tuple[bool, bool]:
+        if score > self.best:
+            self.best, self.wait = score, 0
+            return True, False
+        self.wait += 1
+        stop = self.wait >= self.schedule.stop_patience
+        if not stop and self.wait % self.schedule.plateau_patience == 0:
+            self.lr *= self.schedule.lr_factor
+        return False, stop
+
+
 @dataclass
 class History:
     """Per-epoch training record."""
@@ -201,17 +222,11 @@ def train(
     fold: int,
     schedule: TrainSchedule = TrainSchedule(),
     seed: int = 0,
-    monitor=None,
     log=None,
 ):
-    """Train one fold; returns ``(network, store, history)``.
-
-    The monitored score is validation F1 at 200 cm (a custom
-    ``monitor(epoch, network) -> float`` can replace it). After
-    ``plateau_patience`` epochs without strict improvement the learning rate
-    is multiplied by ``lr_factor``; after ``stop_patience`` epochs training
-    stops. The returned network carries the weights of the best epoch.
-    """
+    """Train one fold; returns ``(network, store, history)``. Each epoch's
+    validation F1 at 200 cm drives a :class:`Plateau`, the learning rate and
+    stopping rule; the returned network carries the best epoch's weights."""
     train_ids = plan.fold_train_ids(fold)
     val_ids = plan.fold_val_ids(fold)
     if not train_ids or not val_ids:
@@ -231,50 +246,34 @@ def train(
     rng = np.random.Generator(np.random.PCG64(seed))
 
     history = History()
-    best_score = -np.inf
-    best_params: list[np.ndarray] = []
-    lr = schedule.initial_lr
-    lr_wait = 0
-    stop_wait = 0
-
+    plateau = Plateau(schedule)
     for epoch in range(schedule.max_epochs):
         loss_sum = 0.0
         count_sum = 0
         for parts in make_batches(train_samples, schedule.batch_size, rng):
             step_loss, step_count = step_gradient(network, parts)
-            adam_step(store, lr)
+            adam_step(store, plateau.lr)
             loss_sum += step_loss
             count_sum += step_count
 
         val_loss, report = evaluate_samples(network, val_samples)
-        val_f1 = report.f1_200
-        score = monitor(epoch, network) if monitor is not None else val_f1
         history.train_loss.append(float(loss_sum / max(count_sum, 1)))
         history.val_loss.append(val_loss)
-        history.val_f1.append(val_f1)
-        history.learning_rate.append(lr)
+        history.val_f1.append(report.f1_200)
+        history.learning_rate.append(plateau.lr)
         if log is not None:
             log(
                 f"epoch {epoch}: train_loss {history.train_loss[-1]:.6f} "
-                f"val_loss {val_loss:.6f} val_f1 {val_f1:.2f} lr {lr:g}"
+                f"val_loss {val_loss:.6f} val_f1 {history.val_f1[-1]:.2f} lr {plateau.lr:g}"
             )
 
-        if score > best_score:
-            best_score = score
+        is_best, stop = plateau.step(history.val_f1[-1])
+        if is_best:  # always epoch 0: F1 is finite
             history.best_epoch = epoch
             best_params = [p.value.copy() for p in network.params()]
-            lr_wait = 0
-            stop_wait = 0
-        else:
-            lr_wait += 1
-            stop_wait += 1
-            if stop_wait >= schedule.stop_patience:
-                break
-            if lr_wait >= schedule.plateau_patience:
-                lr *= schedule.lr_factor
-                lr_wait = 0
+        if stop:
+            break
 
-    if best_params:
-        for p, value in zip(network.params(), best_params):
-            p.value[...] = value
+    for p, value in zip(network.params(), best_params):
+        p.value[...] = value
     return network, store, history

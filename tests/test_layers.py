@@ -255,6 +255,30 @@ def test_zero_upstream_gradient_gives_zero_param_grads():
     assert np.all(layer.bias.grad == 0)
 
 
+@pytest.mark.parametrize(
+    "make, F",
+    [
+        (lambda: Conv(1, 2, 1, 3, name="c"), 1),
+        (lambda: Conv(2, 3, 3, 3, name="c"), 4),
+        (lambda: TransposedConvTime(1, 2, 1, 4, stride=2, name="t"), 1),
+        (lambda: TransposedConvTime(2, 3, 3, 3, stride=3, name="t"), 4),
+    ],
+    ids=["conv-1d", "conv-2d", "tconv-1d", "tconv-2d"],
+)
+def test_zero_length_backward(make, F):
+    """An empty series has no tiles: the backward pass returns an empty input
+    gradient of the input's shape and leaves the parameter gradients zero."""
+    layer = make()
+    layer.init(RNG)
+    x = np.zeros((1, layer.c_in, F, 0))
+    y, _, cache = layer.forward([x], [0], True)
+    assert y.shape == (1, layer.c_out, F, 0)
+    (dx,) = layer.backward(cache, np.zeros_like(y))
+    assert dx.shape == x.shape
+    assert np.all(layer.weight.grad == 0)
+    assert np.all(layer.bias.grad == 0)
+
+
 def test_network_valid_propagation_batch_equals_single():
     """Padded batches replicate per-sample forwards exactly (see also the
     model-level test on the full detector)."""

@@ -1,12 +1,15 @@
 """Training loop tests: batching, padding neutrality, schedule conformance,
 best-weight restoration, determinism."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vader import model
+from vader import model, training
 from vader.data import Dataset
 from vader.engine import LossConfig, checkpoint_bytes, focal_loss
 from vader.errors import EmptyFold, InvalidHyperParams
@@ -16,10 +19,12 @@ from vader.simulate import DatasetConfig, generate_dataset
 from vader.splits import stratified_split
 from vader.training import (
     PASS_SAMPLES,
+    Plateau,
     Sample,
     TrainSchedule,
     assemble_batch,
     build_samples,
+    evaluate_samples,
     make_batches,
     step_gradient,
     train,
@@ -158,28 +163,130 @@ def _fast_schedule(**kw):
     return TrainSchedule(**defaults)
 
 
-def test_scripted_stagnation_schedule(train_setup):
-    """One improving epoch, then flat: the learning rate drops by 0.3x after
-    three flat epochs and training stops after six, restoring the weights of
-    the best epoch (checkpoint hash equality)."""
+#: One improving epoch, then flat, under ``_fast_schedule(max_epochs=30)``
+#: (plateau 3, stop 6, factor 0.3): the learning rate drops by 0.3x after
+#: three flat epochs and training stops after six.
+STAGNATION = ([1.0] + [0.5] * 20, [0.001] * 4 + [0.0003] * 3, 0)
+
+
+def _scripted_validation(monkeypatch, scores):
+    """Make each epoch's validation F1 the next of ``scores``; returns the
+    list that collects the network's checkpoint bytes at each validation."""
+    snapshots = []
+    real = training.evaluate_samples
+
+    def scripted(network, samples, *args):
+        loss, report = real(network, samples, *args)
+        snapshots.append(checkpoint_bytes(network))
+        return loss, dataclasses.replace(report, f1_200=scores[len(snapshots) - 1])
+
+    monkeypatch.setattr(training, "evaluate_samples", scripted)
+    return snapshots
+
+
+def _drive(plateau, scores):
+    """Step ``plateau`` through ``scores`` until it stops; returns the
+    learning rate each epoch ran at, the best epochs and the stop epoch
+    (None if the scores ran out first)."""
+    lrs, best = [], []
+    for epoch, score in enumerate(scores):
+        lrs.append(plateau.lr)
+        is_best, stop = plateau.step(score)
+        if is_best:
+            best.append(epoch)
+        if stop:
+            return lrs, best, epoch
+    return lrs, best, None
+
+
+def test_scripted_stagnation_schedule(train_setup, monkeypatch):
+    """The stagnation trace, end to end: seven epochs at the scripted
+    learning rates, and the returned network carries the weights of the
+    best epoch (checkpoint hash equality)."""
     dataset, plan = train_setup
-    scripted = [1.0] + [0.5] * 20
-    snapshots = {}
-
-    def monitor(epoch, network):
-        snapshots[epoch] = checkpoint_bytes(network)
-        return scripted[epoch]
-
+    scores, lrs, best_epoch = STAGNATION
+    snapshots = _scripted_validation(monkeypatch, scores)
     net, store, history = train(
-        _tiny_cfg(), dataset, plan, fold=0, schedule=_fast_schedule(max_epochs=30), seed=5,
-        monitor=monitor,
+        _tiny_cfg(), dataset, plan, fold=0, schedule=_fast_schedule(max_epochs=30), seed=5
     )
-    assert len(history.train_loss) == 7  # epochs 0..6; stops after 6 flat epochs
-    assert history.learning_rate == [0.001] * 4 + [pytest.approx(0.0003)] * 3
-    assert history.best_epoch == 0
+    assert len(history.train_loss) == len(snapshots) == 7  # epochs 0..6; stops after 6 flat epochs
+    assert history.learning_rate == [pytest.approx(lr) for lr in lrs]
+    assert history.val_f1 == scores[:7]
+    assert history.best_epoch == best_epoch
     assert hashlib.sha256(checkpoint_bytes(net)).hexdigest() == hashlib.sha256(
-        snapshots[0]
+        snapshots[best_epoch]
     ).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "schedule, scores, lrs, best, stop",
+    [
+        (_fast_schedule(max_epochs=30), STAGNATION[0], STAGNATION[1], [0], 6),
+        # a tie is not best; improving after a decay keeps the decayed rate
+        (
+            _fast_schedule(plateau_patience=1, stop_patience=2),
+            [15.2, 15.2, 15.3, 15.1, 15.1, 99.0],
+            [0.001, 0.001, 0.0003, 0.0003, 0.00009],
+            [0, 2],
+            4,
+        ),
+    ],
+    ids=["stagnation", "short-patience"],
+)
+def test_plateau_scripted_trace(schedule, scores, lrs, best, stop):
+    """The schedule's policy alone, with no network: the learning rate of
+    each epoch, the best epochs and the stop epoch of a scripted score
+    sequence."""
+    got_lrs, got_best, got_stop = _drive(Plateau(schedule), scores)
+    assert got_lrs == [pytest.approx(lr) for lr in lrs]
+    assert (got_best, got_stop) == (best, stop)
+
+
+@st.composite
+def _schedules(draw):
+    plateau = draw(st.integers(1, 5))
+    return TrainSchedule(
+        initial_lr=draw(st.floats(1e-6, 1.0)),
+        lr_factor=draw(st.floats(0.01, 0.99)),
+        plateau_patience=plateau,
+        stop_patience=draw(st.integers(plateau, 12)),
+    )
+
+
+@settings(database=None, deadline=None, max_examples=300)
+@given(schedule=_schedules(), scores=st.lists(st.integers(0, 6).map(float), max_size=40))
+def test_plateau_properties(schedule, scores):
+    """Over any score sequence: best epochs are exactly the strict running
+    maxima (a tie is not best); training stops exactly ``stop_patience``
+    epochs after the last of them; the learning rate never rises, each
+    change is one factor of ``lr_factor``, and the stopping step changes
+    nothing."""
+    plateau = Plateau(schedule)
+    running, last_best = -np.inf, None
+    for epoch, score in enumerate(scores):
+        lr = plateau.lr
+        is_best, stop = plateau.step(score)
+        assert is_best == (score > running)
+        if is_best:
+            running, last_best = score, epoch
+        assert stop == (epoch - last_best == schedule.stop_patience)
+        assert plateau.lr in (lr, lr * schedule.lr_factor)  # lr_factor < 1: never a rise
+        if stop:
+            assert plateau.lr == lr
+            break
+
+
+def test_best_weights_restored_on_the_real_score(train_setup):
+    """With short patience, training stops past its best epoch, and the
+    returned network scores that epoch's validation F1 exactly."""
+    dataset, plan = train_setup
+    net, store, history = train(
+        _tiny_cfg(), dataset, plan, fold=0,
+        schedule=_fast_schedule(plateau_patience=1, stop_patience=2), seed=5,
+    )
+    assert history.best_epoch < len(history.val_f1) - 1
+    samples = build_samples(dataset, plan.fold_val_ids(0), InputKind.RAW)
+    assert evaluate_samples(net, samples)[1].f1_200 == history.val_f1[history.best_epoch]
 
 
 def test_lr_sequence_non_increasing_real_monitor(train_setup):
