@@ -2,9 +2,8 @@
 
 Subcommands: ``plan`` (hyperparameter grid), ``synth`` (dataset generation),
 ``split`` (train/val/test plans), ``train`` (one fold), ``eval`` (metrics
-report), ``detect`` (inference to axle times), ``bench`` (raw vs
-spectrogram cost). Exit codes: 0 success, 1 usage error, 2 data/validation
-error.
+report), ``detect`` (inference to axle times). Exit codes: 0 success,
+1 usage error, 2 data/validation error.
 
 ``train`` writes ``run.json``, ``history.csv`` and the weights-only
 checkpoint ``model.json`` + ``model.bin``, which alone describes the
@@ -23,8 +22,7 @@ right after the subcommand name, before the command line's own: argparse
 checks their types and choices, and a flag given on the command line wins.
 A key the subcommand does not define is a usage error; a switch is on for
 ``true``/``1``/``yes``/``on``. ``--seed`` exists where a seed is read
-(``synth``, ``split``, ``train``, ``bench``) and defaults to ``VADER_SEED``,
-else 0.
+(``synth``, ``split``, ``train``) and defaults to ``VADER_SEED``, else 0.
 """
 
 from __future__ import annotations
@@ -35,18 +33,14 @@ import json
 import math
 import os
 import sys
-import timeit
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .cwt import spectrogram_stack
 from .data import load_dataset, shared_sample_rate
 from .engine import save_checkpoint
 from .errors import DataError, EmptyDataset, VaderError, naming
 from .metrics import PeakConfig, pick_peaks
-from .model import VaderConfig, build_vader, infer, load_vader
+from .model import VaderConfig, infer, load_vader
 from .planner import (
     DEFAULT_F_LOW_CERTAIN,
     DEFAULT_F_LOW_USEFUL,
@@ -172,17 +166,6 @@ def _parse_range(text: str) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def _hyper_from_args(args, input_kind: InputKind) -> HyperParams:
-    return _checked(
-        HyperParams,
-        input_kind=input_kind,
-        kernel_size=args.kernel_size,
-        pool_size=args.pool_size,
-        pool_steps=args.pool_steps,
-        base_width=args.base_width,
-    )
-
-
 # ---------------------------------------------------------------- plan
 
 
@@ -289,7 +272,15 @@ def _cmd_train(args) -> int:
     plan = SplitPlan.from_json(Path(args.split).read_text(encoding="utf-8"))
     fold_ids = plan.fold_train_ids(args.fold) + plan.fold_val_ids(args.fold)
     rate = shared_sample_rate(dataset.by_id(pid) for pid in fold_ids)
-    cfg = VaderConfig(hyper=_hyper_from_args(args, InputKind(args.input_kind)), sample_rate=rate)
+    hyper = _checked(
+        HyperParams,
+        input_kind=InputKind(args.input_kind),
+        kernel_size=args.kernel_size,
+        pool_size=args.pool_size,
+        pool_steps=args.pool_steps,
+        base_width=args.base_width,
+    )
+    cfg = VaderConfig(hyper=hyper, sample_rate=rate)
     schedule = _checked(
         TrainSchedule,
         max_epochs=args.epochs,
@@ -431,43 +422,6 @@ def _cmd_detect(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------- bench
-
-
-def _cmd_bench(args) -> int:
-    out_dir = Path(args.out)
-    rng = np.random.Generator(np.random.PCG64(args.seed))
-    signal = rng.normal(size=args.n_samples).astype(np.float32)
-
-    seconds = {}
-    for kind in InputKind:  # a spectrogram detector's time includes the transform
-        net = build_vader(VaderConfig(_hyper_from_args(args, kind)))
-        net.init_params(args.seed)
-        infer(net, signal)  # warmup
-        # the fastest call, so that one scheduler stall decides nothing
-        seconds[kind] = min(timeit.repeat(lambda: infer(net, signal), number=1, repeat=args.repeats))
-    raw_time, spec_time = seconds[InputKind.RAW], seconds[InputKind.SPECTROGRAM]
-
-    raw_bytes = signal.nbytes
-    stack_bytes = spectrogram_stack(signal).nbytes
-    result = {
-        "n_samples": args.n_samples,
-        "raw_inference_s": raw_time,
-        "cwt_plus_spectrogram_inference_s": spec_time,
-        "speedup": spec_time / raw_time,
-        "raw_input_bytes": raw_bytes,
-        "spectrogram_input_bytes": stack_bytes,
-        "memory_ratio": stack_bytes / raw_bytes,
-    }
-    _write_run_json(out_dir, "bench", args)
-    (out_dir / "bench.json").write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
-    print(
-        f"raw {raw_time*1e3:.1f} ms vs transform+spectrogram {spec_time*1e3:.1f} ms "
-        f"({result['speedup']:.1f}x); input bytes ratio {result['memory_ratio']:.0f}x"
-    )
-    return 0
-
-
 # ---------------------------------------------------------------- parser
 
 
@@ -482,11 +436,6 @@ def build_parser() -> _Parser:
     common.add_argument("--config", help="flat key = value config file")
     seeded = _Parser(add_help=False)
     seeded.add_argument("--seed", type=int, default=None, help="RNG seed (default: VADER_SEED, else 0)")
-    network = _Parser(add_help=False)
-    network.add_argument("--kernel-size", type=int, default=9)
-    network.add_argument("--pool-size", type=int, default=2)
-    network.add_argument("--pool-steps", type=int, default=4)
-    network.add_argument("--base-width", type=int, default=HyperParams.base_width)
     peaks = _Parser(add_help=False)
     peaks.add_argument("--min-confidence", type=float, default=PeakConfig.min_confidence)
     peaks.add_argument("--min-distance", type=int, default=PeakConfig.min_distance)
@@ -530,7 +479,11 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="split.json")
     p.set_defaults(func=_cmd_split)
 
-    p = sub.add_parser("train", parents=[common, seeded, network], help="train one cross-validation fold")
+    p = sub.add_parser("train", parents=[common, seeded], help="train one cross-validation fold")
+    p.add_argument("--kernel-size", type=int, default=9)
+    p.add_argument("--pool-size", type=int, default=2)
+    p.add_argument("--pool-steps", type=int, default=4)
+    p.add_argument("--base-width", type=int, default=HyperParams.base_width)
     p.add_argument("--dataset", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--fold", type=int, default=0)
@@ -565,12 +518,6 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--out", default="detections.csv")
     p.set_defaults(func=_cmd_detect)
-
-    p = sub.add_parser("bench", parents=[common, seeded, network], help="raw vs spectrogram cost on one signal")
-    p.add_argument("--n-samples", type=_positive_int, default=7200)
-    p.add_argument("--repeats", type=_positive_int, default=3, help="timed calls per detector; the fastest counts")
-    p.add_argument("--out", default="bench_out")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

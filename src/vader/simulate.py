@@ -186,10 +186,11 @@ def generate_dataset(
     """Draw ``n_passages`` i.i.d. passages and write them in the canonical
     directory format. Per-passage randomness is derived from the seed and
     the passage index, so any generation order gives the same files. A
-    non-finite weight, range bound or noise level is refused before the
-    first passage is drawn, and every passage is generated and validated
-    before the first is saved, so a refused draw, or a passage that
-    ``load_dataset`` would refuse (ValidationError), writes nothing."""
+    non-finite weight, range bound or noise level, or a range whose low
+    bound exceeds its high bound, is refused before the first passage is
+    drawn, and every passage is generated and validated before the first
+    is saved, so a refused draw, or a passage that ``load_dataset`` would
+    refuse (ValidationError), writes nothing."""
     if not axle_count_distribution:
         raise InvalidConfig("axle_count_distribution must be nonempty")
     counts = sorted(axle_count_distribution)
@@ -200,8 +201,11 @@ def generate_dataset(
         raise InvalidConfig(f"distribution weights must be finite, >= 0 and sum > 0, got {probs.tolist()}")
     probs = probs / probs.sum()
     for name in ("speed_range", "spacing_range", "load_range", "frequency_range", "noise_std"):
-        if not np.all(np.isfinite(getattr(config, name))):
-            raise InvalidConfig(f"{name} must be finite, got {getattr(config, name)}")
+        value = getattr(config, name)
+        if not np.all(np.isfinite(value)):
+            raise InvalidConfig(f"{name} must be finite, got {value}")
+        if name.endswith("_range") and value[0] > value[1]:
+            raise InvalidConfig(f"{name} low bound {value[0]} exceeds high bound {value[1]}")
 
     out_dir = Path(out_dir)
     passages = []

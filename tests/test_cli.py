@@ -208,17 +208,11 @@ def test_train_writes_weights_only(workspace, trained, tmp_path):
     assert reports[0] == reports[1]
 
 
-def test_bench_reports_memory_ratio_96(tmp_path):
+def test_bench_is_an_unknown_subcommand(tmp_path, capsys):
     out = tmp_path / "bench"
-    code = run(
-        "bench", "--n-samples", "1200", "--base-width", "4", "--repeats", "3",
-        "--seed", "0", "--out", str(out),
-    )
-    assert code == 0
-    result = json.loads((out / "bench.json").read_text())
-    assert result["memory_ratio"] == 96.0
-    assert result["raw_input_bytes"] == 1200 * 4
-    assert result["speedup"] > 1.0
+    assert run("bench", "--out", str(out)) == 1
+    assert "invalid choice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_defaults_and_flag_override(tmp_path):
@@ -315,11 +309,7 @@ MALFORMED_VALUES = {
     "train_lr_inf": ["train", "--lr", "inf"],
     "eval_ids_without_split": ["eval", "--ids", "0"],
     "train_kernel_size_0": ["train", "--kernel-size", "0"],
-    "bench_pool_size_1": ["bench", "--pool-size", "1"],
-    "bench_repeats_0": ["bench", "--repeats", "0"],
-    "bench_repeats_negative": ["bench", "--repeats", "-1"],
-    "bench_n_samples_0": ["bench", "--n-samples", "0"],
-    "bench_n_samples_negative": ["bench", "--n-samples", "-5"],
+    "train_pool_size_1": ["train", "--pool-size", "1"],
     "plan_empty_kernel_sizes": ["plan", "--kernel-sizes", ","],
 }
 
@@ -360,6 +350,15 @@ def test_synth_non_finite_value_exits_2(tmp_path, capsys, flag):
     out = tmp_path / "synth"
     assert run("synth", "--n", "2", flag, "--out", str(out)) == 2
     assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("quantity", ["speed", "spacing", "frequency"])
+def test_synth_reversed_range_exits_2(tmp_path, capsys, quantity):
+    out = tmp_path / "synth"
+    assert run("synth", "--n", "2", f"--{quantity}-range=50:10", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and f"{quantity}_range low bound 50.0 exceeds high bound 10.0" in err
     assert not out.exists()
 
 
@@ -579,16 +578,11 @@ def test_plan_receptive_field_overflow_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "bench"])
-def test_even_kernel_size_exits_2(workspace, tmp_path, capsys, command):
+def test_even_kernel_size_exits_2(workspace, tmp_path, capsys):
     """An even kernel has no centre tap for a 'same' convolution: the planner
-    calls it invalid, and train and bench refuse it before writing anything."""
+    calls it invalid, and train refuses it before writing anything."""
     out = tmp_path / "out"
-    if command == "train":
-        code = _train(workspace, out, kernel_size=4)
-    else:
-        code = run("bench", "--kernel-size", "4", "--n-samples", "64", "--out", str(out))
-    assert code == 2
+    assert _train(workspace, out, kernel_size=4) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "kernel_size 4 must be odd and exceed pool_size 2" in err
     assert not out.exists()
