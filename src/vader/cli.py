@@ -38,7 +38,7 @@ from pathlib import Path
 from . import __version__
 from .data import load_dataset, shared_sample_rate
 from .engine import save_checkpoint
-from .errors import DataError, EmptyDataset, VaderError, naming
+from .errors import DataError, EmptyDataset, UnknownId, VaderError, naming
 from .metrics import PeakConfig, pick_peaks
 from .model import VaderConfig, infer, load_vader
 from .planner import (
@@ -397,6 +397,13 @@ def _cmd_detect(args) -> int:
     peak_cfg = _checked(PeakConfig, args.min_confidence, args.min_distance)
     selected = [dataset.by_id(args.passage)] if args.passage else list(dataset)
     passages = _selection(args.dataset, selected, cfg.sample_rate)
+    sensors = sorted({ch.sensor_id for p in passages for ch in p.channels})
+    unknown = sorted(set(args.sensor_positions) - set(sensors))
+    if unknown:
+        raise UnknownId(
+            f"--sensor-positions names sensor {unknown[0]!r}, which no selected passage has "
+            f"(sensor ids: {', '.join(sensors)})"
+        )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     tmp = out.with_name(out.name + ".tmp")

@@ -124,8 +124,10 @@ def _kernel_spectra() -> tuple[np.ndarray, np.ndarray]:
     return spectra, real
 
 
-def _scalograms(signal) -> np.ndarray:
-    """The ``(16, 6, n)`` float64 scalograms of ``signal``."""
+def _scalograms(signal):
+    """The float64 scalograms of ``signal``, one FFT block at a time: yields
+    ``(o, rows)``, the fresh ``(16, 6, m)`` rows of samples ``o`` to
+    ``o + m``."""
     x = np.asarray(signal, dtype=np.float64).ravel()
     if x.size == 0:
         raise ShapeMismatch("empty signal")
@@ -134,26 +136,33 @@ def _scalograms(signal) -> np.ndarray:
     padded = np.pad(x, PAD, mode="symmetric")
     spectra, real = _kernel_spectra()
     step = BLOCK - 2 * PAD
-    rows = np.empty((N_SCALES, len(DEFAULT_STACK), x.size), dtype=np.float64)
     buf = np.empty_like(spectra)
     for o in range(0, x.size, step):
         # the last segment is shorter; fft zero-fills it to BLOCK
         np.multiply(spectra, np.fft.fft(padded[o : o + BLOCK], BLOCK), out=buf)
         resp = np.fft.ifft(buf, axis=-1, out=buf)[..., : min(step, x.size - o)]
-        np.abs(resp, out=rows[..., o : o + step])  # complex families: modulus
-        rows[:, real, o : o + step] = resp[:, real].real
-    return rows
+        rows = np.empty(resp.shape, dtype=np.float64)
+        for k, is_real in enumerate(real):
+            if is_real:
+                rows[:, k] = resp[:, k].real
+            else:  # complex family: modulus
+                np.abs(resp[:, k], out=rows[:, k])
+        yield o, rows
 
 
 def spectrogram_stack(signal) -> np.ndarray:
-    """The (16, 6, n) float32 input tensor: six scalograms in table order.
-    Raises NonFiniteInput, naming the value, for a scalogram value beyond
-    float32 range."""
-    stack = _scalograms(signal)
-    with np.errstate(over="ignore"):  # an overflowing cast is refused below
-        out = stack.astype(np.float32)
-    finite = np.isfinite(out)
-    if not finite.all():
-        raise NonFiniteInput(f"spectrogram value {float(stack[~finite][0])!r} is not finite in float32")
+    """The (16, 6, n) float32 input tensor: six scalograms in table order,
+    each block's float64 rows cast into it as they come. Raises
+    NonFiniteInput, naming the value, for a scalogram value beyond float32
+    range."""
+    x = np.asarray(signal, dtype=np.float64).ravel()
+    out = np.empty((N_SCALES, len(DEFAULT_STACK), x.size), dtype=np.float32)
+    for o, rows in _scalograms(x):
+        block = out[..., o : o + rows.shape[-1]]
+        with np.errstate(over="ignore"):  # an overflowing cast is refused below
+            block[...] = rows
+        finite = np.isfinite(block)
+        if not finite.all():
+            raise NonFiniteInput(f"spectrogram value {float(rows[~finite][0])!r} is not finite in float32")
     return out
 

@@ -14,45 +14,41 @@ training owns its parameters exclusively. A layer computes in its input's
 dtype; its parameters are float64 until ``Network.add`` gives them the
 network's.
 
-Every convolution pass is one stride-1 correlation, ``_correlate``: one
-matrix product per tile of at most ``TILE`` output columns. The input is
-laid out once as a channel-major plane, each element written once (its time
-pads zeroed, its interior copied; with no pads, as for every 1x1 kernel, at
-batch 1 the plane is a view of the input): a kernel spanning several
-frequency rows stacks them with the channels into ``F * C`` rows, and a
-one-row kernel leaves them in the columns next to the batch. A transient
-block stacks the plane's ``kt`` time-shifted copies, row ``(plane row,
-shift)``, so it is the plane's sliding windows copied once; it is built for
-one tile at a time (whole sample rows, or one row's ``TILE``-column pieces;
-with one shift, any ``TILE`` columns, a view), so it never holds more than
-``kt * F * C`` rows of ``TILE`` columns (14 MB for the spectrogram input
-convolution), however long the series. Only columns that hold output are
-computed: the plane has no slack columns. The kernel becomes a
-block-Toeplitz ("banded") matrix of ``O * F'`` rows whose row ``(o, fo)``
-holds the taps that reach input row ``fi`` at ``fi - fo + lo`` and zeros
-elsewhere, so the whole correlation is ``band @ block`` (the unrolling of
-im2col and kn2row, applied to time in the block and to frequency in the
-kernel; Vasudevan et al. 2017), and for one sample the ``(O, F', T')``
-product already is the output: a stride-1 batch-1 convolution adds its
-bias to it in place, where other strides and batches interleave phases and
-samples into a biased copy. The band multiplies its zeros, more of them the
-narrower the kernel is against the rows (about twice the useful work for a
-9-row kernel over 16 rows, 5.6 times for a 3-row one), in exchange for one
-well-shaped product instead of one thin, memory-bound one per frequency
-tap. Because the block's rows run (channel, shift), as the ``(O, C, 1,
-kt)`` weight's do, a stride-1 one-row kernel's band is a view of the
-weight: a forward pass copies no weight. ``TransposedConvTime`` correlates
-with a sub-kernel of ``stride * c_out`` output channels, one group per
-output time phase, and interleaves the phases (sub-pixel convolution; Shi
-et al. 2016). That sub-kernel is the weight zero-extended in time to a
-multiple of ``stride`` taps and cut into ``stride``-wide rows: row ``m``
-holds shift ``m``'s taps, one per phase, in reverse phase order; the
-forward cache carries it to backward. The input gradient correlates ``dy``
-with the flipped, channel-swapped kernel under the complementary padding
-(Dumoulin & Visin 2016); the kernel gradient is a sum, in column order, of
-tile products of ``dy``, laid out as the forward's product (a view at
-batch 1), with the block's tiles rebuilt from the cached plane, summed back
-along the band.
+Every convolution pass is one stride-1 correlation, ``_correlate``, run
+tile by tile so that it allocates nothing that grows with the series but
+its output: a tile is whole sample rows, or one row's pieces, of as many
+output columns as keep its shift block, and any product beside the output,
+within ``BLOCK`` elements. A kernel spanning several frequency rows stacks
+them with the channels into ``F * C`` rows; a one-row kernel leaves them as
+sample rows beside the batch. Each tile copies its input columns and ``kt -
+1`` halo columns (zero beyond the series) into a padded segment, whose
+``kt`` sliding windows, copied once, are the block, row ``(input row,
+shift)``; with one shift, the block is the tile's columns, a view of the
+input where their layout allows. The kernel becomes a block-Toeplitz
+("banded") matrix of ``O * F'`` rows whose row ``(o, fo)`` holds the taps
+that reach input row ``fi`` at ``fi - fo + lo`` and zeros elsewhere, so a
+tile's correlation is ``band @ block`` (the unrolling of im2col and kn2row,
+applied to time in the block and to frequency in the kernel; Vasudevan et
+al. 2017). For one sample at stride 1 the ``(O, F', T')`` products are the
+output, which takes the bias in place; other strides and batches write each
+tile's phases and samples, with the bias, into the output. The band
+multiplies its zeros, more of them the narrower the kernel is against the
+rows (about twice the useful work for a 9-row kernel over 16 rows, 5.6
+times for a 3-row one), in exchange for one well-shaped product instead of
+one thin, memory-bound one per frequency tap. Because the block's rows run
+(channel, shift), as the ``(O, C, 1, kt)`` weight's do, a stride-1 one-row
+kernel's band is a view of the weight: a forward pass copies no weight.
+``TransposedConvTime`` correlates with a sub-kernel of ``stride * c_out``
+output channels, one group per output time phase, and interleaves the
+phases (sub-pixel convolution; Shi et al. 2016). That sub-kernel is the
+weight zero-extended in time to a multiple of ``stride`` taps and cut into
+``stride``-wide rows: row ``m`` holds shift ``m``'s taps, one per phase, in
+reverse phase order. The forward cache holds it and the layer's input. The
+input gradient correlates ``dy``, its phases as channels, with the flipped,
+channel-swapped kernel under the complementary padding (Dumoulin & Visin
+2016); the kernel gradient is a sum, in tile order, of products of ``dy``'s
+tiles, gathered as the forward's products, with the blocks rebuilt from the
+input, summed back along the band.
 
 Group norm takes each group's sum and its centred sum of squares as float32
 BLAS reductions (a matrix-vector product over time rows and a batched dot
@@ -78,6 +74,8 @@ cache is ever changed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import MissingForwardCache, NonFiniteInput, ShapeMismatch
@@ -86,11 +84,10 @@ from ..errors import MissingForwardCache, NonFiniteInput, ShapeMismatch
 #: clipped into it so the probability contract stays strict where float
 #: arithmetic would saturate, and the focal loss clamps to it before logs.
 PROB_EPS = 1e-7
-#: Output columns per product of a convolution pass, so that its shift block
-#: holds at most ``kt * F * C`` rows of ``TILE`` columns however long the
-#: series. At 4096 the benchmark's detection series match one untiled
-#: product bit for bit, but for 4 of 120 raw series (within 1.1e-6).
-TILE = 4096
+#: Elements (4 MiB of float32) that a convolution tile's shift block, and a
+#: tile product that is not the pass's output, may each hold: a tile takes
+#: as many output columns as keep both within it, however long the series.
+BLOCK = 1 << 20
 
 
 class Param:
@@ -164,53 +161,62 @@ def _require(cache):
 
 
 def _rows(kf, freq):
-    """Frequency rows a plane stacks along its row axis: every row for a
+    """Frequency rows a tile stacks along its row axis: every row for a
     kernel spanning several, none for a one-row kernel, whose rows stay
-    batch columns."""
+    sample rows."""
     return freq if kf > 1 else 1
 
 
-def _plane(x, rows, width, lo):
-    """The channel-major ``(C, N, F, T)`` array ``x`` as a plane: frequency
-    row ``f < rows`` and channel ``c`` make row ``(f, c)``, the remaining
-    frequency rows stay in the columns, and each sample row starts at time
-    offset ``lo`` in a row of ``width``. Each element is written once: the
-    pads are zeroed and the interior copied; without pads the plane is a
-    view of ``x`` where its layout allows (a one-row kernel at batch 1)."""
-    C, N, F, T = x.shape
-    grid = x.reshape(C, N, rows, F // rows, T).transpose(2, 0, 1, 3, 4)
-    if width == T:
-        return np.ascontiguousarray(grid).reshape(rows * C, -1)
-    plane = np.empty(grid.shape[:-1] + (width,), dtype=x.dtype)
-    plane[..., :lo] = 0
-    plane[..., lo + T :] = 0
-    plane[..., lo : lo + T] = grid
-    return plane.reshape(rows * C, -1)
+def _parts(grid, a, k, cols):
+    """Sample rows ``a`` to ``a + k`` of the ``(..., N, rest, T)`` array
+    ``grid``, whose sample row ``n * rest + r`` is ``grid[..., n, r, :]``,
+    in the columns ``cols``: one ``(tile rows, view)`` pair per sample."""
+    rest, i = grid.shape[-2], a
+    while i < a + k:
+        n, r = divmod(i, rest)
+        m = min(a + k - i, rest - r)
+        yield slice(i - a, i - a + m), grid[..., n, r : r + m, cols]
+        i += m
 
 
-def _tiles(plane, kt, t_out):
-    """The contiguous ``plane``'s sliding windows, tile by tile. Its sample
-    rows are ``t_out + kt - 1`` columns wide; a tile is at most ``TILE`` of
-    their ``t_out`` output columns (whole sample rows, or one row's
-    ``TILE``-column pieces). Yields each tile's slice of the output columns
-    and its ``(rows, kt, ...)`` windows, which ``reshape(rows * kt, -1)``
-    turns into the tile's transient shift block, row ``r * kt + j`` being
-    plane row ``r`` shifted by ``j``: copied once at the product, so one
-    tile's block is alive at a time; for one shift, a view of the plane."""
-    width = t_out + kt - 1
-    if kt == 1:  # the sample rows run on into each other, as one
-        n_rows, t_out = 1, plane.shape[1]
-    else:
-        n_rows = plane.shape[1] // width
-    r, i = plane.strides
-    # numpy checks the windows against the plane's buffer
-    windows = np.ndarray((len(plane), kt, n_rows, t_out), plane.dtype, plane, 0, (r, i, width * i, i))
-    step = max(1, TILE // max(t_out, 1))  # sample rows per tile
+def _block(grid, a, k, b, w, lo, kt):
+    """The shift block of the tile of sample rows ``a`` to ``a + k`` and
+    output columns ``b`` to ``b + w`` over the ``(rows, ..., N, rest, T)``
+    input ``grid`` zero-padded by ``lo`` columns in front: row ``(r, c, j)``
+    is input row ``(r, c)`` shifted by ``j``."""
+    i0, i1 = max(b - lo, 0), min(b - lo + w + kt - 1, grid.shape[-1])  # the series' columns in it
+    parts = list(_parts(grid, a, k, slice(i0, i1)))
+    if kt == 1 and len(parts) == 1:  # no halo: the tile's columns, a view where they allow
+        return parts[0][1].reshape(-1, k * w)
+    seg = np.empty(grid.shape[:-3] + (k, w + kt - 1), grid.dtype)  # padded: the windows' copy is the block
+    seg[..., : i0 - b + lo] = 0
+    seg[..., i1 - b + lo :] = 0
+    for part, src in parts:
+        seg[..., part, i0 - b + lo : i1 - b + lo] = src
+    i, width = seg.itemsize, w + kt - 1
+    windows = np.ndarray((seg.size // (k * width), kt, k, w), seg.dtype, seg, 0, (k * width * i, i, width * i, i))
+    return windows.reshape(-1, k * w)
+
+
+def _tiles(x, rows, kt, lo, t_out, n_out):
+    """The tiles of a stride-1 correlation of the channel-major ``(..., N,
+    F, T)`` input ``x`` (its channels may span several axes), zero-padded by
+    ``lo`` columns in front: ``F`` splits into ``rows`` stacked rows and
+    ``F // rows`` sample rows of ``t_out`` output columns. A tile's columns
+    keep its block and an ``n_out``-row product within ``BLOCK`` elements.
+    Yields ``(a, k, cols, block)`` for sample rows ``a`` to ``a + k`` and
+    output columns ``cols``; a caller drops the block before the next."""
+    *chan, N, F, T = x.shape
+    d = len(chan)
+    grid = x.reshape(*chan, N, rows, F // rows, T).transpose(d + 1, *range(d + 1), d + 2, d + 3)
+    n_rows = N * (F // rows)
+    cap = max(1, BLOCK // max(rows * math.prod(chan) * kt, n_out))  # output columns per tile
+    step, width = max(1, cap // max(t_out, 1)), max(1, min(cap, t_out))
     for a in range(0, n_rows, step):
-        for b in range(0, t_out, TILE):
-            tile = windows[:, :, a : a + step, b : b + TILE]
-            start = a * t_out + b
-            yield slice(start, start + tile.shape[2] * tile.shape[3]), tile
+        k = min(step, n_rows - a)
+        for b in range(0, t_out, width):
+            w = min(width, t_out - b)
+            yield a, k, slice(b, b + w), _block(grid, a, k, b, w, lo, kt)
 
 
 def _toeplitz(lead, rows, freq_pads, kf, dtype):
@@ -251,27 +257,47 @@ def _unband(band, shape, rows, freq_pads):
     return taps.sum(axis=3).transpose(0, 1, 3, 2)
 
 
-def _correlate(x, w, freq_pads, time_pads):
-    """Stride-1 correlation of the channel-major ``(C, N, F, T)`` input ``x``,
-    zero-padded by the ``(lo, hi)`` pairs, with the ``(O, C, kf, kt)`` kernel
-    ``w``: one product of the banded kernel (:func:`_band`) with the block of
-    ``kt`` time shifts of the input plane per tile, into output columns only.
-    Returns the ``(O, N, F', T')`` output, a view of the product (at batch 1
-    a contiguous one), and the input plane."""
-    C, N, F, T = x.shape
-    O, _, kf, kt = w.shape
+def _product_view(a, stride, f_out):
+    """The ``(N, O, F, stride * T)`` array ``a`` laid out as a correlation's
+    product, ``(stride, O, f_out, N, F // f_out, T)``: phase ``p`` of time
+    step ``t`` is column ``stride * t + p``. A view."""
+    N, O, F, T = a.shape
+    return a.reshape(N, O, f_out, F // f_out, T // stride, stride).transpose(5, 1, 2, 0, 3, 4)
+
+
+def _correlate(x, w, freq_pads, time_pads, stride=1, bias=None):
+    """Stride-1 correlation of the channel-major ``(..., N, F, T)`` input
+    ``x``, zero-padded by the ``(lo, hi)`` pairs, with the ``(stride * O, C,
+    kf, kt)`` kernel ``w``, plus ``bias``: one product of the banded kernel
+    (:func:`_band`) with each tile's shift block (:func:`_tiles`). Returns
+    the ``(N, O, F', stride * T')`` output, in which kernel channel ``p * O
+    + o`` is channel ``o`` at time phase ``p``. At batch 1 and stride 1 the
+    products are written into it and the bias added in place; otherwise
+    each tile's product is interleaved into it with the bias."""
+    *_, N, F, T = x.shape
+    K, _, kf, kt = w.shape
     if F + sum(freq_pads) < kf:
         raise ShapeMismatch(f"{F + sum(freq_pads)} padded frequency rows, kernel spans {kf}")
-    rows, width = _rows(kf, F), T + sum(time_pads)
-    t_out = width - kt + 1
-    plane = _plane(x, rows, width, time_pads[0])
+    rows, t_out = _rows(kf, F), T + sum(time_pads) - kt + 1
     band = _band(w, rows, freq_pads)
-    y = np.empty((len(band), N * F // rows * t_out), dtype=x.dtype)
-    for cols, tile in _tiles(plane, kt, t_out):
-        np.matmul(band, tile.reshape(band.shape[1], -1), out=y[:, cols])
-    f_out, rest = len(band) // O, F // rows
-    y = y.reshape(O, f_out, N, rest, t_out).transpose(0, 2, 1, 3, 4).reshape(O, N, f_out * rest, t_out)
-    return y, plane
+    f_out = len(band) // K
+    out = np.empty((N, K // stride, f_out * F // rows, stride * t_out), x.dtype)
+    flat = out.reshape(len(band), -1) if N == 1 and stride == 1 else None  # the product's layout
+    view = _product_view(out, stride, f_out)
+    for a, k, cols, block in _tiles(x, rows, kt, time_pads[0], t_out, len(band)):
+        start = a * t_out + cols.start
+        prod = np.matmul(band, block, out=None if flat is None else flat[:, start : start + block.shape[1]])
+        if flat is None:  # interleave the tile's phases and samples into the output
+            prod = prod.reshape(view.shape[:3] + (k, -1))
+            for part, dst in _parts(view, a, k, cols):
+                if bias is None:
+                    dst[...] = prod[..., part, :]
+                else:
+                    np.add(prod[..., part, :], bias[:, None, None, None], out=dst)
+        del block, prod  # before the next tile's
+    if flat is not None and bias is not None:
+        out += bias[:, None, None]
+    return out
 
 
 class Conv(Layer):
@@ -337,46 +363,38 @@ class Conv(Layer):
 
     def forward(self, xs, valids, want_cache, dead=()):
         (x,) = xs
-        N, C, _, T = x.shape
-        if C != self.c_in:
-            raise ShapeMismatch(f"input has {C} channels, kernel expects {self.c_in}")
+        if x.shape[1] != self.c_in:
+            raise ShapeMismatch(f"input has {x.shape[1]} channels, kernel expects {self.c_in}")
         k = self._kernel(x.dtype)
-        y, plane = _correlate(x.transpose(1, 0, 2, 3), k, self._freq_pads, self._time_pads)
-        s, O, F = self.stride, self.c_out, y.shape[2]
-        cache = (plane, k) if want_cache else None
-        if s == 1 and N == 1:  # the contiguous (O, 1, F, T) product is the output
-            out = y.transpose(1, 0, 2, 3)
-            out += self.bias.value[:, None, None]
-            return out, valids[0], cache
-        out = np.empty((N, O, F, T, s), dtype=x.dtype)  # phases interleave in time
-        for p, phase in enumerate(y.reshape(s, O, N, F, T).transpose(0, 2, 1, 3, 4)):  # one strided add each
-            np.add(phase, self.bias.value[:, None, None], out=out[..., p])
-        return out.reshape(N, O, F, T * s), valids[0] * s, cache
+        y = _correlate(x.transpose(1, 0, 2, 3), k, self._freq_pads, self._time_pads, self.stride, self.bias.value)
+        return y, valids[0] * self.stride, (x, k) if want_cache else None
 
     def backward(self, cache, dy):
-        plane, k = _require(cache)
+        x, k = _require(cache)
         s, O, C = self.stride, self.c_out, self.c_in
         N, _, F, T = dy.shape
-        T //= s
-        dy_phases = dy.reshape(N, O, F, T, s).transpose(4, 1, 0, 2, 3).reshape(s * O, N, F, T)
         kf, kt = k.shape[2:]
-        # dK: the column-ordered sum of tile products of dy, laid out as the
-        # forward's product (rows (o, fo), or o with the rows in the columns),
-        # with the rebuilt block's tiles; then the band sum.
-        fb = F if kf > 1 else 1
-        dyc = dy_phases.reshape(s * O, N, fb, F // fb, T).transpose(0, 2, 1, 3, 4).reshape(s * O * fb, -1)
-        tiles = (dyc[:, cols] @ tile.reshape(len(plane) * kt, -1).T for cols, tile in _tiles(plane, kt, T))
-        band = sum(tiles, np.zeros((len(dyc), len(plane) * kt), dyc.dtype))  # a zero-length series has no tiles
-        del dyc  # before the input gradient builds its own planes
-        dk = _unband(band, k.shape, len(plane) // C, self._freq_pads).reshape(s, O, C, kf, kt)
+        rows, fb = _rows(kf, x.shape[2]), _rows(kf, F)
+        # dK: the column-ordered sum of tile products of dy, gathered as the
+        # forward's product (rows (p, o, fo), or (p, o) with the rows in the
+        # columns), with the rebuilt blocks; then the band sum.
+        dyv = _product_view(dy, s, fb)
+        band = np.zeros((s * O * fb, rows * C * kt), dy.dtype)  # a zero-length series has no tiles
+        for a, m, cols, block in _tiles(x.transpose(1, 0, 2, 3), rows, kt, self._time_pads[0], T // s, len(band)):
+            dyt = np.empty(dyv.shape[:3] + (m, cols.stop - cols.start), dy.dtype)
+            for part, src in _parts(dyv, a, m, cols):
+                dyt[..., part, :] = src
+            band += dyt.reshape(len(band), -1) @ block.T
+            del block, dyt  # before the next tile's
+        dk = _unband(band, k.shape, rows, self._freq_pads).reshape(s, O, C, kf, kt)
         dw = dk[::-1].transpose(1, 2, 3, 4, 0).reshape(O, C, kf, -1)  # the cut undone
         self.weight.grad += dw[..., self._lead : self._lead + self.kt]
         self.bias.grad += dy.sum(axis=(0, 2, 3))
-        # The input gradient correlates dy with the flipped, channel-swapped
-        # kernel under the complementary padding.
+        # The input gradient correlates dy, its phases as channels, with the
+        # flipped, channel-swapped kernel under the complementary padding.
         pads = [(n - 1 - lo, n - 1 - hi) for n, (lo, hi) in ((kf, self._freq_pads), (kt, self._time_pads))]
-        dx, _ = _correlate(dy_phases, k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), *pads)
-        return [np.ascontiguousarray(dx.transpose(1, 0, 2, 3))]
+        dy_phases = dy.reshape(N, O, F, T // s, s).transpose(4, 1, 0, 2, 3)
+        return [_correlate(dy_phases, k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), *pads)]
 
 
 class TransposedConvTime(Conv):

@@ -50,7 +50,8 @@ class ValidationError(DataError):
 
 
 class UnknownId(DataError):
-    """A passage id or fold index names nothing in the dataset or split plan."""
+    """A passage id, sensor id or fold index names nothing in the dataset or
+    split plan."""
 
 
 class SampleRateMismatch(DataError):

@@ -9,7 +9,6 @@ The standard thresholds are 200 cm (minimum assumed axle separation) and
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -90,14 +89,16 @@ def pick_peaks(probs: np.ndarray, cfg: PeakConfig = PeakConfig()) -> np.ndarray:
     idx, height = idx[qualify], height[qualify]
     # lexsort is stable; primary key height descending, secondary index ascending
     order = np.lexsort((idx, -height))
+    d = cfg.min_distance
+    blocked = bytearray(x.size)  # within min_distance of an accepted peak
+    ones = b"\x01" * min(2 * d - 1, x.size)
     accepted: list[int] = []
-    for i in idx[order]:
-        pos = bisect.bisect_left(accepted, i)
-        if pos > 0 and i - accepted[pos - 1] < cfg.min_distance:
-            continue
-        if pos < len(accepted) and accepted[pos] - i < cfg.min_distance:
-            continue
-        accepted.insert(pos, int(i))
+    for i in idx[order].tolist():
+        if not blocked[i]:
+            accepted.append(i)
+            lo, hi = max(i - d + 1, 0), min(i + d, x.size)
+            blocked[lo:hi] = ones[: hi - lo]
+    accepted.sort()
     return np.asarray(accepted, dtype=int)
 
 

@@ -328,6 +328,29 @@ def test_malformed_value_is_usage_error(workspace, trained, tmp_path, capsys, ca
     assert not (tmp_path / "out").exists()
 
 
+@pytest.fixture(scope="module")
+def two_sensor_passages(tmp_path_factory):
+    root = tmp_path_factory.mktemp("two_sensor")
+    argv = ["synth", "--n", "6", "--sensor-positions", "4.1,12.3", "--seed", "5", "--out", str(root / "data")]
+    assert run(*argv) == 0
+    return root / "data" / "passages"
+
+
+def test_detect_position_of_unknown_sensor_exits_2(two_sensor_passages, trained, tmp_path, capsys):
+    """An id no passage has would leave every velocity blank: it is refused
+    before anything is written."""
+    out = tmp_path / "detections.csv"
+    argv = ["detect", "--dataset", str(two_sensor_passages), "--checkpoint", str(trained / "model"), "--out", str(out)]
+    assert run(*argv, "--sensor-positions", "s0=4.1,S1=12.3") == 2
+    err = capsys.readouterr().err
+    assert "--sensor-positions names sensor 'S1', which no selected passage has (sensor ids: s0, s1)" in err
+    assert not out.exists()
+    assert run(*argv, "--sensor-positions", "s0=4.1,s1=12.3") == 0
+    rows = list(csv.DictReader(out.open()))
+    assert {row["sensor_id"] for row in rows} == {"s0", "s1"}
+    assert any(row["velocity_mps"] for row in rows)
+
+
 def test_malformed_config_value_is_usage_error(workspace, tmp_path, capsys):
     cfg = tmp_path / "split.cfg"
     cfg.write_text("fraction = 1/0\n")

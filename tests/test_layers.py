@@ -559,12 +559,17 @@ def test_conv_over_rows_matches_plain_loop_reference(case):
     ids=sorted(REFERENCE_CASES) + sorted(ROW_CASES),
 )
 def test_tiled_conv_matches_plain_loop_reference(monkeypatch, make, F):
-    """Seven-column tiles: tile boundaries inside and across samples, and a
-    remainder tile, in the forward, input-gradient and weight-gradient
-    products."""
-    monkeypatch.setattr(layers, "TILE", 7)
+    """``BLOCK`` patched so that the forward product takes one-column tiles,
+    five-column pieces of a sample row (tile edges inside the time pads, a
+    remainder piece) and two-row tiles (boundaries inside and across
+    samples, a remainder tile); the gradient products take tiles of other
+    widths."""
     layer = make()
-    _check_against_reference(layer, F or (5 if layer.kf > 1 else 1))
+    F = F or (5 if layer.kf > 1 else 1)
+    band = _band(layer._kernel(np.float64), F if layer.kf > 1 else 1, layer._freq_pads)
+    for columns in (1, 5, 27):
+        monkeypatch.setattr(layers, "BLOCK", columns * max(band.shape))
+        _check_against_reference(make(), F)
 
 
 def _check_against_reference(layer, F):
@@ -594,25 +599,51 @@ def _peak_bytes(run):
 
 def test_conv_transient_does_not_grow_with_series():
     """The spectrogram input convolution (6 channels, 9x9 kernel over 16
-    rows) builds its shift block one tile at a time: from 2 to 4 tiles of
-    series, the peak of a batch-1 forward or backward pass grows by no more
-    than its planes, outputs and gradients do, and not by the ``kt * F * C``
-    block rows of every added column."""
+    rows) builds its shift block one ``BLOCK``-sized tile at a time: from 2
+    to 4 tiles of series, the peak of a batch-1 forward or backward pass
+    grows by its output alone, not by the ``kt * F * C`` block rows, nor by
+    a padded copy of its input, for every added column."""
     C, O, F = 6, 16, 16
     layer = Conv(C, O, 9, 9, name="c")
     layer.init(np.random.default_rng(0))
+    tile = layers.BLOCK // (9 * F * C)  # output columns per tile
     peaks = []
-    for T in (2 * layers.TILE, 4 * layers.TILE):
+    for T in (2 * tile, 4 * tile):
         x = np.random.default_rng(1).normal(size=(1, C, F, T)).astype(np.float32)
         valid = np.array([T])
         fwd = _peak_bytes(lambda: layer.forward([x], [valid], want_cache=False))
         y, _, cache = layer.forward([x], [valid], want_cache=True)
         bwd = _peak_bytes(lambda: layer.backward(cache, y))
         peaks.append((fwd, bwd))
-    added = 2 * layers.TILE * np.dtype(np.float32).itemsize  # bytes per row
+    added = 2 * tile * np.dtype(np.float32).itemsize  # bytes per row
+    objects = 4096  # interpreter objects, which vary by hundreds of bytes between calls
     (fwd2, bwd2), (fwd4, bwd4) = peaks
-    # forward: the input plane and the product, which takes the bias in place
-    assert fwd4 - fwd2 <= added * (F * C + F * O)
-    # backward: the input gradient's plane of dy and its product; dy as the
-    # kernel gradient reads it and the batch-major input gradient are views
-    assert bwd4 - bwd2 <= added * (F * O + F * C)
+    # forward: the output, which the products are written into
+    assert fwd4 - fwd2 <= added * F * O + objects
+    # backward: the input gradient; dy, the cached input and the phases of dy
+    # are read tile by tile
+    assert bwd4 - bwd2 <= added * F * C + objects
+
+
+def test_conv_block_is_capped_in_elements():
+    """A 256 -> 128 channel, 9-tap one-row convolution (the default raw
+    decoder's widest) on a series whose shift block would hold 2,304 rows
+    by 6,000 columns: a batch-1 forward or backward pass holds, beside its
+    output, one ``BLOCK``-element block and a slack: the block's padded
+    segment (``C`` rows of a ninth of its columns and the halo), and three
+    kernel-sized arrays (the flipped kernel's band, the kernel gradient's
+    band and one tile's product)."""
+    C, O, kt, T = 256, 128, 9, 6000
+    layer = Conv(C, O, 1, kt, name="c")
+    Network().add("c", layer, [-1])  # float32 parameters
+    layer.init(np.random.default_rng(0))
+    assert C * kt * T > layers.BLOCK
+    x = np.random.default_rng(1).normal(size=(1, C, 1, T)).astype(np.float32)
+    valid = np.array([T])
+    item = np.dtype(np.float32).itemsize
+    slack = (layers.BLOCK // kt + C * kt + 3 * O * C * kt) * item
+    fwd = _peak_bytes(lambda: layer.forward([x], [valid], want_cache=False))
+    assert fwd - O * T * item <= layers.BLOCK * item + slack
+    y, _, cache = layer.forward([x], [valid], want_cache=True)
+    bwd = _peak_bytes(lambda: layer.backward(cache, y))
+    assert bwd - C * T * item <= layers.BLOCK * item + slack

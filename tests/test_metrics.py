@@ -1,13 +1,16 @@
 """Metric stack tests: peak picking and matching against brute-force oracles."""
 
+import bisect
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vader.errors import LengthMismatch, NonPositiveInput
 from vader.metrics import (
     MetricsAccumulator,
+    _plateau_maxima,
     PeakConfig,
     f1,
     harmonic_mean,
@@ -117,6 +120,43 @@ def test_peaks_match_oracle_random():
         got = pick_peaks(x, cfg).tolist()
         want = oracle_pick_peaks(x, cfg.min_confidence, cfg.min_distance)
         assert got == want
+
+
+def bisect_pick_peaks(x, cfg):
+    """The greedy loop ``pick_peaks`` ran before it blocked positions in one
+    pass: a sorted list of accepted indices, searched and grown with
+    ``bisect`` per candidate."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    idx, height = _plateau_maxima(x)
+    qualify = height >= cfg.min_confidence
+    idx, height = idx[qualify], height[qualify]
+    accepted = []
+    for i in idx[np.lexsort((idx, -height))]:
+        pos = bisect.bisect_left(accepted, i)
+        if pos > 0 and i - accepted[pos - 1] < cfg.min_distance:
+            continue
+        if pos < len(accepted) and accepted[pos] - i < cfg.min_distance:
+            continue
+        accepted.insert(pos, int(i))
+    return np.asarray(accepted, dtype=int)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    levels=st.lists(st.integers(0, 12), min_size=0, max_size=400),
+    ramp=st.sampled_from([None, "up", "down"]),
+    min_distance=st.integers(1, 39),
+    min_confidence=st.sampled_from([1e-7, 0.25, 0.5]),
+)
+def test_pick_peaks_matches_bisect_loop(levels, ramp, min_distance, min_confidence):
+    """Few levels give ties and plateaus; ramps give one candidate."""
+    x = np.asarray(levels, dtype=np.float64) / 12
+    if ramp is not None:
+        x = np.sort(x) if ramp == "up" else np.sort(x)[::-1]
+    cfg = PeakConfig(min_confidence=min_confidence, min_distance=min_distance)
+    got = pick_peaks(x, cfg)
+    assert got.tolist() == bisect_pick_peaks(x, cfg).tolist()
+    assert got.dtype == bisect_pick_peaks(x, cfg).dtype
 
 
 def test_peak_config_validation():
