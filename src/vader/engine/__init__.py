@@ -19,7 +19,6 @@ from .layers import (
 from .loss import LossConfig, focal_loss
 from .optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ParamStore, adam_step
 from .checkpoint import (
-    checkpoint_blobs,
     checkpoint_bytes,
     load_checkpoint,
     read_manifest,
@@ -48,7 +47,6 @@ __all__ = [
     "ADAM_EPS",
     "ParamStore",
     "adam_step",
-    "checkpoint_blobs",
     "checkpoint_bytes",
     "load_checkpoint",
     "read_manifest",

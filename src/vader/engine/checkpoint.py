@@ -8,11 +8,17 @@ differ, and manifests older than version 2, which had no ``model`` record.
 Values are widened to float64 on save and narrowed back on load, which is
 lossless for float32 training, so a save/load cycle is bit-exact; loading
 refuses a value, weight or moment, that is not finite in the network's dtype.
+
+``<stem>.bin`` holds the parameters, then the Adam first moments, then the
+second moments, each array's values in C order. ``save_checkpoint`` writes
+them to the file one array at a time, so its only transient is one array's
+float64 copy. ``checkpoint_bytes`` returns a ``bytearray`` holding the
+manifest JSON, a NUL byte and the ``.bin`` bytes, each array cast straight
+into its slice; it compares and hashes like ``bytes``.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
 from pathlib import Path
@@ -54,23 +60,30 @@ def _manifest(network: Network, store: ParamStore | None, seed) -> dict:
     }
 
 
-def checkpoint_blobs(network: Network, store: ParamStore | None = None, seed=None):
-    """(manifest_json, binary) for the current parameter state."""
-    manifest = _manifest(network, store, seed)
-    buf = io.BytesIO()
-    for p in network.params():
-        buf.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
+def _manifest_json(network: Network, store: ParamStore | None, seed) -> str:
+    return json.dumps(_manifest(network, store, seed), indent=1, sort_keys=True)
+
+
+def _arrays(network: Network, store: ParamStore | None) -> list[np.ndarray]:
+    """The saved arrays in ``.bin`` order: parameters, then m, then v."""
+    arrays = [p.value for p in network.params()]
     if store is not None:
-        for arrs in (store.m, store.v):
-            for a in arrs:
-                buf.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    return json.dumps(manifest, indent=1, sort_keys=True), buf.getvalue()
+        arrays += [*store.m, *store.v]
+    return arrays
 
 
-def checkpoint_bytes(network: Network, store: ParamStore | None = None, seed=None) -> bytes:
-    """Single byte string (manifest + binary) suitable for hashing."""
-    manifest, binary = checkpoint_blobs(network, store, seed)
-    return manifest.encode("utf-8") + b"\x00" + binary
+def checkpoint_bytes(network: Network, store: ParamStore | None = None, seed=None) -> bytearray:
+    """Manifest JSON, a NUL byte and the ``.bin`` bytes in one buffer,
+    suitable for hashing and comparing."""
+    header = _manifest_json(network, store, seed).encode("utf-8") + b"\x00"
+    arrays = _arrays(network, store)
+    out = bytearray(len(header) + 8 * sum(a.size for a in arrays))
+    out[: len(header)] = header
+    offset = len(header)
+    for a in arrays:
+        np.frombuffer(out, "<f8", a.size, offset).reshape(a.shape)[...] = a
+        offset += 8 * a.size
+    return out
 
 
 def save_checkpoint(stem, network: Network, store: ParamStore | None = None, seed=None) -> Path:
@@ -80,13 +93,15 @@ def save_checkpoint(stem, network: Network, store: ParamStore | None = None, see
     ``.bin`` before ``.json``, so a save that fails while writing leaves
     the previous checkpoint as it was."""
     stem = Path(stem)
-    manifest, binary = checkpoint_blobs(network, store, seed)
+    manifest = _manifest_json(network, store, seed)
     stem.parent.mkdir(parents=True, exist_ok=True)
     json_path, bin_path = stem.with_suffix(".json"), stem.with_suffix(".bin")
     json_tmp, bin_tmp = stem.with_suffix(".json.tmp"), stem.with_suffix(".bin.tmp")
     try:
         json_tmp.write_text(manifest + "\n", encoding="utf-8")
-        bin_tmp.write_bytes(binary)
+        with bin_tmp.open("wb") as f:
+            for a in _arrays(network, store):
+                f.write(np.ascontiguousarray(a, dtype="<f8"))
         os.replace(bin_tmp, bin_path)
         os.replace(json_tmp, json_path)
     finally:
@@ -146,7 +161,7 @@ def load_checkpoint(stem, network: Network, store: ParamStore | None = None) -> 
         raise CheckpointError(f"{stem}: expected {8 * need} bytes of values, found {len(raw)}")
     flat = np.frombuffer(raw, dtype="<f8")
     limit = np.finfo(network.dtype).max
-    if not (-limit <= flat.min() and flat.max() <= limit):  # False for a NaN, which min and max return
+    if flat.size and not (-limit <= flat.min() and flat.max() <= limit):  # False for a NaN, which min and max return
         bad = flat[~(np.abs(flat) <= limit)][0]
         raise CheckpointError(f"{stem}: value {bad} is not finite in {np.dtype(network.dtype).name}")
 

@@ -1,6 +1,7 @@
 """Focal loss, Adam, and checkpoint round-trip tests."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ import pytest
 from conftest import rel_err
 from vader.engine import (
     LossConfig,
+    Network,
     Param,
     ParamStore,
+    ReLU,
     adam_step,
     checkpoint_bytes,
     focal_loss,
@@ -226,3 +229,66 @@ def test_checkpoint_architecture_mismatch(tmp_path, other):
     assert [p.shape for p in target.params()] == [p.shape for p in net.params()]
     with pytest.raises(ShapeMismatch):
         load_checkpoint(tmp_path / "model", target)
+
+
+@pytest.fixture(scope="module")
+def default_detector():
+    """The default k9/m2/p4 w16 raw detector after one Adam step, so that
+    the weights, m and v all differ."""
+    net = build_vader(VaderConfig(HyperParams(InputKind.RAW, 9, 2, 4, base_width=16)))
+    net.init_params(3)
+    store = ParamStore(net.params())
+    rng = np.random.default_rng(4)
+    for p in net.params():
+        p.grad[...] = rng.normal(size=p.shape)
+    adam_step(store, 0.001)
+    return net, store
+
+
+def test_checkpoint_layout(tmp_path, default_detector):
+    """``.bin`` is the float64 parameters, then m, then v; checkpoint_bytes
+    is the manifest as saved, without its newline, a NUL and ``.bin``."""
+    net, store = default_detector
+    save_checkpoint(tmp_path / "model", net, store, seed=5)
+    arrays = [p.value for p in net.params()] + store.m + store.v
+    binary = (tmp_path / "model.bin").read_bytes()
+    assert binary == b"".join(a.astype("<f8").tobytes() for a in arrays)
+    manifest = (tmp_path / "model.json").read_text(encoding="utf-8")
+    assert manifest.endswith("}\n")
+    assert checkpoint_bytes(net, store, seed=5) == manifest[:-1].encode("utf-8") + b"\x00" + binary
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_checkpoint_writes_allocate_one_array_beyond_their_result(tmp_path, default_detector):
+    """Saving holds one array's float64 copy at a time, and checkpoint_bytes
+    nothing of size beyond the buffer it returns (1 MiB allows for the
+    manifest and interpreter objects). Building the whole binary first
+    peaked at 24.1 and 41.8 MiB."""
+    net, store = default_detector
+    largest = 8 * max(p.value.size for p in net.params())
+    _, peak = _traced_peak(lambda: save_checkpoint(tmp_path / "model", net, store, seed=5))
+    assert peak <= largest + 2**20
+    blob, peak = _traced_peak(lambda: checkpoint_bytes(net, store, seed=5))
+    assert peak <= len(blob) + 2**20
+
+
+def test_checkpoint_of_network_without_parameters(tmp_path):
+    """An empty ``.bin`` loads, and the round trip keeps the bytes."""
+    net = Network()
+    net.add("relu", ReLU(), [-1])
+    store = ParamStore(net.params())
+    before = checkpoint_bytes(net, store, seed=1)
+    save_checkpoint(tmp_path / "model", net, store, seed=1)
+    assert (tmp_path / "model.bin").read_bytes() == b""
+    restored = Network()
+    restored.add("relu", ReLU(), [-1])
+    restored_store = ParamStore(restored.params())
+    assert load_checkpoint(tmp_path / "model", restored, restored_store)["has_adam"]
+    assert checkpoint_bytes(restored, restored_store, seed=1) == before

@@ -1,5 +1,6 @@
 """Detector builder tests: architecture echoes, shapes, inference contract."""
 
+import io
 import timeit
 import tracemalloc
 from pathlib import Path
@@ -201,13 +202,20 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     saved = [p.value.copy() for p in net.params()]
     for p in net.params():
         p.value += 1.0
-    write_bytes = Path.write_bytes
+    open_ = Path.open
 
-    def fail_halfway(path, data):
-        write_bytes(path, data[: len(data) // 2])
-        raise OSError("no space left on device")
+    class FailHalfway(io.FileIO):
+        """A binary file that takes half of the first write, then fails."""
 
-    monkeypatch.setattr(Path, "write_bytes", fail_halfway)
+        def write(self, data):
+            data = memoryview(data).cast("B")
+            super().write(data[: len(data) // 2])
+            raise OSError("no space left on device")
+
+    def open_failing(path, mode="r", *args, **kwargs):
+        return FailHalfway(path, "wb") if mode == "wb" else open_(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", open_failing)
     with pytest.raises(OSError):
         save_checkpoint(tmp_path / "model", net, seed=1)
     monkeypatch.undo()
