@@ -133,12 +133,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v)
+def _list_of(kind):
+    """Parser of 'a,b,c' into a tuple of ``kind``; an empty item is refused."""
+    def parse(text: str) -> tuple:
+        return tuple(kind(v) for v in text.split(","))
 
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
+    parse.__name__ = f"{kind.__name__} list"
+    return parse
 
 
 def _parse_positions(text: str) -> dict[str, float]:
@@ -146,10 +147,12 @@ def _parse_positions(text: str) -> dict[str, float]:
     out = {}
     for part in filter(None, text.split(",")):
         sensor_id, pos = part.split("=")
-        value = float(pos)
+        sensor_id, value = sensor_id.strip(), float(pos)
         if not math.isfinite(value):
             raise argparse.ArgumentTypeError(f"expected a finite position, got {part!r}")
-        out[sensor_id.strip()] = value
+        if sensor_id in out:
+            raise argparse.ArgumentTypeError(f"sensor {sensor_id!r} is given more than once")
+        out[sensor_id] = value
     return out
 
 
@@ -451,9 +454,9 @@ def build_parser() -> _Parser:
     p.add_argument("--fs", type=float, default=BridgeConfig.sample_rate, help="sample rate in Hz")
     p.add_argument("--fl-certain", type=float, default=DEFAULT_F_LOW_CERTAIN, help="lowest frequency to resolve")
     p.add_argument("--fl-useful", type=float, default=DEFAULT_F_LOW_USEFUL, help="lowest informative frequency")
-    p.add_argument("--kernel-sizes", type=_parse_int_list, default=DEFAULT_KERNEL_SIZES)
-    p.add_argument("--pool-sizes", type=_parse_int_list, default=DEFAULT_POOL_SIZES)
-    p.add_argument("--pool-steps", type=_parse_int_list, default=DEFAULT_POOL_STEPS)
+    p.add_argument("--kernel-sizes", type=_list_of(int), default=DEFAULT_KERNEL_SIZES)
+    p.add_argument("--pool-sizes", type=_list_of(int), default=DEFAULT_POOL_SIZES)
+    p.add_argument("--pool-steps", type=_list_of(int), default=DEFAULT_POOL_STEPS)
     p.add_argument("--out", default="plan_out")
     p.set_defaults(func=_cmd_plan)
 
@@ -468,7 +471,7 @@ def build_parser() -> _Parser:
     p.add_argument("--noise-std", type=float, default=DatasetConfig.noise_std)
     p.add_argument("--click-gain", type=float, default=BridgeConfig.click_gain)
     p.add_argument(
-        "--sensor-positions", type=_parse_float_list, default=BridgeConfig.sensor_positions,
+        "--sensor-positions", type=_list_of(float), default=BridgeConfig.sensor_positions,
         help="sensor positions in m, e.g. '4.1,12.3'",
     )
     p.add_argument("--fs", type=float, default=BridgeConfig.sample_rate)

@@ -1,20 +1,20 @@
-"""Checkpoint format: flat little-endian float64 binary plus a JSON manifest.
+"""Checkpoint format: flat little-endian binary in the network's dtype plus a JSON manifest.
 
 The manifest ``<stem>.json`` fully describes the saved network: the
 ``model`` record it was built from (``Network.spec``), the layer topology,
-parameter shapes, optimizer step counter and the RNG seed the run started
-from. Loading refuses a network whose dtype, record, layers or parameters
-differ, and manifests older than version 2, which had no ``model`` record.
-Values are widened to float64 on save and narrowed back on load, which is
-lossless for float32 training, so a save/load cycle is bit-exact; loading
-refuses a value, weight or moment, that is not finite in the network's dtype.
+parameter shapes, dtype, optimizer step counter and the RNG seed the run
+started from. Loading refuses a network whose dtype, record, layers or
+parameters differ, and a manifest of any other version. Values are saved as
+the network holds them, so a save/load cycle is bit-exact; loading refuses
+a value, weight or moment, that is NaN or infinite.
 
 ``<stem>.bin`` holds the parameters, then the Adam first moments, then the
-second moments, each array's values in C order. ``save_checkpoint`` writes
-them to the file one array at a time, so its only transient is one array's
-float64 copy. ``checkpoint_bytes`` returns a ``bytearray`` holding the
-manifest JSON, a NUL byte and the ``.bin`` bytes, each array cast straight
-into its slice; it compares and hashes like ``bytes``.
+second moments, each array's values in C order and little-endian in the
+manifest's dtype. ``save_checkpoint`` writes them one array at a time, a
+contiguous array without copying it. ``checkpoint_bytes`` returns a
+``bytearray`` holding the manifest JSON, a NUL byte and the ``.bin`` bytes,
+each array copied straight into its slice; it compares and hashes like
+``bytes``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .layers import Network
 from .optim import ParamStore
 
 MAGIC = "vader-checkpoint"
-VERSION = 2
+VERSION = 3
 #: Manifest entries that must equal those of the network being loaded into.
 _ARCHITECTURE = ("model", "layers", "params")
 #: The manifest's other entries, each with the test its parsed JSON value
@@ -76,13 +76,13 @@ def checkpoint_bytes(network: Network, store: ParamStore | None = None, seed=Non
     """Manifest JSON, a NUL byte and the ``.bin`` bytes in one buffer,
     suitable for hashing and comparing."""
     header = _manifest_json(network, store, seed).encode("utf-8") + b"\x00"
-    arrays = _arrays(network, store)
-    out = bytearray(len(header) + 8 * sum(a.size for a in arrays))
+    arrays, dtype = _arrays(network, store), np.dtype(network.dtype).newbyteorder("<")
+    out = bytearray(len(header) + dtype.itemsize * sum(a.size for a in arrays))
     out[: len(header)] = header
     offset = len(header)
     for a in arrays:
-        np.frombuffer(out, "<f8", a.size, offset).reshape(a.shape)[...] = a
-        offset += 8 * a.size
+        np.frombuffer(out, dtype, a.size, offset).reshape(a.shape)[...] = a
+        offset += dtype.itemsize * a.size
     return out
 
 
@@ -93,7 +93,7 @@ def save_checkpoint(stem, network: Network, store: ParamStore | None = None, see
     ``.bin`` before ``.json``, so a save that fails while writing leaves
     the previous checkpoint as it was."""
     stem = Path(stem)
-    manifest = _manifest_json(network, store, seed)
+    manifest, dtype = _manifest_json(network, store, seed), np.dtype(network.dtype).newbyteorder("<")
     stem.parent.mkdir(parents=True, exist_ok=True)
     json_path, bin_path = stem.with_suffix(".json"), stem.with_suffix(".bin")
     json_tmp, bin_tmp = stem.with_suffix(".json.tmp"), stem.with_suffix(".bin.tmp")
@@ -101,7 +101,7 @@ def save_checkpoint(stem, network: Network, store: ParamStore | None = None, see
         json_tmp.write_text(manifest + "\n", encoding="utf-8")
         with bin_tmp.open("wb") as f:
             for a in _arrays(network, store):
-                f.write(np.ascontiguousarray(a, dtype="<f8"))
+                f.write(np.ascontiguousarray(a, dtype=dtype))
         os.replace(bin_tmp, bin_path)
         os.replace(json_tmp, json_path)
     finally:
@@ -153,28 +153,20 @@ def load_checkpoint(stem, network: Network, store: ParamStore | None = None) -> 
                 f"{stem}: checkpoint {key} differ from the network's"
                 + (f" (saved {manifest[key]}, network {expected[key]})" if key == "model" else "")
             )
-    params = network.params()
+    dtype = np.dtype(network.dtype).newbyteorder("<")
     raw = stem.with_suffix(".bin").read_bytes()
-    sizes = [p.value.size for p in params]
-    need = sum(sizes) * (3 if manifest["has_adam"] else 1)
-    if len(raw) != 8 * need:
-        raise CheckpointError(f"{stem}: expected {8 * need} bytes of values, found {len(raw)}")
-    flat = np.frombuffer(raw, dtype="<f8")
-    limit = np.finfo(network.dtype).max
-    if flat.size and not (-limit <= flat.min() and flat.max() <= limit):  # False for a NaN, which min and max return
-        bad = flat[~(np.abs(flat) <= limit)][0]
-        raise CheckpointError(f"{stem}: value {bad} is not finite in {np.dtype(network.dtype).name}")
-
-    def take(offset, target):
-        for arr, size in zip(target, sizes):
-            chunk = flat[offset : offset + size].reshape(arr.shape)
-            arr[...] = chunk.astype(arr.dtype)
-            offset += size
-        return offset
-
-    offset = take(0, [p.value for p in params])
-    if manifest["has_adam"] and store is not None:
-        offset = take(offset, store.m)
-        take(offset, store.v)
+    need = dtype.itemsize * sum(p.value.size for p in network.params()) * (3 if manifest["has_adam"] else 1)
+    if len(raw) != need:
+        raise CheckpointError(f"{stem}: expected {need} bytes of values, found {len(raw)}")
+    flat = np.frombuffer(raw, dtype=dtype)
+    if flat.size and not (np.isfinite(flat.min()) and np.isfinite(flat.max())):  # both are NaN if any value is
+        bad = flat[~np.isfinite(flat)][0]
+        raise CheckpointError(f"{stem}: value {bad} is not finite in {dtype.name}")
+    restore_moments = manifest["has_adam"] and store is not None
+    offset = 0
+    for arr in _arrays(network, store if restore_moments else None):
+        arr[...] = flat[offset : offset + arr.size].reshape(arr.shape)
+        offset += arr.size
+    if restore_moments:
         store.step_count = manifest["step"]
     return manifest

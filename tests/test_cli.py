@@ -191,10 +191,10 @@ def test_train_idempotent_byte_identical(workspace, tmp_path):
 
 
 def test_train_writes_weights_only(workspace, trained, tmp_path):
-    """``train`` saves no optimizer moments; a checkpoint that holds them, as
-    earlier versions of ``train`` wrote, still evaluates to the same report."""
+    """``train`` saves no optimizer moments, 4 bytes per float32 parameter; a
+    checkpoint that holds moments still evaluates to the same report."""
     network, _ = load_vader(trained / "model")
-    assert (trained / "model.bin").stat().st_size == 8 * sum(p.value.size for p in network.params())
+    assert (trained / "model.bin").stat().st_size == 4 * sum(p.value.size for p in network.params())
     assert not json.loads((trained / "model.json").read_text())["has_adam"]
     with_moments = tmp_path / "with_moments" / "model"
     save_checkpoint(with_moments, network, ParamStore(network.params()), seed=7)
@@ -298,6 +298,7 @@ MALFORMED_VALUES = {
     "detect_position_without_sensor": ["detect", "--sensor-positions", "s0"],
     "detect_position_inf": ["detect", "--sensor-positions", "s0=0,s1=inf"],
     "detect_position_nan": ["detect", "--sensor-positions", "s0=nan,s1=12.3"],
+    "detect_position_repeated": ["detect", "--sensor-positions", "s0=4.1,s0=12.3"],
     "split_fraction_under_dgps": ["split", "--scenario", "dgps", "--fraction", "0.9"],
     "split_modal_axles_under_stratified": ["split", "--modal-axles", "3"],
     "synth_position_not_a_number": ["synth", "--sensor-positions", "a"],
@@ -311,6 +312,9 @@ MALFORMED_VALUES = {
     "train_kernel_size_0": ["train", "--kernel-size", "0"],
     "train_pool_size_1": ["train", "--pool-size", "1"],
     "plan_empty_kernel_sizes": ["plan", "--kernel-sizes", ","],
+    "plan_kernel_sizes_empty_item": ["plan", "--kernel-sizes", "3,,5"],
+    "plan_kernel_sizes_trailing_comma": ["plan", "--kernel-sizes", "3,5,"],
+    "synth_positions_empty_item": ["synth", "--sensor-positions", "4.1,,12.3"],
 }
 
 
@@ -443,9 +447,16 @@ def _edit_manifest(stem, edit):
 
 
 def _fill_bin(stem, value):
-    """Overwrite every value of the checkpoint's .bin with ``value``."""
+    """Overwrite every float32 value of the checkpoint's .bin with ``value``."""
     path = stem.with_suffix(".bin")
-    path.write_bytes(np.full(path.stat().st_size // 8, value, dtype="<f8").tobytes())
+    path.write_bytes(np.full(path.stat().st_size // 4, value, dtype="<f4").tobytes())
+
+
+def _as_version_2(stem):
+    """Rewrite the checkpoint as version 2 wrote it: every value widened to float64."""
+    path = stem.with_suffix(".bin")
+    path.write_bytes(np.fromfile(path, dtype="<f4").astype("<f8").tobytes())
+    _edit_manifest(stem, lambda m: m.update(version=2))
 
 
 CHECKPOINT_DAMAGE = {
@@ -456,6 +467,7 @@ CHECKPOINT_DAMAGE = {
     "no_model": lambda stem: _edit_manifest(stem, lambda m: m.pop("model")),
     "no_params": lambda stem: _edit_manifest(stem, lambda m: m.pop("params")),
     "bad_model": lambda stem: _edit_manifest(stem, lambda m: m["model"].update(input_kind="audio")),
+    "version_2": _as_version_2,
     "version_1": lambda stem: _edit_manifest(stem, lambda m: (m.pop("model"), m.update(version=1))),
     "float_kernel_size": lambda stem: _edit_manifest(stem, lambda m: m["model"].update(kernel_size=5.0)),
     "float_pool_steps": lambda stem: _edit_manifest(stem, lambda m: m["model"].update(pool_steps=2.0)),
@@ -480,7 +492,7 @@ CHECKPOINT_DAMAGE = {
     "no_bin": lambda stem: stem.with_suffix(".bin").unlink(),
     "short_bin": lambda stem: stem.with_suffix(".bin").write_bytes(stem.with_suffix(".bin").read_bytes()[:-3]),
     "nan_bin": lambda stem: _fill_bin(stem, np.nan),
-    "beyond_float32_bin": lambda stem: _fill_bin(stem, 1e39),
+    "inf_bin": lambda stem: _fill_bin(stem, np.inf),
 }
 
 
@@ -495,9 +507,9 @@ def test_malformed_checkpoint_exits_2(workspace, trained, tmp_path, capsys, dama
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:")
-    if damage == "version_1":
+    if damage in ("version_1", "version_2"):
         assert "retrain" in err
-    if damage in ("nan_bin", "beyond_float32_bin"):
+    if damage in ("nan_bin", "inf_bin"):
         assert "is not finite in float32" in err
     if damage.startswith(("seed_", "dtype_", "step_", "has_adam_")):
         assert f"manifest {damage.rsplit('_', 1)[0]} " in err
