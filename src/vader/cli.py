@@ -143,9 +143,10 @@ def _list_of(kind):
 
 
 def _parse_positions(text: str) -> dict[str, float]:
-    """'s0=4.1,s1=12.3' -> {sensor id: finite position in m}."""
+    """'s0=4.1,s1=12.3' -> {sensor id: finite position in m}; an empty item
+    is refused."""
     out = {}
-    for part in filter(None, text.split(",")):
+    for part in text.split(","):
         sensor_id, pos = part.split("=")
         sensor_id, value = sensor_id.strip(), float(pos)
         if not math.isfinite(value):
@@ -523,7 +524,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--sensor-positions",
         type=_parse_positions,
-        default="",
+        default={},
         help="sensor geometry for velocity estimation, e.g. 's0=4.1,s1=12.3'",
     )
     p.add_argument("--out", default="detections.csv")

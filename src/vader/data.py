@@ -84,25 +84,33 @@ def crossing_index(crossing_time: float, sample_rate: float) -> int:
     return int(math.floor(crossing_time * sample_rate + 0.5))
 
 
-def build_label_vector(crossings, sample_rate: float, n_samples: int) -> np.ndarray:
-    """Binary label series with a one at the sample nearest each crossing.
+def crossing_indices(crossings, sample_rate: float, n_samples: int) -> np.ndarray:
+    """Sorted indices of the samples nearest each crossing: the ones of the
+    label vector.
 
     Raises OutOfRangeCrossing for a crossing outside [0, n_samples/sample_rate)
     and DuplicateSampleIndex when two crossings round to the same sample.
     """
     if sample_rate <= 0:
         raise ValueError(f"sample_rate must be positive, got {sample_rate}")
-    bits = np.zeros(n_samples, dtype=np.uint8)
     duration = n_samples / sample_rate
+    seen: set[int] = set()
     for t in crossings:
         if not 0.0 <= t < duration:
             raise OutOfRangeCrossing(f"crossing {t} s outside [0, {duration}) s")
-        i = crossing_index(t, sample_rate)
-        if i >= n_samples:  # rounding can push the last half-sample over the edge
-            i = n_samples - 1
-        if bits[i]:
+        # rounding can push the last half-sample over the edge
+        i = min(crossing_index(t, sample_rate), n_samples - 1)
+        if i in seen:
             raise DuplicateSampleIndex(f"two crossings map to sample {i}")
-        bits[i] = 1
+        seen.add(i)
+    return np.array(sorted(seen), dtype=np.intp)
+
+
+def build_label_vector(crossings, sample_rate: float, n_samples: int) -> np.ndarray:
+    """Binary label series with a one at the sample nearest each crossing;
+    raises as :func:`crossing_indices`."""
+    bits = np.zeros(n_samples, dtype=np.uint8)
+    bits[crossing_indices(crossings, sample_rate, n_samples)] = 1
     return bits
 
 
@@ -110,7 +118,7 @@ def label_indices(passage: Passage, sensor_id: str) -> np.ndarray:
     """Sorted label sample indices of one sensor: the ones of its label vector."""
     ch = passage.channel(sensor_id)
     times = [a.crossing_time for a in passage.axles[sensor_id]]
-    return np.flatnonzero(build_label_vector(times, ch.sample_rate, ch.n_samples))
+    return crossing_indices(times, ch.sample_rate, ch.n_samples)
 
 
 def shared_sample_rate(passages, expected: float | None = None) -> float | None:
@@ -165,7 +173,7 @@ def validate_passage(p: Passage) -> list[str]:
                 f"channel {ch.sensor_id}: {len(records)} axle records, expected {p.axle_count}"
             )
         times = [r.crossing_time for r in records]
-        # equal times are left to the label build, which refuses two crossings on one sample
+        # equal times are left to crossing_indices, which refuses two crossings on one sample
         if any(later < earlier for earlier, later in zip(times, times[1:])):
             violations.append(f"channel {ch.sensor_id}: crossing times {times} do not strictly increase")
         velocities = [r.velocity for r in records]
@@ -180,7 +188,7 @@ def validate_passage(p: Passage) -> list[str]:
             )
         if 0 < ch.sample_rate < math.inf and ch.n_samples >= 1:
             try:
-                build_label_vector(times, ch.sample_rate, ch.n_samples)
+                crossing_indices(times, ch.sample_rate, ch.n_samples)
             except (OutOfRangeCrossing, DuplicateSampleIndex) as exc:
                 violations.append(f"channel {ch.sensor_id}: {exc}")
     return violations

@@ -69,7 +69,10 @@ reads (its dead inputs, the cast copy of the network input included):
 ReLU, Add and group norm's centring step write their output into a dead
 input instead of a fresh array. A direct ``Layer.forward`` call and a
 cached forward overwrite no input, so no caller's array and no backward
-cache is ever changed.
+cache is ever changed. ``Network.backward`` consumes its context: it takes
+each node's cache off the context as it walks back and drops it, with the
+node's output gradient, once the node's backward has run, so memory falls
+as the walk goes; a consumed context is refused.
 """
 
 from __future__ import annotations
@@ -718,19 +721,28 @@ class Network:
 
     def backward(self, ctx, dy: np.ndarray) -> np.ndarray:
         """Accumulate parameter gradients for the output gradient ``dy`` (any
-        dtype); returns the input gradient."""
+        dtype); returns the input gradient. Consumes ``ctx``: each node's
+        cache is popped off it as the walk back reaches the node, whether a
+        gradient reaches it or not, and is released with the node's output
+        gradient once its backward has run, so memory falls as the walk
+        goes. Raises MissingForwardCache for a consumed context, before any
+        gradient changes."""
         if ctx is None:
             raise MissingForwardCache("no forward context")
         valids, caches, pad = ctx
+        if len(caches) != len(self.nodes):
+            raise MissingForwardCache("context already consumed")
         grads: dict[int, np.ndarray] = {len(self.nodes) - 1: _pad_time(dy, pad, self.dtype)}
         dinput = None
         for i in range(len(self.nodes) - 1, -1, -1):
+            cache = caches.pop()
             g = grads.pop(i, None)
             if g is None:
                 continue
             zero_invalid(g, valids[i])
             node = self.nodes[i]
-            dxs = node.layer.backward(caches[i], g)
+            dxs = node.layer.backward(cache, g)
+            del cache, g
             for j, dx in zip(node.inputs, dxs):
                 if j < 0:
                     dinput = dx if dinput is None else dinput + dx
@@ -738,6 +750,7 @@ class Network:
                     grads[j] += dx
                 else:
                     grads[j] = dx
+            del dxs, dx  # an input gradient summed into another is spent
         if dinput is not None:
             zero_invalid(dinput, valids[-1])
             dinput = dinput[..., : dinput.shape[-1] - pad]

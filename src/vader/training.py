@@ -184,7 +184,10 @@ def step_gradient(network, parts: list[Batch]) -> tuple[float, int]:
     """Set the network's gradients to those of one optimizer step over its
     micro-batches ``parts``: each part's mean-loss gradient, under the
     default loss configuration, weighted by its share of the step's valid
-    samples. Returns the step's summed loss and its count of valid samples."""
+    samples. Returns the step's summed loss and its count of valid samples.
+    Each backward consumes its micro-batch's context, and nothing else of a
+    micro-batch outlives it: the step holds one micro-batch's caches at a
+    time."""
     counts = [int(batch.valid.sum()) for batch in parts]
     n_step = sum(counts)
     loss_sum = 0.0
@@ -192,7 +195,9 @@ def step_gradient(network, parts: list[Batch]) -> tuple[float, int]:
     for batch, n_valid in zip(parts, counts):
         y, ctx = network.forward(batch.x, batch.valid, want_cache=True)
         loss, dprobs = focal_loss(y[:, 0, 0, :], batch.labels, LossConfig(), batch.mask)
+        del y  # the output's cache holds it until backward releases that
         network.backward(ctx, dprobs[:, None, None, :] * (n_valid / n_step))
+        del ctx, dprobs  # the next micro-batch's forward holds only its own caches
         loss_sum += loss * n_valid
     return loss_sum, n_step
 

@@ -299,6 +299,8 @@ MALFORMED_VALUES = {
     "detect_position_inf": ["detect", "--sensor-positions", "s0=0,s1=inf"],
     "detect_position_nan": ["detect", "--sensor-positions", "s0=nan,s1=12.3"],
     "detect_position_repeated": ["detect", "--sensor-positions", "s0=4.1,s0=12.3"],
+    "detect_positions_empty_item": ["detect", "--sensor-positions", "s0=4.1,,s1=12.3"],
+    "detect_positions_trailing_comma": ["detect", "--sensor-positions", "s0=4.1,s1=12.3,"],
     "split_fraction_under_dgps": ["split", "--scenario", "dgps", "--fraction", "0.9"],
     "split_modal_axles_under_stratified": ["split", "--modal-axles", "3"],
     "synth_position_not_a_number": ["synth", "--sensor-positions", "a"],

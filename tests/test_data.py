@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vader import data
 from vader.data import (
     AxleRecord,
     Dataset,
@@ -15,6 +16,7 @@ from vader.data import (
     SensorChannel,
     build_label_vector,
     crossing_index,
+    crossing_indices,
     label_indices,
     load_dataset,
     save_passage,
@@ -217,6 +219,29 @@ def test_label_indices_clamp_last_half_sample():
     p = Passage("p", (ch,), {"s0": (AxleRecord(0.3, 0.05), AxleRecord(0.96, 0.05))}, axle_count=2)
     assert list(label_indices(p, "s0")) == [3, 9]
     assert list(np.flatnonzero(build_label_vector([0.3, 0.96], 10.0, 10))) == [3, 9]
+
+
+def test_crossing_indices_are_the_label_vector_ones():
+    crossings = [3.0, 0.5, 7.7, 1.25]
+    idx = crossing_indices(crossings, 600.0, 6000)
+    assert idx.dtype == np.intp
+    assert np.array_equal(idx, np.flatnonzero(build_label_vector(crossings, 600.0, 6000)))
+    assert crossing_indices([], 600.0, 6000).shape == (0,)
+    with pytest.raises(OutOfRangeCrossing, match=r"crossing 13.0 s outside \[0, 12.0\) s"):
+        crossing_indices([1.0, 13.0], 600.0, 7200)
+    with pytest.raises(DuplicateSampleIndex, match="two crossings map to sample 600"):
+        crossing_indices([1.0, 1.0004], 600.0, 7200)
+
+
+def test_loading_builds_no_label_vector(small_dataset, monkeypatch):
+    """Validation checks each channel's crossings by their sample indices:
+    loading a dataset allocates no label series."""
+
+    def refuse(*args):
+        raise AssertionError("a label vector was built")
+
+    monkeypatch.setattr(data, "build_label_vector", refuse)
+    assert len(load_dataset(small_dataset.root)) == len(small_dataset)
 
 
 def test_dataset_by_id(tiny_passage):

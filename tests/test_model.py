@@ -3,6 +3,7 @@
 import io
 import timeit
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +302,40 @@ def test_forward_backward_pad_time_to_the_pooling_multiple():
     (y, dx, pg), (ref_y, ref_dx, ref_pg) = grads
     assert np.array_equal(y, ref_y) and np.array_equal(dx, ref_dx)
     assert all(np.array_equal(a, b) for a, b in zip(pg, ref_pg))
+
+
+@pytest.mark.parametrize("kind", list(InputKind))
+def test_backward_releases_each_cache_after_use(kind):
+    """When a node's backward starts, every activation-shaped (4-D) array
+    cached by a later node is gone, unless an earlier node's cache, still to
+    be used, holds it too."""
+    net = build_vader(_cfg(kind, k=5, m=2, p=2, base=4))
+    net.init_params(1)
+    cached = []  # per node: the ids of, and weak references to, its cached arrays
+    seen = []  # per backward call: cached arrays of later nodes still alive
+    for i, node in enumerate(net.nodes):
+        fwd, bwd = node.layer.forward, node.layer.backward
+
+        def forward(xs, valids, want_cache, dead=(), fwd=fwd):
+            y, v, cache = fwd(xs, valids, want_cache, dead)
+            items = cache if isinstance(cache, (tuple, list)) else (cache,)
+            cached.append({id(a): weakref.ref(a) for a in items if np.ndim(a) == 4})
+            return y, v, cache
+
+        def backward(cache, dy, bwd=bwd, i=i):
+            pending = set().union(*cached[: i + 1])
+            seen.append([(j, key) for j in range(i + 1, len(cached))
+                         for key, ref in cached[j].items() if key not in pending and ref() is not None])
+            return bwd(cache, dy)
+
+        node.layer.forward, node.layer.backward = forward, backward
+    shape = (2, 6, 16, 40) if kind is InputKind.SPECTROGRAM else (2, 1, 1, 40)
+    y, ctx = net.forward(RNG.normal(size=shape), valid=[40, 33], want_cache=True)
+    dy = RNG.normal(size=y.shape)
+    del y  # the output is the sigmoid's cache
+    net.backward(ctx, dy)
+    assert len(seen) == len(net.nodes) and sum(map(len, cached)) > len(net.nodes)
+    assert all(alive == [] for alive in seen), [alive for alive in seen if alive][0]
 
 
 @pytest.mark.parametrize("kind", list(InputKind))

@@ -3,6 +3,7 @@ best-weight restoration, determinism."""
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from vader import model, training
 from vader.data import Dataset
 from vader.engine import LossConfig, checkpoint_bytes, focal_loss
-from vader.errors import EmptyFold, InvalidHyperParams
+from vader.errors import EmptyFold, InvalidHyperParams, MissingForwardCache
 from vader.model import VaderConfig, build_vader
 from vader.planner import HyperParams, InputKind
 from vader.simulate import DatasetConfig, generate_dataset
@@ -113,6 +114,49 @@ def test_micro_batch_step_equals_padded_batch_gradient():
     scale = max(np.abs(p.grad).max() for p in net.params())
     for g, p in zip(grads, net.params()):
         assert np.abs(g - p.grad).max() <= 1e-10 * scale, p.name
+
+
+def _traced_peak(fn, *args) -> int:
+    """The most memory ``fn(*args)`` allocated at once, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_step_holds_one_micro_batch_at_a_time():
+    """A step over several micro-batches peaks no higher than its longest
+    micro-batch alone, up to a slack of a tenth of that: backward releases
+    the caches it has used, and nothing of one micro-batch stays alive while
+    the next one runs. Holding one micro-batch's caches through the next
+    forward takes about half as much again."""
+    net = build_vader(_tiny_cfg())
+    net.init_params(4)
+    samples = [_sample(2000 - 10 * i, i) for i in range(12)]
+    (parts,) = make_batches(samples, len(samples), np.random.default_rng(0))
+    assert len(parts) >= 3 and parts[0].x.shape[-1] == 2000
+    step_gradient(net, parts)  # first calls allocate nothing later ones do not
+    alone = _traced_peak(step_gradient, net, parts[:1])
+    whole = _traced_peak(step_gradient, net, parts)
+    assert whole <= 1.1 * alone, (whole, alone)
+
+
+def test_backward_consumes_its_context():
+    """A second backward on one forward context is refused before it
+    changes any gradient."""
+    net = build_vader(_tiny_cfg())
+    net.init_params(4)
+    batch = assemble_batch([_sample(100, 0), _sample(120, 1)])
+    y, ctx = net.forward(batch.x, batch.valid, want_cache=True)
+    _, dprobs = focal_loss(y[:, 0, 0, :], batch.labels, LossConfig(), batch.mask)
+    net.backward(ctx, dprobs[:, None, None, :])
+    grads = [p.grad.copy() for p in net.params()]
+    assert any(np.any(g != 0) for g in grads)
+    with pytest.raises(MissingForwardCache, match="context already consumed"):
+        net.backward(ctx, dprobs[:, None, None, :])
+    assert all(np.array_equal(g, p.grad) for g, p in zip(grads, net.params()))
 
 
 def test_padded_batch_loss_equals_mean_of_individual_losses():
