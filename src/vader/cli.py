@@ -133,10 +133,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _list_of(kind):
-    """Parser of 'a,b,c' into a tuple of ``kind``; an empty item is refused."""
+def _list_of(kind, distinct=False):
+    """Parser of 'a,b,c' into a tuple of ``kind``; an empty item is refused,
+    and with ``distinct`` a repeated value too."""
     def parse(text: str) -> tuple:
-        return tuple(kind(v) for v in text.split(","))
+        items = tuple(kind(v) for v in text.split(","))
+        for i, v in enumerate(items):
+            if distinct and v in items[:i]:
+                raise argparse.ArgumentTypeError(f"{v} is given more than once")
+        return items
 
     parse.__name__ = f"{kind.__name__} list"
     return parse
@@ -161,7 +166,10 @@ def _parse_distribution(text: str) -> dict[int, float]:
     dist = {}
     for part in text.split(","):
         count, weight = part.split(":")
-        dist[int(count)] = float(weight)
+        axles = int(count)
+        if axles in dist:
+            raise argparse.ArgumentTypeError(f"axle count {axles} is given more than once")
+        dist[axles] = float(weight)
     return dist
 
 
@@ -455,9 +463,9 @@ def build_parser() -> _Parser:
     p.add_argument("--fs", type=float, default=BridgeConfig.sample_rate, help="sample rate in Hz")
     p.add_argument("--fl-certain", type=float, default=DEFAULT_F_LOW_CERTAIN, help="lowest frequency to resolve")
     p.add_argument("--fl-useful", type=float, default=DEFAULT_F_LOW_USEFUL, help="lowest informative frequency")
-    p.add_argument("--kernel-sizes", type=_list_of(int), default=DEFAULT_KERNEL_SIZES)
-    p.add_argument("--pool-sizes", type=_list_of(int), default=DEFAULT_POOL_SIZES)
-    p.add_argument("--pool-steps", type=_list_of(int), default=DEFAULT_POOL_STEPS)
+    p.add_argument("--kernel-sizes", type=_list_of(int, distinct=True), default=DEFAULT_KERNEL_SIZES)
+    p.add_argument("--pool-sizes", type=_list_of(int, distinct=True), default=DEFAULT_POOL_SIZES)
+    p.add_argument("--pool-steps", type=_list_of(int, distinct=True), default=DEFAULT_POOL_STEPS)
     p.add_argument("--out", default="plan_out")
     p.set_defaults(func=_cmd_plan)
 

@@ -12,7 +12,10 @@ Layers are stateless between calls: ``forward`` returns an opaque cache that
 ``backward`` consumes, so inference (``want_cache=False``) is reentrant and
 training owns its parameters exclusively. A layer computes in its input's
 dtype; its parameters are float64 until ``Network.add`` gives them the
-network's.
+network's. A parameter's gradient buffer exists only from the first read of
+its ``grad``, which allocates it zeroed in the value's dtype: building or
+loading a network allocates no gradient, a training step's ``zero_grads``
+does, and ``training.train`` releases them from the network it returns.
 
 Every convolution pass is one stride-1 correlation, ``_correlate``, run
 tile by tile so that it allocates nothing that grows with the series but
@@ -94,14 +97,27 @@ BLOCK = 1 << 20
 
 
 class Param:
-    """One trainable array with its gradient buffer."""
+    """One trainable array with its gradient buffer. The buffer exists only
+    once ``grad`` is read: the first read allocates it, zeroed and in the
+    value's dtype, and assigning ``None`` releases it. So a network that
+    only infers holds its weights and no gradients."""
 
-    __slots__ = ("name", "value", "grad")
+    __slots__ = ("name", "value", "_grad")
 
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
         self.value = value
-        self.grad = np.zeros_like(value)
+        self._grad = None
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value)
+        return self._grad
+
+    @grad.setter
+    def grad(self, buffer) -> None:
+        self._grad = buffer
 
     @property
     def shape(self):
@@ -643,7 +659,7 @@ class Network:
     def add(self, name: str, layer: Layer, inputs) -> int:
         for p in layer.params():
             p.value = p.value.astype(self.dtype)
-            p.grad = np.zeros_like(p.value)
+            p.grad = None  # allocated in the network's dtype at its first read
         self.nodes.append(Node(name, layer, list(inputs)))
         return len(self.nodes) - 1
 

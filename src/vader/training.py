@@ -231,7 +231,8 @@ def train(
 ):
     """Train one fold; returns ``(network, store, history)``. Each epoch's
     validation F1 at 200 cm drives a :class:`Plateau`, the learning rate and
-    stopping rule; the returned network carries the best epoch's weights."""
+    stopping rule; the returned network carries the best epoch's weights
+    and no gradient buffers."""
     train_ids = plan.fold_train_ids(fold)
     val_ids = plan.fold_val_ids(fold)
     if not train_ids or not val_ids:
@@ -281,4 +282,5 @@ def train(
 
     for p, value in zip(network.params(), best_params):
         p.value[...] = value
+        p.grad = None  # the returned network holds its weights, not its last step's gradients
     return network, store, history

@@ -317,6 +317,10 @@ MALFORMED_VALUES = {
     "plan_kernel_sizes_empty_item": ["plan", "--kernel-sizes", "3,,5"],
     "plan_kernel_sizes_trailing_comma": ["plan", "--kernel-sizes", "3,5,"],
     "synth_positions_empty_item": ["synth", "--sensor-positions", "4.1,,12.3"],
+    "plan_kernel_sizes_repeated": ["plan", "--kernel-sizes", "3,3"],
+    "plan_pool_sizes_repeated": ["plan", "--pool-sizes", "2,3,2"],
+    "plan_pool_steps_repeated": ["plan", "--pool-steps", "4,4"],
+    "synth_axle_count_repeated": ["synth", "--distribution", "8:0.5,8:0.5"],
 }
 
 

@@ -172,6 +172,26 @@ def test_raw_detection_memory_on_a_long_series():
     assert peak < 24 * 2**20
 
 
+def test_loaded_detector_holds_only_its_weights(tmp_path):
+    """A default raw detector loaded from its checkpoint and run once holds
+    at most its parameter bytes and a twentieth more: no gradient buffer,
+    which nothing on the detection path reads. Zero-filled gradients made it
+    twice its parameter bytes (7.06 against 3.48 MiB)."""
+    net = build_vader(_cfg())
+    net.init_params(0)
+    save_checkpoint(tmp_path / "model", net, seed=0)
+    del net
+    tracemalloc.start()
+    try:
+        loaded, _ = load_vader(tmp_path / "model")
+        infer(loaded, np.random.default_rng(1).normal(size=2_000).astype(np.float32))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    weights = sum(p.value.nbytes for p in loaded.params())
+    assert held <= 1.05 * weights, (held, weights)
+
+
 def test_network_input_shapes():
     assert network_input(np.zeros(10)).shape == (1, 1, 1, 10)
     assert network_input(np.zeros((16, 6, 20))).shape == (1, 6, 16, 20)

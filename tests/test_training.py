@@ -159,6 +159,33 @@ def test_backward_consumes_its_context():
     assert all(np.array_equal(g, p.grad) for g, p in zip(grads, net.params()))
 
 
+def _holds_gradients(net) -> bool:
+    """Whether any parameter has allocated its gradient buffer; reading
+    ``grad`` would allocate it."""
+    return any(p._grad is not None for p in net.params())
+
+
+def test_first_backward_needs_no_zeroing():
+    """A network builds no gradient buffer; its first backward, without
+    ``zero_grads``, gives exactly the gradients it gives after
+    ``zero_grads``, in the network's dtype."""
+    net = build_vader(_tiny_cfg())
+    net.init_params(4)
+    assert not _holds_gradients(net)
+    batch = assemble_batch([_sample(100, 0), _sample(120, 1)])
+    grads = []
+    for zeroed in (False, True):
+        if zeroed:
+            net.zero_grads()
+        y, ctx = net.forward(batch.x, batch.valid, want_cache=True)
+        _, dprobs = focal_loss(y[:, 0, 0, :], batch.labels, LossConfig(), batch.mask)
+        net.backward(ctx, dprobs[:, None, None, :])
+        grads.append([p.grad.copy() for p in net.params()])
+    assert {g.dtype for g in grads[0]} == {np.dtype(net.dtype)}
+    assert any(np.any(g != 0) for g in grads[0])
+    assert all(np.array_equal(a, b) for a, b in zip(*grads))
+
+
 def test_padded_batch_loss_equals_mean_of_individual_losses():
     net = build_vader(_tiny_cfg())
     net.init_params(4)
@@ -331,6 +358,14 @@ def test_best_weights_restored_on_the_real_score(train_setup):
     assert history.best_epoch < len(history.val_f1) - 1
     samples = build_samples(dataset, plan.fold_val_ids(0), InputKind.RAW)
     assert evaluate_samples(net, samples)[1].f1_200 == history.val_f1[history.best_epoch]
+
+
+def test_trained_network_holds_no_gradients(train_setup):
+    """``train`` returns its network without the gradient buffers its steps
+    used: the detector it hands on holds only its weights."""
+    dataset, plan = train_setup
+    net, _, _ = train(_tiny_cfg(), dataset, plan, fold=0, schedule=_fast_schedule(max_epochs=1), seed=5)
+    assert not _holds_gradients(net)
 
 
 def test_lr_sequence_non_increasing_real_monitor(train_setup):
