@@ -38,7 +38,7 @@ from pathlib import Path
 from . import __version__
 from .data import load_dataset, shared_sample_rate
 from .engine import save_checkpoint
-from .errors import DataError, EmptyDataset, UnknownId, VaderError, naming
+from .errors import DataError, UnknownId, VaderError, ValidationError, naming
 from .metrics import PeakConfig, pick_peaks
 from .model import VaderConfig, infer, load_vader
 from .planner import (
@@ -319,10 +319,10 @@ def _cmd_train(args) -> int:
 
 
 def _selection(dataset: str, passages: list, sample_rate: float) -> list:
-    """``passages``, which ``eval`` or ``detect`` runs on: EmptyDataset when
+    """``passages``, which ``eval`` or ``detect`` runs on: ValidationError when
     there are none, SampleRateMismatch when one is not at the model's rate."""
     if not passages:
-        raise EmptyDataset(f"{dataset}: no passages to run on")
+        raise ValidationError(f"{dataset}: no passages to run on")
     shared_sample_rate(passages, sample_rate)
     return passages
 

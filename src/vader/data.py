@@ -28,14 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DuplicateSampleIndex,
-    OutOfRangeCrossing,
-    ParseError,
-    SampleRateMismatch,
-    UnknownId,
-    ValidationError,
-)
+from .errors import ParseError, SampleRateMismatch, UnknownId, ValidationError
 
 
 @dataclass(frozen=True)
@@ -88,8 +81,8 @@ def crossing_indices(crossings, sample_rate: float, n_samples: int) -> np.ndarra
     """Sorted indices of the samples nearest each crossing: the ones of the
     label vector.
 
-    Raises OutOfRangeCrossing for a crossing outside [0, n_samples/sample_rate)
-    and DuplicateSampleIndex when two crossings round to the same sample.
+    Raises ValidationError for a crossing outside [0, n_samples/sample_rate)
+    and when two crossings round to the same sample.
     """
     if sample_rate <= 0:
         raise ValueError(f"sample_rate must be positive, got {sample_rate}")
@@ -97,11 +90,11 @@ def crossing_indices(crossings, sample_rate: float, n_samples: int) -> np.ndarra
     seen: set[int] = set()
     for t in crossings:
         if not 0.0 <= t < duration:
-            raise OutOfRangeCrossing(f"crossing {t} s outside [0, {duration}) s")
+            raise ValidationError(f"crossing {t} s outside [0, {duration}) s")
         # rounding can push the last half-sample over the edge
         i = min(crossing_index(t, sample_rate), n_samples - 1)
         if i in seen:
-            raise DuplicateSampleIndex(f"two crossings map to sample {i}")
+            raise ValidationError(f"two crossings map to sample {i}")
         seen.add(i)
     return np.array(sorted(seen), dtype=np.intp)
 
@@ -189,7 +182,7 @@ def validate_passage(p: Passage) -> list[str]:
         if 0 < ch.sample_rate < math.inf and ch.n_samples >= 1:
             try:
                 crossing_indices(times, ch.sample_rate, ch.n_samples)
-            except (OutOfRangeCrossing, DuplicateSampleIndex) as exc:
+            except ValidationError as exc:
                 violations.append(f"channel {ch.sensor_id}: {exc}")
     return violations
 

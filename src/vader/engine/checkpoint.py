@@ -121,10 +121,9 @@ def read_manifest(stem) -> dict:
         raise CheckpointError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(manifest, dict) or manifest.get("format") != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint manifest")
-    if manifest.get("version") != VERSION:
-        raise CheckpointError(
-            f"{path}: checkpoint version {manifest.get('version')} is not {VERSION}; retrain the model"
-        )
+    version = manifest.get("version")
+    if type(version) is not int or version != VERSION:  # 3.0 == 3: the type is checked, as every scalar's
+        raise CheckpointError(f"{path}: checkpoint version {version} is not {VERSION}; retrain the model")
     missing = sorted({*_SCALARS, *_ARCHITECTURE} - manifest.keys())
     if missing:
         raise CheckpointError(f"{path}: manifest lacks {', '.join(missing)}")

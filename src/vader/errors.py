@@ -1,8 +1,20 @@
 """Exception hierarchy shared across the package.
 
-``VaderError`` is the common base; ``DataError`` groups everything the CLI
-maps to exit code 2 (bad input data, violated invariants, unusable
-configuration), as opposed to usage errors (exit 1).
+``VaderError`` is the common base. ``DataError`` is what an input boundary
+refuses, one type per boundary; the CLI prints it as ``data error:`` and
+exits with code 2:
+
+* a dataset file that does not parse: ``ParseError``;
+* a dataset, split plan or fold that cannot be used as given: ``ValidationError``;
+* a passage id, sensor id or fold index that names nothing: ``UnknownId``;
+* a sample rate other than the dataset's or the model's: ``SampleRateMismatch``;
+* a configuration value out of range: ``InvalidConfig``;
+* a checkpoint: ``CheckpointError``, or ``ShapeMismatch`` for another network;
+* a network input: ``ShapeMismatch`` or ``NonFiniteInput``.
+
+The other ``VaderError`` types report library misuse (``error:``, exit
+code 2). An option value that argparse or a constructor refuses is a usage
+error (exit code 1).
 """
 
 from contextlib import contextmanager
@@ -27,15 +39,6 @@ class DataError(VaderError):
     """Invalid data or configuration supplied by the caller."""
 
 
-# core data
-class OutOfRangeCrossing(DataError):
-    """A crossing time falls outside the signal duration."""
-
-
-class DuplicateSampleIndex(DataError):
-    """Two crossing times round to the same sample index."""
-
-
 class ParseError(DataError):
     """A dataset file could not be parsed; carries file and line info."""
 
@@ -46,7 +49,9 @@ class ParseError(DataError):
 
 
 class ValidationError(DataError):
-    """A loaded passage or split plan violates a structural invariant."""
+    """A dataset, split plan or fold cannot be used as given: a passage breaks
+    an invariant, a plan is malformed or repeats a passage, a dataset is empty
+    or cannot be split as asked, or a fold supplies no passages."""
 
 
 class UnknownId(DataError):
@@ -59,37 +64,14 @@ class SampleRateMismatch(DataError):
     rate a model was trained at."""
 
 
-# splits
-class EmptyDataset(DataError):
-    """Split requested on a dataset with no passages."""
+class InvalidConfig(DataError):
+    """A configuration value is out of range: a synthesis or planner setting,
+    or hyperparameters the kernel/pool validity rule excludes."""
 
 
-class SingleClassDataset(DataError):
-    """Axle-count holdout split needs at least two distinct axle counts."""
-
-
-class TieForModalCount(DataError):
-    """Two or more axle counts share the maximum frequency; an explicit
-    modal count must be supplied."""
-
-
-# receptive-field planner
-class Overflow(DataError):
-    """Receptive field size exceeds the representable integer range."""
-
-
-class NonPositiveFrequency(DataError):
-    """Frequencies must be finite and strictly positive."""
-
-
-# nn engine
 class ShapeMismatch(DataError):
     """Tensor shapes are incompatible with the requested operation, or a
     checkpoint describes a different network than it is loaded into."""
-
-
-class MissingForwardCache(VaderError):
-    """backward() called without a preceding forward() on the same graph."""
 
 
 class NonFiniteInput(DataError):
@@ -100,25 +82,14 @@ class CheckpointError(DataError):
     """A checkpoint manifest is unreadable, incomplete or of an older format."""
 
 
-# model builder
-class InvalidHyperParams(DataError):
-    """Hyperparameter combination excluded by the kernel/pool validity rule."""
+# library misuse
+class MissingForwardCache(VaderError):
+    """backward() called without a preceding forward() on the same graph."""
 
 
-# training
-class EmptyFold(DataError):
-    """A cross-validation fold supplies no training or validation passages."""
-
-
-# metrics
 class LengthMismatch(VaderError):
     """Label and velocity arrays differ in length."""
 
 
 class NonPositiveInput(VaderError):
     """Harmonic mean requires strictly positive inputs."""
-
-
-# synthetic generator
-class InvalidConfig(DataError):
-    """Bridge or train configuration violates its invariants."""

@@ -42,7 +42,7 @@ from .engine import (
     load_checkpoint,
     read_manifest,
 )
-from .errors import CheckpointError, InvalidHyperParams, ShapeMismatch
+from .errors import CheckpointError, InvalidConfig, ShapeMismatch
 from .planner import HyperParams, InputKind
 
 #: Frequency bins and wavelet channels of the spectrogram input tensor.
@@ -127,13 +127,13 @@ class _Builder:
 def build_vader(cfg: VaderConfig, dtype=np.float32) -> Network:
     """Assemble the detector network described by ``cfg``.
 
-    Raises InvalidHyperParams when the kernel does not exceed the pooling
+    Raises InvalidConfig when the kernel does not exceed the pooling
     size (upsampling could not interpolate between pooled values) or is
     even (a 'same' convolution has no centre tap).
     """
     hp = cfg.hyper
     if not hp.valid:
-        raise InvalidHyperParams(
+        raise InvalidConfig(
             f"kernel_size {hp.kernel_size} must be odd and exceed pool_size {hp.pool_size}"
         )
     k, m, p = hp.kernel_size, hp.pool_size, hp.pool_steps

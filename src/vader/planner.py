@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import NonPositiveFrequency, Overflow
+from .errors import InvalidConfig
 from .simulate import BridgeConfig
 
 _MAX_MRF = 2**63 - 1
@@ -84,7 +84,7 @@ def mrf(kernel_size: int, pool_size: int, pool_steps: int) -> int:
     """Maximum receptive field in original samples: kernel_size * pool_size ** pool_steps."""
     value = kernel_size * pool_size**pool_steps
     if value > _MAX_MRF:
-        raise Overflow(f"receptive field {kernel_size}*{pool_size}^{pool_steps} exceeds 2^63-1")
+        raise InvalidConfig(f"receptive field {kernel_size}*{pool_size}^{pool_steps} exceeds 2^63-1")
     return value
 
 
@@ -92,11 +92,11 @@ def object_size(sample_rate: float, lowest_frequency: float) -> int:
     """Samples spanned by one period of the lowest frequency of interest,
     rounded up."""
     if not (0 < lowest_frequency < math.inf and 0 < sample_rate < math.inf):
-        raise NonPositiveFrequency(
+        raise InvalidConfig(
             f"sample_rate and lowest_frequency must be finite and > 0, got {sample_rate}, {lowest_frequency}"
         )
     if lowest_frequency > sample_rate:
-        raise NonPositiveFrequency(
+        raise InvalidConfig(
             f"lowest_frequency {lowest_frequency} exceeds sample_rate {sample_rate}"
         )
     return math.ceil(sample_rate / lowest_frequency)

@@ -13,6 +13,7 @@ Two scenarios are supported:
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, json_list, json_value
-from .errors import EmptyDataset, SingleClassDataset, TieForModalCount, UnknownId, ValidationError
+from .errors import UnknownId, ValidationError
 
 N_FOLDS = 5
 #: Default holdout fraction for the stratified scenario.
@@ -47,10 +48,11 @@ class SplitPlan:
     def __post_init__(self):
         if len(self.folds) != N_FOLDS:
             raise ValidationError(f"split plan has {len(self.folds)} folds, expected {N_FOLDS}")
-        pools = [set(f) for f in self.folds] + [set(self.test_ids)]
-        total = sum(len(s) for s in pools)
-        if len(set().union(*pools)) != total:
-            raise ValidationError("split plan puts a passage in more than one fold or test set")
+        seen: set[str] = set()
+        for pid in itertools.chain(self.test_ids, *self.folds):
+            if pid in seen:
+                raise ValidationError(f"split plan lists passage {pid!r} more than once")
+            seen.add(pid)
 
     def fold_val_ids(self, fold: int) -> tuple[str, ...]:
         if not 0 <= fold < N_FOLDS:
@@ -127,7 +129,7 @@ def stratified_split(dataset: Dataset, test_fraction: float = DEFAULT_TEST_FRACT
     """
     index = dataset.axle_count_index()
     if not index:
-        raise EmptyDataset("cannot split an empty dataset")
+        raise ValidationError("cannot split an empty dataset")
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
 
@@ -170,26 +172,26 @@ def stratified_split(dataset: Dataset, test_fraction: float = DEFAULT_TEST_FRACT
 def dgps_split(dataset: Dataset, seed: int = 0, modal_axles: int | None = None) -> SplitPlan:
     """Folds over the modal axle count; every other passage goes to test.
 
-    A tie for the most common axle count raises TieForModalCount unless a
+    A tie for the most common axle count raises ValidationError unless a
     ``modal_axles`` override picks the winner explicitly.
     """
     index = dataset.axle_count_index()
     if not index:
-        raise EmptyDataset("cannot split an empty dataset")
+        raise ValidationError("cannot split an empty dataset")
     strata = _strata(index)
     if len(strata) < 2:
-        raise SingleClassDataset("axle-count holdout needs at least two distinct axle counts")
+        raise ValidationError("axle-count holdout needs at least two distinct axle counts")
 
     if modal_axles is None:
         best = max(len(v) for v in strata.values())
         candidates = sorted(k for k, v in strata.items() if len(v) == best)
         if len(candidates) > 1:
-            raise TieForModalCount(
+            raise ValidationError(
                 f"axle counts {candidates} share the maximum frequency {best}; pass an explicit modal count"
             )
         modal_axles = candidates[0]
     elif modal_axles not in strata:
-        raise SingleClassDataset(f"no passages with axle count {modal_axles}")
+        raise ValidationError(f"no passages with axle count {modal_axles}")
 
     rng = np.random.Generator(np.random.PCG64(seed))
     members = list(strata[modal_axles])

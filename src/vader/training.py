@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Dataset, build_label_vector
 from .engine import LossConfig, ParamStore, adam_step, focal_loss
-from .errors import EmptyFold, naming
+from .errors import ValidationError, naming
 from .metrics import MetricsAccumulator, MetricsReport, PeakConfig, score_series
 from .model import VaderConfig, build_vader, network_input
 from .planner import InputKind
@@ -236,13 +236,13 @@ def train(
     train_ids = plan.fold_train_ids(fold)
     val_ids = plan.fold_val_ids(fold)
     if not train_ids or not val_ids:
-        raise EmptyFold(f"fold {fold}: {len(train_ids)} train / {len(val_ids)} val passages")
+        raise ValidationError(f"fold {fold}: {len(train_ids)} train / {len(val_ids)} val passages")
 
     network = build_vader(cfg)  # refuses invalid hyperparameters before any input work
     train_samples = build_samples(dataset, train_ids, cfg.hyper.input_kind)
     val_samples = build_samples(dataset, val_ids, cfg.hyper.input_kind)
     if not train_samples or not val_samples:
-        raise EmptyFold(f"fold {fold} supplies no usable samples")
+        raise ValidationError(f"fold {fold} supplies no usable samples")
 
     for s in train_samples + val_samples:  # refuse an unusable input by name, before any step
         with naming(s.passage_id, s.sensor_id):

@@ -436,6 +436,48 @@ def test_malformed_split_exits_2(workspace, tmp_path):
     assert not (tmp_path / "train" / "run.json").exists()
 
 
+@pytest.mark.parametrize("where", ["test", "fold"])
+def test_split_listing_a_passage_twice_exits_2(workspace, trained, tmp_path, capsys, where):
+    """A passage listed twice would be scored twice by eval, or trained on
+    twice per epoch: the plan is refused, naming the passage."""
+    payload = json.loads((workspace / "split.json").read_text())
+    pool = payload["test"] if where == "test" else payload["folds"][0]
+    pool.append(pool[0])
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps(payload))
+    out = tmp_path / "eval"
+    code = run(
+        "eval", "--dataset", str(workspace / "data" / "passages"), "--checkpoint", str(trained / "model"),
+        "--split", str(split), "--out", str(out),
+    )
+    assert code == 2
+    assert f"split plan lists passage {pool[0]!r} more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_split_without_ids_scores_the_test_set(workspace, trained, tmp_path):
+    argv = [
+        "eval", "--dataset", str(workspace / "data" / "passages"), "--checkpoint", str(trained / "model"),
+        "--split", str(workspace / "split.json"),
+    ]
+    assert run(*argv, "--out", str(tmp_path / "default")) == 0
+    assert run(*argv, "--ids", "test", "--out", str(tmp_path / "test")) == 0
+    assert json.loads((tmp_path / "default" / "run.json").read_text())["config"]["ids"] == "test"
+    for name in ("metrics.json", "per_sensor.csv"):
+        assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "test" / name).read_bytes()
+
+
+def test_dgps_split_of_an_absent_modal_count_exits_2(workspace, tmp_path, capsys):
+    out = tmp_path / "split.json"
+    code = run(
+        "split", "--dataset", str(workspace / "data" / "passages"), "--scenario", "dgps", "--modal-axles", "7",
+        "--out", str(out),
+    )
+    assert code == 2
+    assert "no passages with axle count 7" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_passage_exits_2(workspace, trained, tmp_path, capsys):
     code = run(
         "detect", "--dataset", str(workspace / "data" / "passages"), "--checkpoint", str(trained / "model"),
@@ -475,6 +517,7 @@ CHECKPOINT_DAMAGE = {
     "bad_model": lambda stem: _edit_manifest(stem, lambda m: m["model"].update(input_kind="audio")),
     "version_2": _as_version_2,
     "version_1": lambda stem: _edit_manifest(stem, lambda m: (m.pop("model"), m.update(version=1))),
+    "version_float": lambda stem: _edit_manifest(stem, lambda m: m.update(version=3.0)),
     "float_kernel_size": lambda stem: _edit_manifest(stem, lambda m: m["model"].update(kernel_size=5.0)),
     "float_pool_steps": lambda stem: _edit_manifest(stem, lambda m: m["model"].update(pool_steps=2.0)),
     "float_base_width": lambda stem: _edit_manifest(stem, lambda m: m["model"].update(base_width=4.5)),
@@ -667,6 +710,22 @@ def test_decreasing_crossing_times_exit_2(workspace, trained, tmp_path, capsys):
     code = run("eval", "--dataset", str(data), "--checkpoint", str(trained / "model"), "--out", str(tmp_path / "eval"))
     assert code == 2
     assert "do not strictly increase" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_fewer_crossings_than_velocities_exits_2(workspace, trained, tmp_path, capsys):
+    n_axles = json.loads((workspace / "data" / "passages" / "passage_00000" / "meta.json").read_text())["axle_count"]
+
+    def drop_s0_crossing(pdir):
+        meta = json.loads((pdir / "meta.json").read_text())
+        meta["crossing_times"]["s0"].pop()
+        (pdir / "meta.json").write_text(json.dumps(meta))
+
+    data = _edited_copy(workspace, tmp_path, "passage_00000", drop_s0_crossing)
+    code = run("eval", "--dataset", str(data), "--checkpoint", str(trained / "model"), "--out", str(tmp_path / "eval"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and f"sensor s0: {n_axles - 1} crossings vs {n_axles} velocities" in err
     assert not (tmp_path / "eval").exists()
 
 

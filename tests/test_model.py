@@ -12,7 +12,7 @@ import pytest
 from vader.cwt import spectrogram_stack
 from vader.data import SensorChannel
 from vader.engine import Conv, read_manifest, save_checkpoint
-from vader.errors import InvalidHyperParams, NonFiniteInput, ShapeMismatch
+from vader.errors import InvalidConfig, NonFiniteInput, ShapeMismatch
 from vader.model import (
     SPEC_BINS,
     SPEC_CHANNELS,
@@ -33,11 +33,11 @@ def _cfg(kind=InputKind.RAW, k=9, m=2, p=4, base=16):
 
 
 def test_invalid_hyperparams_rejected():
-    with pytest.raises(InvalidHyperParams):
+    with pytest.raises(InvalidConfig, match="kernel_size 3 must be odd and exceed pool_size 4"):
         build_vader(_cfg(k=3, m=4, p=3))
-    with pytest.raises(InvalidHyperParams):
+    with pytest.raises(InvalidConfig, match="kernel_size 3 must be odd and exceed pool_size 3"):
         build_vader(_cfg(k=3, m=3, p=3))
-    with pytest.raises(InvalidHyperParams, match="kernel_size 4 must be odd and exceed pool_size 2"):
+    with pytest.raises(InvalidConfig, match="kernel_size 4 must be odd and exceed pool_size 2"):
         build_vader(_cfg(k=4, m=2, p=3))
 
 

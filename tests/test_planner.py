@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vader.errors import NonPositiveFrequency, Overflow
+from vader.errors import InvalidConfig
 from vader.planner import (
     HyperParams,
     InputKind,
@@ -23,7 +23,7 @@ def test_mrf_values():
 
 
 def test_mrf_overflow():
-    with pytest.raises(Overflow):
+    with pytest.raises(InvalidConfig, match=r"receptive field 9\*10\^64 exceeds 2\^63-1"):
         mrf(9, 10, 64)
 
 
@@ -34,11 +34,11 @@ def test_object_size_values():
 
 
 def test_object_size_errors():
-    with pytest.raises(NonPositiveFrequency):
+    with pytest.raises(InvalidConfig, match="must be finite and > 0, got 600, 0"):
         object_size(600, 0)
-    with pytest.raises(NonPositiveFrequency):
+    with pytest.raises(InvalidConfig, match="must be finite and > 0, got 600, -3"):
         object_size(600, -3)
-    with pytest.raises(NonPositiveFrequency):
+    with pytest.raises(InvalidConfig, match="lowest_frequency 601 exceeds sample_rate 600"):
         object_size(600, 601)
 
 

@@ -3,14 +3,7 @@
 import pytest
 
 from vader.data import Dataset, Passage
-from vader.errors import (
-    DataError,
-    EmptyDataset,
-    SingleClassDataset,
-    TieForModalCount,
-    UnknownId,
-    ValidationError,
-)
+from vader.errors import DataError, UnknownId, ValidationError
 from vader.splits import (
     N_FOLDS,
     Scenario,
@@ -83,7 +76,7 @@ def test_stratified_real_scale_holdout():
 
 
 def test_stratified_empty():
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(ValidationError, match="cannot split an empty dataset"):
         stratified_split(_dataset({}), 1 / 6, 0)
 
 
@@ -116,15 +109,20 @@ def test_dgps_real_scale():
 
 def test_dgps_tie_raises_and_override():
     dataset = _dataset({16: 5, 32: 5, 48: 2})
-    with pytest.raises(TieForModalCount):
+    with pytest.raises(ValidationError, match=r"axle counts \[16, 32\] share the maximum frequency 5"):
         dgps_split(dataset, seed=0)
     plan = dgps_split(dataset, seed=0, modal_axles=16)
     assert sum(len(f) for f in plan.folds) == 5
     assert len(plan.test_ids) == 7
 
 
+def test_dgps_empty():
+    with pytest.raises(ValidationError, match="cannot split an empty dataset"):
+        dgps_split(_dataset({}), seed=0)
+
+
 def test_dgps_single_class():
-    with pytest.raises(SingleClassDataset):
+    with pytest.raises(ValidationError, match="axle-count holdout needs at least two distinct axle counts"):
         dgps_split(_dataset({8: 12}), seed=0)
 
 
@@ -182,6 +180,21 @@ def test_split_plan_checks_without_assert():
     # raised explicitly, so the check survives python -O
     with pytest.raises(ValidationError):
         SplitPlan(Scenario.STRATIFIED, 0, (), ((),) * (N_FOLDS - 1))
+
+
+@pytest.mark.parametrize(
+    "test_ids, folds",
+    [
+        (("a", "b", "a"), (("c",), (), (), (), ())),
+        (("b",), (("a", "c", "a"), (), (), (), ())),
+        (("b",), (("a",), ("c", "a"), (), (), ())),
+        (("a",), (("a",), (), (), (), ())),
+    ],
+    ids=["in_test", "in_one_fold", "in_two_folds", "in_test_and_fold"],
+)
+def test_split_plan_refuses_a_repeated_passage(test_ids, folds):
+    with pytest.raises(ValidationError, match="split plan lists passage 'a' more than once"):
+        SplitPlan(Scenario.STRATIFIED, 0, test_ids, folds)
 
 
 @pytest.mark.parametrize("fold", [-1, N_FOLDS, 7])

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from vader import model, training
 from vader.data import Dataset
 from vader.engine import LossConfig, checkpoint_bytes, focal_loss
-from vader.errors import EmptyFold, InvalidHyperParams, MissingForwardCache
+from vader.errors import InvalidConfig, MissingForwardCache, ValidationError
 from vader.model import VaderConfig, build_vader
 from vader.planner import HyperParams, InputKind
 from vader.simulate import DatasetConfig, generate_dataset
@@ -402,7 +402,7 @@ def test_history_csv_shape(train_setup):
 
 
 def test_empty_fold_raises():
-    with pytest.raises(EmptyFold):
+    with pytest.raises(ValidationError, match="fold 0: 0 train / 0 val passages"):
         from vader.splits import Scenario, SplitPlan
 
         empty_plan = SplitPlan(
@@ -423,7 +423,7 @@ def test_invalid_hyperparams_refused_before_any_transform(train_setup, monkeypat
 
     monkeypatch.setattr(model, "spectrogram_stack", transform)
     cfg = VaderConfig(HyperParams(InputKind.SPECTROGRAM, 4, 2, 2, base_width=4))
-    with pytest.raises(InvalidHyperParams):
+    with pytest.raises(InvalidConfig, match="kernel_size 4 must be odd and exceed pool_size 2"):
         train(cfg, dataset, plan, fold=0, schedule=_fast_schedule(), seed=0)
 
 
