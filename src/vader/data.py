@@ -8,13 +8,14 @@ sample nearest each crossing.
 On-disk layout (one directory per passage)::
 
     <root>/<passage_id>/meta.json
-    <root>/<passage_id>/sensor_<id>.csv     # one sample per line, no header
+    <root>/<passage_id>/sensor_<id>.f64     # the samples, little-endian float64, no header
 
-``meta.json`` carries passage_id, sample_rate, axle_count, per-sensor
-crossing times in seconds, which strictly increase (axles pass a sensor in
-order), and per-axle velocities in m/sample. All CSV is ASCII with ``\\n``
-line endings; floats are written with ``repr`` so a save/load cycle is
-bit-exact.
+``meta.json`` carries passage_id, sample_rate, axle_count, n_samples (the
+length every channel shares), per-sensor crossing times in seconds, which
+strictly increase (axles pass a sensor in order), and per-axle velocities in
+m/sample. A sample file holds exactly ``8 * n_samples`` bytes, read straight
+into the array, so a save/load cycle is bit-exact. Text sample files
+(``sensor_<id>.csv``) of older datasets are refused by name.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def validate_passage(p: Passage) -> list[str]:
     for ch in p.channels:
         if ch.n_samples < 1:
             violations.append(f"channel {ch.sensor_id}: empty sample series")
-        elif not np.all(np.isfinite(ch.samples)):
+        elif not (np.isfinite(ch.samples.min()) and np.isfinite(ch.samples.max())):  # both are NaN if any sample is
             bad = int(np.flatnonzero(~np.isfinite(ch.samples))[0])
             violations.append(f"channel {ch.sensor_id}: non-finite sample at index {bad}")
         if ch.n_samples != ref.n_samples:
@@ -237,23 +238,27 @@ def json_list(value, types: tuple, what: str) -> list:
     return value
 
 
-def _read_samples(path: Path) -> np.ndarray:
-    text = path.read_text(encoding="ascii")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+#: Byte layout of a sample file.
+SAMPLE_DTYPE = np.dtype("<f8")
+
+
+def _read_samples(path: Path, n_samples: int) -> np.ndarray:
+    """The ``n_samples`` samples of one sample file; ParseError unless the
+    file holds exactly that many."""
+    need = SAMPLE_DTYPE.itemsize * n_samples
     try:
-        return np.asarray(lines, dtype=np.float64)
-    except ValueError:
-        for lineno, line in enumerate(lines, start=1):
-            try:
-                float(line)
-            except ValueError:
-                raise ParseError(path, lineno, f"not a number: {line!r}") from None
-        raise ParseError(path, 0, "unparseable sample file")
+        found = path.stat().st_size
+    except FileNotFoundError:
+        raise ParseError(path, 0, "referenced sensor file missing") from None
+    if found != need:
+        raise ParseError(path, 0, f"expected {need} bytes of values, found {found}")
+    return np.fromfile(path, SAMPLE_DTYPE)
 
 
 def _load_passage(pdir: Path) -> Passage:
+    for text in pdir.glob("sensor_*.csv"):
+        if not text.with_suffix(".f64").exists():
+            raise ParseError(text, 0, "text sample files are no longer read; regenerate the dataset")
     meta_path = pdir / "meta.json"
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
@@ -263,6 +268,9 @@ def _load_passage(pdir: Path) -> Passage:
         passage_id = json_value(meta["passage_id"], (str,), "passage_id")
         sample_rate = float(json_value(meta["sample_rate"], (int, float), "sample_rate"))
         axle_count = json_value(meta["axle_count"], (int,), "axle_count")
+        n_samples = json_value(meta["n_samples"], (int,), "n_samples")
+        if n_samples < 1:
+            raise ValueError(f"n_samples {n_samples} is not positive")
         velocities = [float(v) for v in json_list(meta["velocities"], (int, float), "velocities")]
         crossing_times = {
             sid: [float(t) for t in json_list(ts, (int, float), f"sensor {sid} crossing times")]
@@ -274,10 +282,7 @@ def _load_passage(pdir: Path) -> Passage:
     channels = []
     axles: dict[str, tuple[AxleRecord, ...]] = {}
     for sensor_id in crossing_times:
-        csv_path = pdir / f"sensor_{sensor_id}.csv"
-        if not csv_path.exists():
-            raise ParseError(csv_path, 0, "referenced sensor file missing")
-        samples = _read_samples(csv_path)
+        samples = _read_samples(pdir / f"sensor_{sensor_id}.f64", n_samples)
         channels.append(SensorChannel(sensor_id, samples, sample_rate))
         times = crossing_times[sensor_id]
         if len(times) != len(velocities):
@@ -329,6 +334,7 @@ def save_passage(passage: Passage, root) -> Path:
         "passage_id": passage.passage_id,
         "sample_rate": passage.channels[0].sample_rate if passage.channels else 0.0,
         "axle_count": passage.axle_count,
+        "n_samples": passage.channels[0].n_samples if passage.channels else 0,
         "crossing_times": {
             sid: [rec.crossing_time for rec in records] for sid, records in sorted(passage.axles.items())
         },
@@ -336,6 +342,5 @@ def save_passage(passage: Passage, root) -> Path:
     }
     (pdir / "meta.json").write_text(json.dumps(meta, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     for ch in passage.channels:
-        body = "\n".join(repr(float(x)) for x in ch.samples.tolist())
-        (pdir / f"sensor_{ch.sensor_id}.csv").write_text(body + "\n", encoding="ascii")
+        np.asarray(ch.samples, dtype=SAMPLE_DTYPE).tofile(pdir / f"sensor_{ch.sensor_id}.f64")
     return pdir

@@ -1,4 +1,5 @@
-"""Shared test helpers: finite-difference oracles and tiny dataset factories."""
+"""Shared test helpers: finite-difference oracles, tiny dataset factories and
+sample-file edits."""
 
 import numpy as np
 import pytest
@@ -77,6 +78,13 @@ def fd_layer_check(layer, xs, valids=None, eps=1e-5, max_entries=40, seed=0):
             flat[i] = old
             worst = max(worst, rel_err(gflat[i], (up - down) / (2 * eps)))
     return worst
+
+
+def write_sample(path, index, value):
+    """Overwrite sample ``index`` of a ``sensor_<id>.f64`` file with ``value``."""
+    with path.open("r+b") as f:
+        f.seek(8 * index)
+        f.write(np.array(value, dtype="<f8").tobytes())
 
 
 @pytest.fixture

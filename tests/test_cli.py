@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_sample
 from vader.cli import _estimate_velocities, main
 from vader.engine import ParamStore, save_checkpoint
 from vader.model import VaderConfig, build_vader, load_vader
@@ -758,9 +759,10 @@ def test_non_finite_meta_exits_2(workspace, trained, tmp_path, capsys, field, va
     assert not (tmp_path / "eval").exists()
 
 
-@pytest.mark.parametrize("target", ["meta.json", "sensor_s0.csv", "split.json"])
+@pytest.mark.parametrize("target", ["meta.json", "sensor_s0.f64", "split.json"])
 def test_undecodable_input_exits_2(workspace, trained, tmp_path, capsys, target):
-    """A dataset or split file that is not text is a data error."""
+    """A dataset or split file that is not text, or a sample file that is
+    not whole float64 values, is a data error."""
     data = _edited_copy(workspace, tmp_path, "passage_00000", lambda pdir: None)
     split = tmp_path / "split.json"
     shutil.copy(workspace / "split.json", split)
@@ -776,9 +778,47 @@ def test_undecodable_input_exits_2(workspace, trained, tmp_path, capsys, target)
 
 def _overflow_s0(pdir):
     """Put a sample beyond float32 range into sensor s0 of a passage."""
-    lines = (pdir / "sensor_s0.csv").read_text().split("\n")
-    lines[5] = "1e39"
-    (pdir / "sensor_s0.csv").write_text("\n".join(lines))
+    write_sample(pdir / "sensor_s0.f64", 5, 1e39)
+
+
+def test_sample_file_cut_at_a_sample_boundary_exits_2(workspace, trained, tmp_path, capsys):
+    """A sample file cut just past the sample of its last crossing keeps
+    every label; eval refuses it for its length instead of scoring a
+    shorter series."""
+    meta = json.loads((workspace / "data" / "passages" / "passage_00000" / "meta.json").read_text())
+    kept = int(max(meta["crossing_times"]["s0"]) * meta["sample_rate"]) + 2
+
+    def cut(pdir):
+        path = pdir / "sensor_s0.f64"
+        path.write_bytes(path.read_bytes()[: 8 * kept])
+
+    data = _edited_copy(workspace, tmp_path, "passage_00000", cut)
+    code = run("eval", "--dataset", str(data), "--checkpoint", str(trained / "model"), "--out", str(tmp_path / "eval"))
+    assert code == 2
+    err = capsys.readouterr().err
+    path = data / "passage_00000" / "sensor_s0.f64"
+    assert f"{path}:0: expected {8 * meta['n_samples']} bytes of values, found {8 * kept}" in err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_text_dataset_exits_2(workspace, trained, tmp_path, capsys):
+    """A passage written by an older version, text samples and no
+    ``n_samples``, is refused by name: the dataset must be regenerated."""
+
+    def to_text(pdir):
+        meta = json.loads((pdir / "meta.json").read_text())
+        del meta["n_samples"]
+        (pdir / "meta.json").write_text(json.dumps(meta))
+        binary = pdir / "sensor_s0.f64"
+        binary.with_suffix(".csv").write_text("".join(f"{x!r}\n" for x in np.fromfile(binary, "<f8").tolist()))
+        binary.unlink()
+
+    data = _edited_copy(workspace, tmp_path, "passage_00002", to_text)
+    code = run("eval", "--dataset", str(data), "--checkpoint", str(trained / "model"), "--out", str(tmp_path / "eval"))
+    assert code == 2
+    text = data / "passage_00002" / "sensor_s0.csv"
+    expected = f"{text}:0: text sample files are no longer read; regenerate the dataset"
+    assert capsys.readouterr().err == f"data error: {expected}\n"
 
 
 @pytest.mark.parametrize("command", ["eval", "detect", "train", "train-spectrogram"])
@@ -925,27 +965,25 @@ def _mutate_json(data, text, targets):
     return json.dumps(doc)
 
 
-def _mutate_csv(data, text, meta):
-    """``text``, a sensor CSV, with one sample swapped for a token of another
-    JSON type or a non-finite number, or truncated before the sample of its
-    last crossing."""
-    lines = text.split("\n")[:-1]
-    kind = data.draw(st.sampled_from(["swap", "non_finite", "truncate"]))
+def _mutate_samples(data, raw):
+    """``raw``, a sample file, with one sample overwritten by a non-finite
+    number or one beyond float32 range, cut to fewer bytes, or grown by 1-7
+    bytes."""
+    kind = data.draw(st.sampled_from(["non_finite", "truncate", "append"]))
     if kind == "truncate":
-        last = max(max(times) for times in meta["crossing_times"].values()) * meta["sample_rate"]
-        return "".join(line + "\n" for line in lines[: data.draw(st.integers(0, int(last)))])
-    if kind == "swap":
-        tokens = [json.dumps(v) for v in JSON_VALUES if _json_type(v) != "number"]
-    else:  # 1e39 is finite in float64 but overflows the float32 network
-        tokens = NON_FINITE + ("1e39",)
-    lines[data.draw(st.integers(0, len(lines) - 1))] = data.draw(st.sampled_from(tokens))
-    return "".join(line + "\n" for line in lines)
+        return raw[: data.draw(st.integers(0, len(raw) - 1))]
+    if kind == "append":
+        return raw + bytes(data.draw(st.integers(1, 7)))
+    # 1e39 is finite in float64 but overflows the float32 network
+    value = np.array(float(data.draw(st.sampled_from(NON_FINITE + ("1e39",)))), dtype="<f8").tobytes()
+    i = 8 * data.draw(st.integers(0, len(raw) // 8 - 1))
+    return raw[:i] + value + raw[i + 8 :]
 
 
 @pytest.fixture(scope="module")
 def contract_files(workspace, trained, tmp_path_factory):
     """A private copy of the workspace passages, split and checkpoint, and the
-    four files the contract test mutates: the meta.json and sensor CSV of a
+    four files the contract test mutates: the meta.json and a sample file of a
     passage of fold 0, which fold 0's training and evaluation both read, the
     split JSON and the checkpoint's model.json."""
     root = tmp_path_factory.mktemp("contract")
@@ -955,7 +993,7 @@ def contract_files(workspace, trained, tmp_path_factory):
     pdir = root / "passages" / json.loads((root / "split.json").read_text())["folds"][0][0]
     files = {
         "meta": pdir / "meta.json",
-        "csv": pdir / "sensor_s0.csv",
+        "samples": pdir / "sensor_s0.f64",
         "split": root / "split.json",
         "model": stem.with_suffix(".json"),
     }
@@ -976,24 +1014,25 @@ CONTRACT_TARGETS = {
 @settings(database=None, deadline=None, max_examples=200)
 @given(data=st.data())
 def test_mutated_input_exits_1_or_2(contract_files, data):
-    """Contract: a meta.json, sensor CSV, split JSON or model.json with a value
-    of another JSON type, a non-finite number, a missing key or a truncated
-    body makes eval return 1 or 2, and no exception escapes main. detect and
+    """Contract: a meta.json, split JSON or model.json with a value of
+    another JSON type, a non-finite number, a missing key or a truncated
+    body, or a sample file with a non-finite or out-of-range sample or of
+    the wrong length, makes eval return 1 or 2, and no exception escapes main. detect and
     train, which read their inputs through other paths, must do the same for
     every file they read: detect all but the split, train all but the
     model."""
     root, files = contract_files
     name = data.draw(st.sampled_from(sorted(files)))
-    original = files[name].read_text()
-    if name == "csv":
-        mutated = _mutate_csv(data, original, json.loads(files["meta"].read_text()))
+    original = files[name].read_bytes()
+    if name == "samples":
+        mutated = _mutate_samples(data, original)
     else:
-        mutated = _mutate_json(data, original, CONTRACT_TARGETS[name])
+        mutated = _mutate_json(data, original.decode(), CONTRACT_TARGETS[name]).encode()
     # the mutated passage is one of fold 0, so only a split mutation may
     # evaluate another set instead
     ids = data.draw(st.sampled_from(["test", "0", "1", "2", "3", "4"])) if name == "split" else "0"
     inputs = ["--dataset", str(root / "passages"), "--checkpoint", str(files["model"].with_suffix(""))]
-    files[name].write_text(mutated)
+    files[name].write_bytes(mutated)
     try:
         codes = [run("eval", *inputs, "--split", str(files["split"]), "--ids", ids, "--out", str(root / "eval"))]
         if name != "split":
@@ -1005,7 +1044,7 @@ def test_mutated_input_exits_1_or_2(contract_files, data):
                 "--out", str(root / "train"),
             ))
     finally:
-        files[name].write_text(original)
+        files[name].write_bytes(original)
         shutil.rmtree(root / "eval", ignore_errors=True)
         shutil.rmtree(root / "train", ignore_errors=True)
         (root / "detections.csv").unlink(missing_ok=True)

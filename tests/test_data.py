@@ -2,12 +2,14 @@
 
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import write_sample
 from vader import data
 from vader.data import (
     AxleRecord,
@@ -256,6 +258,9 @@ def test_missing_dataset_root_is_an_error(tmp_path):
 
 
 def test_round_trip_bit_exact(tmp_path, tiny_passage):
+    info = np.finfo(np.float64)
+    extremes = [-0.0, info.smallest_subnormal, info.max, -info.max]
+    tiny_passage.channels[0].samples[: len(extremes)] = extremes
     root = tmp_path / "ds"
     save_passage(tiny_passage, root)
     loaded = load_dataset(root)
@@ -266,7 +271,8 @@ def test_round_trip_bit_exact(tmp_path, tiny_passage):
     for ch, orig in zip(p.channels, tiny_passage.channels):
         assert ch.sensor_id == orig.sensor_id
         assert ch.sample_rate == orig.sample_rate
-        assert np.array_equal(ch.samples, orig.samples)
+        assert ch.samples.dtype == np.float64
+        assert ch.samples.tobytes() == orig.samples.tobytes()  # -0.0 == 0.0, so compare bits
     for sid in p.axles:
         assert p.axles[sid] == tiny_passage.axles[sid]
     # save(load(x)) == load(x) byte for byte
@@ -280,31 +286,45 @@ def test_round_trip_bit_exact(tmp_path, tiny_passage):
 
 def test_load_rejects_nonfinite(tmp_path, tiny_passage):
     root = save_passage(tiny_passage, tmp_path / "ds").parent
-    csv = root / "tiny" / "sensor_s0.csv"
-    lines = csv.read_text().split("\n")
-    lines[5] = "nan"
-    csv.write_text("\n".join(lines))
-    with pytest.raises(ValidationError):
+    write_sample(root / "tiny" / "sensor_s0.f64", 5, np.nan)
+    with pytest.raises(ValidationError, match="channel s0: non-finite sample at index 5"):
         load_dataset(root)
 
 
-def test_load_parse_error_names_file_and_line(tmp_path, tiny_passage):
+def test_load_partial_sample_names_file_and_byte_counts(tmp_path, tiny_passage):
     root = save_passage(tiny_passage, tmp_path / "ds").parent
-    csv = root / "tiny" / "sensor_s0.csv"
-    lines = csv.read_text().split("\n")
-    lines[3] = "bogus"
-    csv.write_text("\n".join(lines))
+    path = root / "tiny" / "sensor_s0.f64"
+    need = 8 * tiny_passage.channels[0].n_samples
+    with path.open("ab") as f:
+        f.write(b"\x00\x01\x02")
     with pytest.raises(ParseError) as err:
         load_dataset(root)
-    assert "sensor_s0.csv" in str(err.value)
-    assert ":4:" in str(err.value)
+    assert str(err.value) == f"{path}:0: expected {need} bytes of values, found {need + 3}"
 
 
 def test_load_missing_sensor_file(tmp_path, tiny_passage):
     root = save_passage(tiny_passage, tmp_path / "ds").parent
-    (root / "tiny" / "sensor_s1.csv").unlink()
-    with pytest.raises(ParseError):
+    (root / "tiny" / "sensor_s1.f64").unlink()
+    with pytest.raises(ParseError, match="sensor_s1.f64:0: referenced sensor file missing"):
         load_dataset(root)
+
+
+def test_loading_allocates_only_the_samples(tmp_path):
+    """The samples are read straight into their array: no text, bytes or
+    copies held beside them."""
+    n = 120_000
+    samples = np.random.default_rng(3).normal(size=n)
+    channel = SensorChannel("s0", samples, 600.0)
+    axles = {"s0": (AxleRecord(10.0, 0.05), AxleRecord(150.0, 0.05))}
+    root = save_passage(Passage("long", (channel,), axles, axle_count=2), tmp_path / "ds").parent
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(root)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.passages[0].channels[0].samples.tobytes() == samples.tobytes()
+    assert peak <= 1.1 * samples.nbytes + 256 * 1024, peak
 
 
 def test_load_rejects_duplicate_passage_id(tmp_path, tiny_passage):
@@ -335,15 +355,20 @@ META_DAMAGE = {
     "axle_count_bool": lambda meta: meta.update(axle_count=True),
     "sample_rate_text": lambda meta: meta.update(sample_rate=str(meta["sample_rate"])),
     "sample_rate_bool": lambda meta: meta.update(sample_rate=True),
+    "n_samples_missing": lambda meta: meta.pop("n_samples"),
+    "n_samples_float": lambda meta: meta.update(n_samples=float(meta["n_samples"])),
+    "n_samples_bool": lambda meta: meta.update(n_samples=True),
+    "n_samples_zero": lambda meta: meta.update(n_samples=0),
+    "n_samples_negative": lambda meta: meta.update(n_samples=-meta["n_samples"]),
 }
 
 
 @pytest.mark.parametrize("damage", sorted(META_DAMAGE))
 def test_load_refuses_meta_of_wrong_type(tmp_path, tiny_passage, damage):
     """Crossing times are an object of number lists, the passage id is a
-    string, the sample rate a number and the axle count an integer (a bool
-    is neither, a string no number); anything else is a parse error of
-    ``meta.json``."""
+    string, the sample rate a number, and the axle count and the positive
+    sample count integers (a bool is neither, a string no number); anything
+    else is a parse error of ``meta.json``."""
     root = save_passage(tiny_passage, tmp_path / "ds").parent
     path = root / "tiny" / "meta.json"
     meta = json.loads(path.read_text())
