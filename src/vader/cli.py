@@ -3,7 +3,10 @@
 Subcommands: ``plan`` (hyperparameter grid), ``synth`` (dataset generation),
 ``split`` (train/val/test plans), ``train`` (one fold), ``eval`` (metrics
 report), ``detect`` (inference to axle times). Exit codes: 0 success,
-1 usage error, 2 data/validation error.
+1 usage error, 2 data/validation error. The parser checks only syntax (text
+that does not parse, a repeated key, an unknown flag or config key,
+contradictory options: exit 1); the config object that owns a value refuses
+it out of range with ``InvalidConfig`` (exit 2) before anything is written.
 
 ``train`` writes ``run.json``, ``history.csv`` and the weights-only
 checkpoint ``model.json`` + ``model.bin``, which alone describes the
@@ -38,7 +41,7 @@ from pathlib import Path
 from . import __version__
 from .data import load_dataset, shared_sample_rate
 from .engine import save_checkpoint
-from .errors import DataError, UnknownId, VaderError, ValidationError, naming
+from .errors import DataError, InvalidConfig, UnknownId, VaderError, ValidationError, naming
 from .metrics import PeakConfig, pick_peaks
 from .model import VaderConfig, infer, load_vader
 from .planner import (
@@ -92,15 +95,6 @@ def _config_tokens(path: str, options: dict) -> list[str]:
     return tokens
 
 
-def _checked(make, *args, **kwargs):
-    """``make(*args, **kwargs)``, whose ValueError on an out-of-range option
-    value is a usage error."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _write_run_json(out_dir: Path, command: str, args) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
@@ -111,51 +105,34 @@ def _write_run_json(out_dir: Path, command: str, args) -> None:
 
 
 def _parse_fraction(text: str) -> float:
-    """'1/6' or '0.2', strictly between 0 and 1."""
+    """'1/6' or '0.2'."""
     num, _, den = text.partition("/")
     try:
-        value = float(num) / float(den or 1)
+        return float(num) / float(den or 1)
     except (ValueError, ZeroDivisionError):
-        value = float("nan")
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"expected a fraction strictly between 0 and 1, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"expected a fraction such as 1/6 or 0.2, got {text!r}") from None
 
 
 def _parse_ids(text: str) -> str | int:
     return text if text == "test" else int(text)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
-
-
-def _list_of(kind, distinct=False):
-    """Parser of 'a,b,c' into a tuple of ``kind``; an empty item is refused,
-    and with ``distinct`` a repeated value too."""
+def _list_of(kind):
+    """Parser of 'a,b,c' into a tuple of ``kind``; an empty item is refused."""
     def parse(text: str) -> tuple:
-        items = tuple(kind(v) for v in text.split(","))
-        for i, v in enumerate(items):
-            if distinct and v in items[:i]:
-                raise argparse.ArgumentTypeError(f"{v} is given more than once")
-        return items
+        return tuple(kind(v) for v in text.split(","))
 
     parse.__name__ = f"{kind.__name__} list"
     return parse
 
 
 def _parse_positions(text: str) -> dict[str, float]:
-    """'s0=4.1,s1=12.3' -> {sensor id: finite position in m}; an empty item
-    is refused."""
+    """'s0=4.1,s1=12.3' -> {sensor id: position in m}; an empty item is
+    refused."""
     out = {}
     for part in text.split(","):
         sensor_id, pos = part.split("=")
         sensor_id, value = sensor_id.strip(), float(pos)
-        if not math.isfinite(value):
-            raise argparse.ArgumentTypeError(f"expected a finite position, got {part!r}")
         if sensor_id in out:
             raise argparse.ArgumentTypeError(f"sensor {sensor_id!r} is given more than once")
         out[sensor_id] = value
@@ -183,8 +160,7 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 def _cmd_plan(args) -> int:
     out_dir = Path(args.out)
-    entries = _checked(
-        plan_grid,
+    entries = plan_grid(
         kernel_sizes=args.kernel_sizes,
         pool_sizes=args.pool_sizes,
         pool_steps=args.pool_steps,
@@ -284,8 +260,7 @@ def _cmd_train(args) -> int:
     plan = SplitPlan.from_json(Path(args.split).read_text(encoding="utf-8"))
     fold_ids = plan.fold_train_ids(args.fold) + plan.fold_val_ids(args.fold)
     rate = shared_sample_rate(dataset.by_id(pid) for pid in fold_ids)
-    hyper = _checked(
-        HyperParams,
+    hyper = HyperParams(
         input_kind=InputKind(args.input_kind),
         kernel_size=args.kernel_size,
         pool_size=args.pool_size,
@@ -293,8 +268,7 @@ def _cmd_train(args) -> int:
         base_width=args.base_width,
     )
     cfg = VaderConfig(hyper=hyper, sample_rate=rate)
-    schedule = _checked(
-        TrainSchedule,
+    schedule = TrainSchedule(
         max_epochs=args.epochs,
         batch_size=args.batch_size,
         initial_lr=args.lr,
@@ -350,7 +324,7 @@ def _cmd_eval(args) -> int:
     else:
         ids = [p.passage_id for p in dataset]
     passages = _selection(args.dataset, [dataset.by_id(pid) for pid in sorted(ids)], cfg.sample_rate)
-    peak_cfg = _checked(PeakConfig, args.min_confidence, args.min_distance)
+    peak_cfg = PeakConfig(args.min_confidence, args.min_distance)
     # built one passage at a time, so that eval holds one passage's spectrogram stacks
     samples = (s for p in passages for s in build_samples(dataset, [p.passage_id], cfg.hyper.input_kind))
     _, report = evaluate_samples(network, samples, peak_cfg)
@@ -406,9 +380,14 @@ def _cmd_detect(args) -> int:
     leaves no partial file."""
     dataset = load_dataset(args.dataset)
     network, cfg = load_vader(args.checkpoint)
-    peak_cfg = _checked(PeakConfig, args.min_confidence, args.min_distance)
+    peak_cfg = PeakConfig(args.min_confidence, args.min_distance)
     selected = [dataset.by_id(args.passage)] if args.passage else list(dataset)
     passages = _selection(args.dataset, selected, cfg.sample_rate)
+    for sensor_id, position in args.sensor_positions.items():
+        if not math.isfinite(position):
+            raise InvalidConfig(
+                f"--sensor-positions: position of sensor {sensor_id!r} must be finite, got {position}"
+            )
     sensors = sorted({ch.sensor_id for p in passages for ch in p.channels})
     unknown = sorted(set(args.sensor_positions) - set(sensors))
     if unknown:
@@ -463,14 +442,14 @@ def build_parser() -> _Parser:
     p.add_argument("--fs", type=float, default=BridgeConfig.sample_rate, help="sample rate in Hz")
     p.add_argument("--fl-certain", type=float, default=DEFAULT_F_LOW_CERTAIN, help="lowest frequency to resolve")
     p.add_argument("--fl-useful", type=float, default=DEFAULT_F_LOW_USEFUL, help="lowest informative frequency")
-    p.add_argument("--kernel-sizes", type=_list_of(int, distinct=True), default=DEFAULT_KERNEL_SIZES)
-    p.add_argument("--pool-sizes", type=_list_of(int, distinct=True), default=DEFAULT_POOL_SIZES)
-    p.add_argument("--pool-steps", type=_list_of(int, distinct=True), default=DEFAULT_POOL_STEPS)
+    p.add_argument("--kernel-sizes", type=_list_of(int), default=DEFAULT_KERNEL_SIZES)
+    p.add_argument("--pool-sizes", type=_list_of(int), default=DEFAULT_POOL_SIZES)
+    p.add_argument("--pool-steps", type=_list_of(int), default=DEFAULT_POOL_STEPS)
     p.add_argument("--out", default="plan_out")
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("synth", parents=[common, seeded], help="generate a synthetic dataset")
-    p.add_argument("--n", type=_positive_int, default=250)
+    p.add_argument("--n", type=int, default=250)
     p.add_argument(
         "--distribution", type=_parse_distribution, default="8:0.5,12:0.3,16:0.2", help="axles:weight,…"
     )
@@ -558,6 +537,8 @@ def main(argv=None) -> int:
                 args.seed = int(os.environ.get("VADER_SEED", "0"))
             except ValueError as exc:
                 raise UsageError(f"VADER_SEED: {exc}") from None
+        if vars(args).get("seed", 0) < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {args.seed}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ShapeMismatch
+from ..errors import InvalidConfig, ShapeMismatch
 from .layers import PROB_EPS
 
 
@@ -24,9 +24,9 @@ class LossConfig:
 
     def __post_init__(self):
         if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+            raise InvalidConfig(f"gamma must be >= 0, got {self.gamma}")
         if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
+            raise InvalidConfig(f"alpha must be in (0, 1], got {self.alpha}")
 
 
 def focal_loss(probs, labels, cfg: LossConfig, mask=None):

@@ -8,12 +8,13 @@ exits with code 2:
 * a dataset, split plan or fold that cannot be used as given: ``ValidationError``;
 * a passage id, sensor id or fold index that names nothing: ``UnknownId``;
 * a sample rate other than the dataset's or the model's: ``SampleRateMismatch``;
-* a configuration value out of range: ``InvalidConfig``;
+* a configuration value out of range: ``InvalidConfig``, raised once, by the
+  config object or function that owns the value;
 * a checkpoint: ``CheckpointError``, or ``ShapeMismatch`` for another network;
 * a network input: ``ShapeMismatch`` or ``NonFiniteInput``.
 
 The other ``VaderError`` types report library misuse (``error:``, exit
-code 2). An option value that argparse or a constructor refuses is a usage
+code 2). The CLI's parser checks only syntax; what it refuses is a usage
 error (exit code 1).
 """
 
@@ -65,8 +66,8 @@ class SampleRateMismatch(DataError):
 
 
 class InvalidConfig(DataError):
-    """A configuration value is out of range: a synthesis or planner setting,
-    or hyperparameters the kernel/pool validity rule excludes."""
+    """A configuration value is out of range: a setting its config object
+    refuses, a seed, or hyperparameters the kernel/pool validity rule excludes."""
 
 
 class ShapeMismatch(DataError):

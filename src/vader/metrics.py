@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import LengthMismatch, NonPositiveInput
+from .errors import InvalidConfig, LengthMismatch, NonPositiveInput
 
 #: Spatial threshold (cm) that doubles as the zero point of the accuracy scale.
 SPATIAL_THRESHOLD_CM = 200.0
@@ -30,9 +30,9 @@ class PeakConfig:
 
     def __post_init__(self):
         if not 0.0 < self.min_confidence < 1.0:
-            raise ValueError(f"min_confidence must be in (0, 1), got {self.min_confidence}")
+            raise InvalidConfig(f"min_confidence must be in (0, 1), got {self.min_confidence}")
         if self.min_distance < 1:
-            raise ValueError(f"min_distance must be >= 1, got {self.min_distance}")
+            raise InvalidConfig(f"min_distance must be >= 1, got {self.min_distance}")
 
 
 @dataclass(frozen=True)

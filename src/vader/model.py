@@ -226,12 +226,13 @@ def max_kernel_time_span(network: Network) -> int:
 
 def load_vader(stem) -> tuple[Network, VaderConfig]:
     """Rebuild a detector from its checkpoint ``<stem>.json`` / ``<stem>.bin``
-    alone; the manifest's ``model`` record gives the config."""
+    alone; the manifest's ``model`` record gives the config, and a record
+    that builds no detector is a CheckpointError naming the stem."""
     record = read_manifest(stem)["model"]
     try:
         cfg = VaderConfig.from_record(record)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        network = build_vader(cfg)
+    except (AttributeError, InvalidConfig, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{stem}: unusable model record {record!r}: {exc!r}") from None
-    network = build_vader(cfg)
     load_checkpoint(stem, network)
     return network, cfg

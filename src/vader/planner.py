@@ -54,13 +54,13 @@ class HyperParams:
 
     def __post_init__(self):
         if self.kernel_size < 1:
-            raise ValueError(f"kernel_size must be >= 1, got {self.kernel_size}")
+            raise InvalidConfig(f"kernel_size must be >= 1, got {self.kernel_size}")
         if self.pool_size < 2:
-            raise ValueError(f"pool_size must be >= 2, got {self.pool_size}")
+            raise InvalidConfig(f"pool_size must be >= 2, got {self.pool_size}")
         if self.pool_steps < 0:
-            raise ValueError(f"pool_steps must be >= 0, got {self.pool_steps}")
+            raise InvalidConfig(f"pool_steps must be >= 0, got {self.pool_steps}")
         if self.base_width < 1:
-            raise ValueError(f"base_width must be >= 1, got {self.base_width}")
+            raise InvalidConfig(f"base_width must be >= 1, got {self.base_width}")
 
     @property
     def valid(self) -> bool:
@@ -99,6 +99,8 @@ def object_size(sample_rate: float, lowest_frequency: float) -> int:
         raise InvalidConfig(
             f"lowest_frequency {lowest_frequency} exceeds sample_rate {sample_rate}"
         )
+    if math.isinf(sample_rate / lowest_frequency):
+        raise InvalidConfig(f"sample_rate {sample_rate} / lowest_frequency {lowest_frequency} is not finite")
     return math.ceil(sample_rate / lowest_frequency)
 
 
@@ -133,14 +135,19 @@ def plan_grid(
     The Cartesian product of both input kinds and the given axes, at the
     default base width, is classified per entry; no combination is dropped,
     so the caller sees invalid and underfitting entries alongside usable
-    ones.
+    ones. An empty axis or a repeated value is refused.
     """
-    if not kernel_sizes or not pool_sizes or not pool_steps:
-        raise ValueError("grid axes must be nonempty")
+    axes = {"kernel_sizes": kernel_sizes, "pool_sizes": pool_sizes, "pool_steps": pool_steps}
+    if not all(axes.values()):
+        raise InvalidConfig("grid axes must be nonempty")
+    for name, axis in axes.items():
+        repeated = [v for i, v in enumerate(axis) if v in axis[:i]]
+        if repeated:
+            raise InvalidConfig(f"{name} gives {repeated[0]} more than once")
     for frequency in (f_low_certain, f_low_useful):
         object_size(sample_rate, frequency)  # a bad frequency is a data error, before it is compared
     if f_low_useful > f_low_certain:
-        raise ValueError(
+        raise InvalidConfig(
             f"f_low_useful ({f_low_useful}) must not exceed f_low_certain ({f_low_certain})"
         )
     entries = []

@@ -42,7 +42,7 @@ class BridgeConfig:
     #: Gaussian click window width in seconds.
     click_width: float = 0.008
 
-    def validate(self) -> None:
+    def __post_init__(self):
         """Refuse an out-of-range value; NaN fails every comparison, so it
         is refused too."""
         if not 0.0 < self.fundamental_frequency < np.inf:
@@ -73,7 +73,7 @@ class TrainConfig:
     speed: float  # m/s
     load_scale: tuple[float, ...] = ()  # per-axle amplitude factors
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.axle_offsets:
             raise InvalidConfig("train needs at least one axle")
         offsets = np.asarray(self.axle_offsets, dtype=float)
@@ -109,8 +109,6 @@ def generate_passage(
 ) -> Passage:
     """Synthesise one passage; ``noise_std`` is relative to the clean signal
     peak. Identical arguments produce a bit-identical passage."""
-    bridge.validate()
-    train.validate()
     if not 0.0 <= noise_std < np.inf:
         raise InvalidConfig(f"noise_std must be finite and >= 0, got {noise_std}")
 
@@ -165,6 +163,15 @@ class DatasetConfig:
     noise_std: float = 0.1
     bridge: BridgeConfig = field(default_factory=BridgeConfig)
 
+    def __post_init__(self):
+        """Refuse a non-finite range bound or noise level, or a reversed range."""
+        for name in ("speed_range", "spacing_range", "load_range", "frequency_range", "noise_std"):
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value)):
+                raise InvalidConfig(f"{name} must be finite, got {value}")
+            if name.endswith("_range") and value[0] > value[1]:
+                raise InvalidConfig(f"{name} low bound {value[0]} exceeds high bound {value[1]}")
+
 
 def sample_train(rng, axle_count: int, cfg: DatasetConfig) -> TrainConfig:
     gaps = rng.uniform(*cfg.spacing_range, size=max(axle_count - 1, 0))
@@ -186,11 +193,12 @@ def generate_dataset(
     """Draw ``n_passages`` i.i.d. passages and write them in the canonical
     directory format. Per-passage randomness is derived from the seed and
     the passage index, so any generation order gives the same files. A
-    non-finite weight, range bound or noise level, or a range whose low
-    bound exceeds its high bound, is refused before the first passage is
-    drawn, and every passage is generated and validated before the first
-    is saved, so a refused draw, or a passage that ``load_dataset`` would
-    refuse (ValidationError), writes nothing."""
+    passage count below 1 or a non-finite weight is refused before the
+    first passage is drawn, and every passage is generated and validated
+    before the first is saved, so a refused draw, or a passage that
+    ``load_dataset`` would refuse (ValidationError), writes nothing."""
+    if n_passages < 1:
+        raise InvalidConfig(f"n_passages must be >= 1, got {n_passages}")
     if not axle_count_distribution:
         raise InvalidConfig("axle_count_distribution must be nonempty")
     counts = sorted(axle_count_distribution)
@@ -200,12 +208,6 @@ def generate_dataset(
     if not (np.all(probs >= 0) and 0 < probs.sum() < np.inf):
         raise InvalidConfig(f"distribution weights must be finite, >= 0 and sum > 0, got {probs.tolist()}")
     probs = probs / probs.sum()
-    for name in ("speed_range", "spacing_range", "load_range", "frequency_range", "noise_std"):
-        value = getattr(config, name)
-        if not np.all(np.isfinite(value)):
-            raise InvalidConfig(f"{name} must be finite, got {value}")
-        if name.endswith("_range") and value[0] > value[1]:
-            raise InvalidConfig(f"{name} low bound {value[0]} exceeds high bound {value[1]}")
 
     out_dir = Path(out_dir)
     passages = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, json_list, json_value
-from .errors import UnknownId, ValidationError
+from .errors import InvalidConfig, UnknownId, ValidationError
 
 N_FOLDS = 5
 #: Default holdout fraction for the stratified scenario.
@@ -131,7 +131,7 @@ def stratified_split(dataset: Dataset, test_fraction: float = DEFAULT_TEST_FRACT
     if not index:
         raise ValidationError("cannot split an empty dataset")
     if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
+        raise InvalidConfig(f"test_fraction must be in (0, 1), got {test_fraction}")
 
     strata = _merge_small_strata(_strata(index))
     keys = sorted(strata)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Dataset, build_label_vector
 from .engine import LossConfig, ParamStore, adam_step, focal_loss
-from .errors import ValidationError, naming
+from .errors import InvalidConfig, ValidationError, naming
 from .metrics import MetricsAccumulator, MetricsReport, PeakConfig, score_series
 from .model import VaderConfig, build_vader, network_input
 from .planner import InputKind
@@ -48,11 +48,11 @@ class TrainSchedule:
 
     def __post_init__(self):
         if min(self.max_epochs, self.batch_size, self.plateau_patience, self.stop_patience) < 1:
-            raise ValueError("schedule counts must be positive")
+            raise InvalidConfig("schedule counts must be positive")
         if not (0.0 < self.lr_factor < 1.0 and 0.0 < self.initial_lr < np.inf):
-            raise ValueError("need 0 < lr_factor < 1 and a finite initial_lr > 0")
+            raise InvalidConfig("need 0 < lr_factor < 1 and a finite initial_lr > 0")
         if self.stop_patience < self.plateau_patience:
-            raise ValueError("stop_patience must be >= plateau_patience")
+            raise InvalidConfig("stop_patience must be >= plateau_patience")
 
 
 class Plateau:

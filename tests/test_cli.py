@@ -292,50 +292,75 @@ def test_fold_out_of_range_exits_2_without_run_json(workspace, trained, tmp_path
     assert code == 1
 
 
-MALFORMED_VALUES = {
+#: Option values the parser refuses: text that does not parse into the
+#: option's type, a key that a mapping option repeats, or contradictory options.
+SYNTAX_ERRORS = {
     "fraction_not_a_number": ["split", "--fraction", "abc"],
     "fraction_zero_denominator": ["split", "--fraction", "1/0"],
-    "fraction_zero": ["split", "--fraction", "0"],
     "detect_position_without_sensor": ["detect", "--sensor-positions", "s0"],
-    "detect_position_inf": ["detect", "--sensor-positions", "s0=0,s1=inf"],
-    "detect_position_nan": ["detect", "--sensor-positions", "s0=nan,s1=12.3"],
     "detect_position_repeated": ["detect", "--sensor-positions", "s0=4.1,s0=12.3"],
     "detect_positions_empty_item": ["detect", "--sensor-positions", "s0=4.1,,s1=12.3"],
     "detect_positions_trailing_comma": ["detect", "--sensor-positions", "s0=4.1,s1=12.3,"],
     "split_fraction_under_dgps": ["split", "--scenario", "dgps", "--fraction", "0.9"],
     "split_modal_axles_under_stratified": ["split", "--modal-axles", "3"],
     "synth_position_not_a_number": ["synth", "--sensor-positions", "a"],
-    "synth_n_0": ["synth", "--n", "0"],
-    "synth_n_negative": ["synth", "--n", "-3"],
-    "eval_min_confidence_above_1": ["eval", "--min-confidence", "2"],
-    "train_lr_factor_above_1": ["train", "--lr-factor", "2"],
-    "train_lr_nan": ["train", "--lr", "nan"],
-    "train_lr_inf": ["train", "--lr", "inf"],
     "eval_ids_without_split": ["eval", "--ids", "0"],
-    "train_kernel_size_0": ["train", "--kernel-size", "0"],
-    "train_pool_size_1": ["train", "--pool-size", "1"],
     "plan_empty_kernel_sizes": ["plan", "--kernel-sizes", ","],
     "plan_kernel_sizes_empty_item": ["plan", "--kernel-sizes", "3,,5"],
     "plan_kernel_sizes_trailing_comma": ["plan", "--kernel-sizes", "3,5,"],
     "synth_positions_empty_item": ["synth", "--sensor-positions", "4.1,,12.3"],
-    "plan_kernel_sizes_repeated": ["plan", "--kernel-sizes", "3,3"],
-    "plan_pool_sizes_repeated": ["plan", "--pool-sizes", "2,3,2"],
-    "plan_pool_steps_repeated": ["plan", "--pool-steps", "4,4"],
     "synth_axle_count_repeated": ["synth", "--distribution", "8:0.5,8:0.5"],
 }
 
+#: Option values that parse but are out of range, each with the message of
+#: the config object that refuses it.
+OUT_OF_RANGE = {
+    "fraction_zero": (["split", "--fraction", "0"], "test_fraction must be in (0, 1), got 0.0"),
+    "detect_position_inf": (
+        ["detect", "--sensor-positions", "s0=0,s1=inf"], "position of sensor 's1' must be finite, got inf"
+    ),
+    "detect_position_nan": (
+        ["detect", "--sensor-positions", "s0=nan,s1=12.3"], "position of sensor 's0' must be finite, got nan"
+    ),
+    "synth_n_0": (["synth", "--n", "0"], "n_passages must be >= 1, got 0"),
+    "synth_n_negative": (["synth", "--n", "-3"], "n_passages must be >= 1, got -3"),
+    "eval_min_confidence_above_1": (["eval", "--min-confidence", "2"], "min_confidence must be in (0, 1), got 2.0"),
+    "detect_min_distance_0": (["detect", "--min-distance", "0"], "min_distance must be >= 1, got 0"),
+    "train_lr_factor_above_1": (["train", "--lr-factor", "2"], "need 0 < lr_factor < 1 and a finite initial_lr > 0"),
+    "train_lr_nan": (["train", "--lr", "nan"], "need 0 < lr_factor < 1 and a finite initial_lr > 0"),
+    "train_lr_inf": (["train", "--lr", "inf"], "need 0 < lr_factor < 1 and a finite initial_lr > 0"),
+    "train_batch_size_0": (["train", "--batch-size", "0"], "schedule counts must be positive"),
+    "train_stop_before_plateau": (
+        ["train", "--plateau-patience", "3", "--stop-patience", "2"], "stop_patience must be >= plateau_patience"
+    ),
+    "train_kernel_size_0": (["train", "--kernel-size", "0"], "kernel_size must be >= 1, got 0"),
+    "train_pool_size_1": (["train", "--pool-size", "1"], "pool_size must be >= 2, got 1"),
+    "plan_kernel_sizes_repeated": (["plan", "--kernel-sizes", "3,3"], "kernel_sizes gives 3 more than once"),
+    "plan_pool_sizes_repeated": (["plan", "--pool-sizes", "2,3,2"], "pool_sizes gives 2 more than once"),
+    "plan_pool_steps_repeated": (["plan", "--pool-steps", "4,4"], "pool_steps gives 4 more than once"),
+}
 
-@pytest.mark.parametrize("case", sorted(MALFORMED_VALUES))
+
+@pytest.mark.parametrize("case", sorted({**SYNTAX_ERRORS, **OUT_OF_RANGE}))
 def test_malformed_value_is_usage_error(workspace, trained, tmp_path, capsys, case):
-    argv = MALFORMED_VALUES[case] + ["--out", str(tmp_path / "out")]
+    """An option value of ``SYNTAX_ERRORS`` is a usage error (exit 1); one of
+    ``OUT_OF_RANGE`` parses, and the config object that owns it refuses it
+    (exit 2, ``data error:`` and the object's message). Neither writes
+    anything."""
+    argv, message = OUT_OF_RANGE[case] if case in OUT_OF_RANGE else (SYNTAX_ERRORS[case], None)
+    argv = argv + ["--out", str(tmp_path / "out")]
     if argv[0] in ("split", "train", "eval", "detect"):
         argv += ["--dataset", str(workspace / "data" / "passages")]
     if argv[0] in ("eval", "detect"):
         argv += ["--checkpoint", str(trained / "model")]
     if argv[0] == "train":
         argv += ["--split", str(workspace / "split.json")]
-    assert run(*argv) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    code = run(*argv)
+    err = capsys.readouterr().err
+    if message is None:
+        assert code == 1 and err.startswith("error:")
+    else:
+        assert code == 2 and err.startswith("data error:") and message in err
     assert not (tmp_path / "out").exists()
 
 
@@ -522,6 +547,8 @@ CHECKPOINT_DAMAGE = {
     "float_kernel_size": lambda stem: _edit_manifest(stem, lambda m: m["model"].update(kernel_size=5.0)),
     "float_pool_steps": lambda stem: _edit_manifest(stem, lambda m: m["model"].update(pool_steps=2.0)),
     "float_base_width": lambda stem: _edit_manifest(stem, lambda m: m["model"].update(base_width=4.5)),
+    "kernel_size_even": lambda stem: _edit_manifest(stem, lambda m: m["model"].update(kernel_size=4)),
+    "kernel_size_zero": lambda stem: _edit_manifest(stem, lambda m: m["model"].update(kernel_size=0)),
     "layers_differ": lambda stem: _edit_manifest(stem, lambda m: m["layers"].pop()),
     **{
         f"{key}_{name}": (lambda stem, key=key, value=value: _edit_manifest(stem, lambda m: m.update({key: value})))
@@ -563,6 +590,8 @@ def test_malformed_checkpoint_exits_2(workspace, trained, tmp_path, capsys, dama
         assert "is not finite in float32" in err
     if damage.startswith(("seed_", "dtype_", "step_", "has_adam_")):
         assert f"manifest {damage.rsplit('_', 1)[0]} " in err
+    if damage.startswith("kernel_size_"):
+        assert f"{stem}: unusable model record" in err
 
 
 def test_config_file_then_abbreviated_flag(tmp_path):
@@ -621,6 +650,28 @@ def test_seed_only_where_read(workspace, trained, tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "split", "train"])
+def test_negative_seed_exits_2(workspace, tmp_path, monkeypatch, capsys, command):
+    """numpy's generators take no negative seed: one from the command line
+    or from VADER_SEED is refused before anything is read or written."""
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out)]
+    if command == "synth":
+        argv += ["--n", "2", "--distribution", "3:1.0"]
+    else:
+        argv += ["--dataset", str(workspace / "data" / "passages")]
+    if command == "train":
+        argv += ["--split", str(workspace / "split.json")]
+    assert run(*argv, "--seed", "-1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "seed must be >= 0, got -1" in err
+    monkeypatch.setenv("VADER_SEED", "-3")
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "seed must be >= 0, got -3" in err
+    assert not out.exists()
+
+
 def test_seed_env_not_an_integer_is_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("VADER_SEED", "seven")
     out = tmp_path / "synth"
@@ -643,12 +694,15 @@ def test_seed_env_not_an_integer_is_usage_error(tmp_path, monkeypatch, capsys):
         ["--fs", "inf"],
         ["--fl-certain", "nan"],
         ["--fl-useful", "inf"],
+        ["--fs", "1e300", "--fl-certain", "1e-300", "--fl-useful", "1e-300"],
     ],
 )
 def test_plan_zero_frequency_exits_2(tmp_path, capsys, flags):
     """A zero or non-finite frequency is a data error, also where every
-    entry is underfit or invalid (the first two cases) and where it would
-    fail the comparison of the two frequencies (the last)."""
+    entry is underfit or invalid (the first two cases), where it would
+    fail the comparison of the two frequencies (``--fl-useful inf``), and
+    where one period of it spans more samples than a float holds (the
+    last)."""
     out = tmp_path / "plan"
     assert run("plan", *flags, "--out", str(out)) == 2
     assert capsys.readouterr().err.startswith("data error:")

@@ -19,7 +19,7 @@ from vader.engine import (
     load_checkpoint,
     save_checkpoint,
 )
-from vader.errors import CheckpointError, ShapeMismatch
+from vader.errors import CheckpointError, InvalidConfig, ShapeMismatch
 from vader.model import VaderConfig, build_vader
 from vader.planner import HyperParams, InputKind
 
@@ -80,9 +80,9 @@ def test_focal_shape_checks():
 
 
 def test_loss_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig, match="gamma must be >= 0, got -1"):
         LossConfig(gamma=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig, match=r"alpha must be in \(0, 1\], got 0.0"):
         LossConfig(alpha=0.0)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vader.errors import LengthMismatch, NonPositiveInput
+from vader.errors import InvalidConfig, LengthMismatch, NonPositiveInput
 from vader.metrics import (
     MetricsAccumulator,
     _plateau_maxima,
@@ -160,9 +160,9 @@ def test_pick_peaks_matches_bisect_loop(levels, ramp, min_distance, min_confiden
 
 
 def test_peak_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig, match=r"min_confidence must be in \(0, 1\), got 0.0"):
         PeakConfig(min_confidence=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig, match="min_distance must be >= 1, got 0"):
         PeakConfig(min_distance=0)
 
 

@@ -40,6 +40,8 @@ def test_object_size_errors():
         object_size(600, -3)
     with pytest.raises(InvalidConfig, match="lowest_frequency 601 exceeds sample_rate 600"):
         object_size(600, 601)
+    with pytest.raises(InvalidConfig, match=r"sample_rate 1e\+300 / lowest_frequency 1e-300 is not finite"):
+        object_size(1e300, 1e-300)
 
 
 @given(fs=st.integers(1, 10_000), fl=st.floats(0.01, 1000))
@@ -68,11 +70,11 @@ def test_hyper_validity_rule():
 
 
 def test_hyper_field_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig, match="kernel_size must be >= 1, got 0"):
         HyperParams(InputKind.RAW, 0, 2, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig, match="pool_size must be >= 2, got 1"):
         HyperParams(InputKind.RAW, 9, 1, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig, match="pool_steps must be >= 0, got -1"):
         HyperParams(InputKind.RAW, 9, 2, -1)
 
 
@@ -119,7 +121,9 @@ def test_plan_grid_spectrogram_classifies_like_raw():
 
 
 def test_plan_grid_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig, match="grid axes must be nonempty"):
         plan_grid(kernel_sizes=())
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig, match=r"f_low_useful \(5.0\) must not exceed f_low_certain \(1.0\)"):
         plan_grid(f_low_certain=1.0, f_low_useful=5.0)
+    with pytest.raises(InvalidConfig, match="kernel_sizes gives 3 more than once"):
+        plan_grid(kernel_sizes=(3, 5, 3))

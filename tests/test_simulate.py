@@ -93,43 +93,43 @@ def test_invalid_configs(tmp_path):
     nan, inf = float("nan"), float("inf")
     one_axle = TrainConfig((0.0,), 30.0)
     for bridge in (
-        BridgeConfig(damping_ratio=1.5),
-        BridgeConfig(sensor_positions=(99.0,)),
-        BridgeConfig(sample_rate=nan),
-        BridgeConfig(sample_rate=inf),
-        BridgeConfig(fundamental_frequency=nan),
-        BridgeConfig(fundamental_frequency=inf),
-        BridgeConfig(span=inf),
-        BridgeConfig(click_gain=nan),
-        BridgeConfig(click_gain=inf),
+        dict(damping_ratio=1.5),
+        dict(sensor_positions=(99.0,)),
+        dict(sample_rate=nan),
+        dict(sample_rate=inf),
+        dict(fundamental_frequency=nan),
+        dict(fundamental_frequency=inf),
+        dict(span=inf),
+        dict(click_gain=nan),
+        dict(click_gain=inf),
     ):
         with pytest.raises(InvalidConfig):
-            bridge.validate()
+            BridgeConfig(**bridge)
     for train in (
-        TrainConfig(axle_offsets=(0.0, 1.0), speed=30.0),  # spacing < 2 m
-        TrainConfig(axle_offsets=(0.0, 4.0), speed=-1.0),
-        TrainConfig(axle_offsets=(0.0, 4.0), speed=nan),
-        TrainConfig(axle_offsets=(0.0, inf), speed=30.0),
-        TrainConfig(axle_offsets=(0.0,), speed=30.0, load_scale=(nan,)),
+        dict(axle_offsets=(0.0, 1.0), speed=30.0),  # spacing < 2 m
+        dict(axle_offsets=(0.0, 4.0), speed=-1.0),
+        dict(axle_offsets=(0.0, 4.0), speed=nan),
+        dict(axle_offsets=(0.0, inf), speed=30.0),
+        dict(axle_offsets=(0.0,), speed=30.0, load_scale=(nan,)),
     ):
         with pytest.raises(InvalidConfig):
-            train.validate()
+            TrainConfig(**train)
     for noise_std in (-0.1, nan, inf):
         with pytest.raises(InvalidConfig):
             generate_passage(BridgeConfig(), one_axle, noise_std=noise_std)
+    for config in (
+        dict(speed_range=(20.0, nan)),
+        dict(spacing_range=(2.5, inf)),
+        dict(frequency_range=(5.0, nan)),
+        dict(noise_std=nan),
+    ):
+        with pytest.raises(InvalidConfig, match="must be finite"):
+            DatasetConfig(**config)
     # refused before the first passage is drawn, so nothing is written
     out = tmp_path / "d"
-    for distribution, config in (
-        ({8: nan}, DatasetConfig()),
-        ({8: inf}, DatasetConfig()),
-        ({8: 1.0}, DatasetConfig(speed_range=(20.0, nan))),
-        ({8: 1.0}, DatasetConfig(spacing_range=(2.5, inf))),
-        ({8: 1.0}, DatasetConfig(frequency_range=(5.0, nan))),
-        ({8: 1.0}, DatasetConfig(noise_std=nan)),
-        ({8: 1.0}, DatasetConfig(bridge=BridgeConfig(click_gain=inf))),
-    ):
+    for n, distribution in ((2, {8: nan}), (2, {8: inf}), (0, {8: 1.0}), (-1, {8: 1.0})):
         with pytest.raises(InvalidConfig):
-            generate_dataset(2, distribution, out, config=config)
+            generate_dataset(n, distribution, out)
         assert not out.exists()
 
 

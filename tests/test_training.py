@@ -428,11 +428,11 @@ def test_invalid_hyperparams_refused_before_any_transform(train_setup, monkeypat
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig, match="stop_patience must be >= plateau_patience"):
         TrainSchedule(stop_patience=2, plateau_patience=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig, match="need 0 < lr_factor < 1"):
         TrainSchedule(lr_factor=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig, match="schedule counts must be positive"):
         TrainSchedule(max_epochs=0)
 
 
