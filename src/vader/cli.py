@@ -41,7 +41,7 @@ from pathlib import Path
 from . import __version__
 from .data import load_dataset, shared_sample_rate
 from .engine import save_checkpoint
-from .errors import DataError, InvalidConfig, UnknownId, VaderError, ValidationError, naming
+from .errors import DataError, InvalidConfig, UnknownId, ValidationError, naming
 from .metrics import PeakConfig, pick_peaks
 from .model import VaderConfig, infer, load_vader
 from .planner import (
@@ -545,9 +545,6 @@ def main(argv=None) -> int:
         return 1
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except VaderError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     # an input path that is missing, a file where a directory belongs or the reverse, or not text
     except (FileNotFoundError, NotADirectoryError, IsADirectoryError, UnicodeDecodeError) as exc:

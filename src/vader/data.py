@@ -249,21 +249,21 @@ def _read_samples(path: Path, n_samples: int) -> np.ndarray:
     try:
         found = path.stat().st_size
     except FileNotFoundError:
-        raise ParseError(path, 0, "referenced sensor file missing") from None
+        raise ParseError(f"{path}: referenced sensor file missing") from None
     if found != need:
-        raise ParseError(path, 0, f"expected {need} bytes of values, found {found}")
+        raise ParseError(f"{path}: expected {need} bytes of values, found {found}")
     return np.fromfile(path, SAMPLE_DTYPE)
 
 
 def _load_passage(pdir: Path) -> Passage:
     for text in pdir.glob("sensor_*.csv"):
         if not text.with_suffix(".f64").exists():
-            raise ParseError(text, 0, "text sample files are no longer read; regenerate the dataset")
+            raise ParseError(f"{text}: text sample files are no longer read; regenerate the dataset")
     meta_path = pdir / "meta.json"
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise ParseError(meta_path, exc.lineno, exc.msg) from None
+        raise ParseError(f"{meta_path}:{exc.lineno}: {exc.msg}") from None
     try:
         passage_id = json_value(meta["passage_id"], (str,), "passage_id")
         sample_rate = float(json_value(meta["sample_rate"], (int, float), "sample_rate"))
@@ -277,7 +277,7 @@ def _load_passage(pdir: Path) -> Passage:
             for sid, ts in meta["crossing_times"].items()
         }
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ParseError(meta_path, 0, f"bad metadata: {exc!r}") from None
+        raise ParseError(f"{meta_path}: bad metadata: {exc!r}") from None
 
     channels = []
     axles: dict[str, tuple[AxleRecord, ...]] = {}
@@ -287,7 +287,7 @@ def _load_passage(pdir: Path) -> Passage:
         times = crossing_times[sensor_id]
         if len(times) != len(velocities):
             raise ParseError(
-                meta_path, 0, f"sensor {sensor_id}: {len(times)} crossings vs {len(velocities)} velocities"
+                f"{meta_path}: sensor {sensor_id}: {len(times)} crossings vs {len(velocities)} velocities"
             )
         axles[sensor_id] = tuple(AxleRecord(t, v) for t, v in zip(times, velocities))
     return Passage(

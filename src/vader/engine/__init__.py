@@ -24,31 +24,3 @@ from .checkpoint import (
     read_manifest,
     save_checkpoint,
 )
-
-__all__ = [
-    "Add",
-    "Concat",
-    "Conv",
-    "GroupNorm",
-    "Layer",
-    "MaxPool",
-    "Network",
-    "Param",
-    "ReLU",
-    "Sigmoid",
-    "TileFreq",
-    "TransposedConvTime",
-    "groupnorm_groups",
-    "zero_invalid",
-    "LossConfig",
-    "focal_loss",
-    "ADAM_BETA1",
-    "ADAM_BETA2",
-    "ADAM_EPS",
-    "ParamStore",
-    "adam_step",
-    "checkpoint_bytes",
-    "load_checkpoint",
-    "read_manifest",
-    "save_checkpoint",
-]

@@ -84,7 +84,7 @@ import math
 
 import numpy as np
 
-from ..errors import MissingForwardCache, NonFiniteInput, ShapeMismatch
+from ..errors import NonFiniteInput, ShapeMismatch
 
 #: Probabilities stay in ``[PROB_EPS, 1 - PROB_EPS]``: sigmoid outputs are
 #: clipped into it so the probability contract stays strict where float
@@ -175,7 +175,7 @@ class Layer:
 
 def _require(cache):
     if cache is None:
-        raise MissingForwardCache("backward() needs a forward() pass with want_cache=True")
+        raise ValueError("backward() needs a forward() pass with want_cache=True")
     return cache
 
 
@@ -741,13 +741,13 @@ class Network:
         cache is popped off it as the walk back reaches the node, whether a
         gradient reaches it or not, and is released with the node's output
         gradient once its backward has run, so memory falls as the walk
-        goes. Raises MissingForwardCache for a consumed context, before any
+        goes. Raises ValueError for a consumed context, before any
         gradient changes."""
         if ctx is None:
-            raise MissingForwardCache("no forward context")
+            raise ValueError("no forward context")
         valids, caches, pad = ctx
         if len(caches) != len(self.nodes):
-            raise MissingForwardCache("context already consumed")
+            raise ValueError("context already consumed")
         grads: dict[int, np.ndarray] = {len(self.nodes) - 1: _pad_time(dy, pad, self.dtype)}
         dinput = None
         for i in range(len(self.nodes) - 1, -1, -1):

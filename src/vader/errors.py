@@ -13,9 +13,10 @@ exits with code 2:
 * a checkpoint: ``CheckpointError``, or ``ShapeMismatch`` for another network;
 * a network input: ``ShapeMismatch`` or ``NonFiniteInput``.
 
-The other ``VaderError`` types report library misuse (``error:``, exit
-code 2). The CLI's parser checks only syntax; what it refuses is a usage
-error (exit code 1).
+Library misuse, such as a second backward pass over one forward context or
+label and velocity arrays of different lengths, raises ``ValueError``. The
+CLI's parser checks only syntax; what it refuses is a usage error (exit
+code 1).
 """
 
 from contextlib import contextmanager
@@ -41,12 +42,7 @@ class DataError(VaderError):
 
 
 class ParseError(DataError):
-    """A dataset file could not be parsed; carries file and line info."""
-
-    def __init__(self, path, line, message):
-        super().__init__(f"{path}:{line}: {message}")
-        self.path = str(path)
-        self.line = line
+    """A dataset file could not be parsed; the message names the file."""
 
 
 class ValidationError(DataError):
@@ -82,15 +78,3 @@ class NonFiniteInput(DataError):
 class CheckpointError(DataError):
     """A checkpoint manifest is unreadable, incomplete or of an older format."""
 
-
-# library misuse
-class MissingForwardCache(VaderError):
-    """backward() called without a preceding forward() on the same graph."""
-
-
-class LengthMismatch(VaderError):
-    """Label and velocity arrays differ in length."""
-
-
-class NonPositiveInput(VaderError):
-    """Harmonic mean requires strictly positive inputs."""

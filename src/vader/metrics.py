@@ -9,11 +9,11 @@ The standard thresholds are 200 cm (minimum assumed axle separation) and
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, LengthMismatch, NonPositiveInput
+from .errors import InvalidConfig
 
 #: Spatial threshold (cm) that doubles as the zero point of the accuracy scale.
 SPATIAL_THRESHOLD_CM = 200.0
@@ -120,7 +120,7 @@ def match_axles(
     labels = np.asarray(label_indices, dtype=np.int64).ravel()
     vels = np.asarray(velocities, dtype=np.float64).ravel()
     if labels.size != vels.size:
-        raise LengthMismatch(f"{labels.size} labels vs {vels.size} velocities")
+        raise ValueError(f"{labels.size} labels vs {vels.size} velocities")
 
     err_cm = np.abs(peaks[None, :] - labels[:, None]) * vels[:, None] * 100.0
     li, pi = np.nonzero(err_cm <= threshold_cm)
@@ -143,7 +143,8 @@ def match_axles(
 def score_series(probs, label_indices, velocities, peak_cfg: PeakConfig = PeakConfig()):
     """Peaks of one probability series matched against a sensor's labelled
     crossings at SPATIAL_THRESHOLD_CM and at LABEL_ERROR_THRESHOLD_CM: the
-    ``(at_200, at_37)`` pair :meth:`MetricsAccumulator.add` takes."""
+    ``(at_200, at_37)`` pair of the series' ``(sensor_id, at_200, at_37)``
+    result, as :func:`summarize` takes it."""
     peaks = pick_peaks(probs, peak_cfg)
     at_200 = match_axles(peaks, label_indices, velocities, SPATIAL_THRESHOLD_CM)
     return at_200, match_axles(peaks, label_indices, velocities, LABEL_ERROR_THRESHOLD_CM)
@@ -178,44 +179,8 @@ def harmonic_mean(msa_strat: float, msa_dgps: float, f1_strat: float, f1_dgps: f
     """
     values = (msa_strat, msa_dgps, f1_strat, f1_dgps)
     if any(v <= 0 for v in values):
-        raise NonPositiveInput(f"all inputs must be positive, got {values}")
+        raise ValueError(f"all inputs must be positive, got {values}")
     return 4.0 / sum(1.0 / v for v in values)
-
-
-@dataclass
-class SensorTally:
-    """Accumulated match counts and errors for one sensor."""
-
-    tp_200: int = 0
-    fp_200: int = 0
-    fn_200: int = 0
-    tp_37: int = 0
-    fp_37: int = 0
-    fn_37: int = 0
-    errors_cm: list = field(default_factory=list)  # from 200 cm matching
-
-    def add(self, at_200: MatchResult, at_37: MatchResult) -> None:
-        self.tp_200 += at_200.tp
-        self.fp_200 += at_200.fp
-        self.fn_200 += at_200.fn
-        self.tp_37 += at_37.tp
-        self.fp_37 += at_37.fp
-        self.fn_37 += at_37.fn
-        self.errors_cm.extend(p.error_cm for p in at_200.pairs)
-
-    def summary(self) -> dict:
-        """Counts at 200 cm, F1 at 200 cm and 37 cm, mean spatial error and
-        MSA; the last two are None when no pair matched."""
-        ds = float(np.mean(self.errors_cm)) if self.errors_cm else None
-        return {
-            "tp": self.tp_200,
-            "fp": self.fp_200,
-            "fn": self.fn_200,
-            "f1_200": f1(self.tp_200, self.fp_200, self.fn_200),
-            "f1_37": f1(self.tp_37, self.fp_37, self.fn_37),
-            "mean_spatial_error_cm": ds,
-            "msa": None if ds is None else msa(ds),
-        }
 
 
 @dataclass(frozen=True)
@@ -233,23 +198,29 @@ class MetricsReport:
         return asdict(self)
 
 
-class MetricsAccumulator:
-    """Builds a :class:`MetricsReport` from per-sensor match results."""
+def _summary(results: list) -> dict:
+    """Counts at 200 cm, F1 at 200 cm and 37 cm, mean spatial error and MSA
+    over ``(sensor_id, at_200, at_37)`` results; the last two are None when
+    no pair matched. The errors are averaged in the order of ``results``."""
+    tp, fp, fn, tp_37, fp_37, fn_37 = (
+        sum(getattr(r[i], k) for r in results) for i in (1, 2) for k in ("tp", "fp", "fn")
+    )
+    errors = [p.error_cm for _, at_200, _ in results for p in at_200.pairs]
+    ds = float(np.mean(errors)) if errors else None
+    return {
+        "tp": tp,
+        "fp": fp,
+        "fn": fn,
+        "f1_200": f1(tp, fp, fn),
+        "f1_37": f1(tp_37, fp_37, fn_37),
+        "mean_spatial_error_cm": ds,
+        "msa": None if ds is None else msa(ds),
+    }
 
-    def __init__(self):
-        self._sensors: dict[str, SensorTally] = {}
-        self._total = SensorTally()
 
-    def add(self, sensor_id: str, at_200: MatchResult, at_37: MatchResult) -> None:
-        self._sensors.setdefault(sensor_id, SensorTally()).add(at_200, at_37)
-        self._total.add(at_200, at_37)
-
-    def report(self) -> MetricsReport:
-        tot = self._total.summary()
-        return MetricsReport(
-            f1_200=tot["f1_200"],
-            f1_37=tot["f1_37"],
-            mean_spatial_error_cm=tot["mean_spatial_error_cm"],
-            msa=tot["msa"],
-            per_sensor={sid: self._sensors[sid].summary() for sid in sorted(self._sensors)},
-        )
+def summarize(results: list) -> MetricsReport:
+    """The report over ``(sensor_id, at_200, at_37)`` match results, one per
+    series: the totals, and each sensor's summary in sensor id order."""
+    total = _summary(results)
+    per_sensor = {sid: _summary([r for r in results if r[0] == sid]) for sid in sorted({r[0] for r in results})}
+    return MetricsReport(total["f1_200"], total["f1_37"], total["mean_spatial_error_cm"], total["msa"], per_sensor)

@@ -61,6 +61,7 @@ class HyperParams:
             raise InvalidConfig(f"pool_steps must be >= 0, got {self.pool_steps}")
         if self.base_width < 1:
             raise InvalidConfig(f"base_width must be >= 1, got {self.base_width}")
+        mrf(self.kernel_size, self.pool_size, self.pool_steps)  # refuses a field beyond 2^63-1
 
     @property
     def valid(self) -> bool:
@@ -81,8 +82,14 @@ class PlanEntry:
 
 
 def mrf(kernel_size: int, pool_size: int, pool_steps: int) -> int:
-    """Maximum receptive field in original samples: kernel_size * pool_size ** pool_steps."""
-    value = kernel_size * pool_size**pool_steps
+    """Maximum receptive field in original samples: kernel_size * pool_size ** pool_steps,
+    multiplied out one step at a time and refused at the first product beyond 2^63-1:
+    at most 63 steps past a kernel size >= 1 at a pool size >= 2, as HyperParams holds them."""
+    value = kernel_size
+    for _ in range(pool_steps):
+        if value > _MAX_MRF:
+            break
+        value *= pool_size
     if value > _MAX_MRF:
         raise InvalidConfig(f"receptive field {kernel_size}*{pool_size}^{pool_steps} exceeds 2^63-1")
     return value

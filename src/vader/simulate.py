@@ -71,7 +71,7 @@ class TrainConfig:
 
     axle_offsets: tuple[float, ...]  # meters from the train head, increasing
     speed: float  # m/s
-    load_scale: tuple[float, ...] = ()  # per-axle amplitude factors
+    load_scale: tuple[float, ...]  # per-axle amplitude factors
 
     def __post_init__(self):
         if not self.axle_offsets:
@@ -85,15 +85,10 @@ class TrainConfig:
             )
         if not 0.0 < self.speed < np.inf:
             raise InvalidConfig(f"speed must be finite and > 0, got {self.speed}")
-        if self.load_scale and len(self.load_scale) != len(self.axle_offsets):
+        if len(self.load_scale) != len(self.axle_offsets):
             raise InvalidConfig("load_scale must match the number of axles")
         if not all(0.0 < l < np.inf for l in self.load_scale):
             raise InvalidConfig("load_scale entries must be finite and > 0")
-
-    def loads(self) -> np.ndarray:
-        if self.load_scale:
-            return np.asarray(self.load_scale, dtype=float)
-        return np.ones(len(self.axle_offsets))
 
 
 #: Extra recording time after the last crossing, seconds.
@@ -114,7 +109,7 @@ def generate_passage(
 
     fs = bridge.sample_rate
     offsets = np.asarray(train.axle_offsets, dtype=float)
-    loads = train.loads()
+    loads = np.asarray(train.load_scale, dtype=float)
     duration = (bridge.span + offsets[-1]) / train.speed + TAIL_SECONDS
     n = int(np.ceil(duration * fs))
     t = np.arange(n) / fs

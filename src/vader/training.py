@@ -25,7 +25,7 @@ import numpy as np
 from .data import Dataset, build_label_vector
 from .engine import LossConfig, ParamStore, adam_step, focal_loss
 from .errors import InvalidConfig, ValidationError, naming
-from .metrics import MetricsAccumulator, MetricsReport, PeakConfig, score_series
+from .metrics import MetricsReport, PeakConfig, score_series, summarize
 from .model import VaderConfig, build_vader, network_input
 from .planner import InputKind
 from .splits import SplitPlan
@@ -209,15 +209,15 @@ def evaluate_samples(network, samples, peak_cfg: PeakConfig = PeakConfig()) -> t
     here; a forward-pass error names its passage and sensor."""
     total_loss = 0.0
     total_count = 0
-    acc = MetricsAccumulator()
+    results = []
     for s in samples:
         with naming(s.passage_id, s.sensor_id):
             probs = network.forward(s.x[None, ...])[0, 0, 0]
         loss, _ = focal_loss(probs, s.labels, LossConfig())
         total_loss += loss * s.labels.size
         total_count += s.labels.size
-        acc.add(s.sensor_id, *score_series(probs, np.flatnonzero(s.labels), s.velocities, peak_cfg))
-    return total_loss / max(total_count, 1), acc.report()
+        results.append((s.sensor_id, *score_series(probs, np.flatnonzero(s.labels), s.velocities, peak_cfg)))
+    return total_loss / max(total_count, 1), summarize(results)
 
 
 def train(

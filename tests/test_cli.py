@@ -338,6 +338,16 @@ OUT_OF_RANGE = {
     "plan_kernel_sizes_repeated": (["plan", "--kernel-sizes", "3,3"], "kernel_sizes gives 3 more than once"),
     "plan_pool_sizes_repeated": (["plan", "--pool-sizes", "2,3,2"], "pool_sizes gives 2 more than once"),
     "plan_pool_steps_repeated": (["plan", "--pool-steps", "4,4"], "pool_steps gives 4 more than once"),
+    # refused as soon as the receptive field passes 2^63-1, without building it
+    "plan_pool_steps_huge": (
+        ["plan", "--pool-steps", "99999999999999999999999"], "receptive field 3*2^99999999999999999999999 exceeds"
+    ),
+    "train_pool_steps_huge": (
+        ["train", "--pool-steps", "99999999999999999999999"], "receptive field 9*2^99999999999999999999999 exceeds"
+    ),
+    "train_kernel_size_huge": (
+        ["train", "--kernel-size", "99999999999999999999999"], "receptive field 99999999999999999999999*2^4 exceeds"
+    ),
 }
 
 
@@ -549,6 +559,7 @@ CHECKPOINT_DAMAGE = {
     "float_base_width": lambda stem: _edit_manifest(stem, lambda m: m["model"].update(base_width=4.5)),
     "kernel_size_even": lambda stem: _edit_manifest(stem, lambda m: m["model"].update(kernel_size=4)),
     "kernel_size_zero": lambda stem: _edit_manifest(stem, lambda m: m["model"].update(kernel_size=0)),
+    "pool_steps_huge": lambda stem: _edit_manifest(stem, lambda m: m["model"].update(pool_steps=10**23)),
     "layers_differ": lambda stem: _edit_manifest(stem, lambda m: m["layers"].pop()),
     **{
         f"{key}_{name}": (lambda stem, key=key, value=value: _edit_manifest(stem, lambda m: m.update({key: value})))
@@ -590,7 +601,7 @@ def test_malformed_checkpoint_exits_2(workspace, trained, tmp_path, capsys, dama
         assert "is not finite in float32" in err
     if damage.startswith(("seed_", "dtype_", "step_", "has_adam_")):
         assert f"manifest {damage.rsplit('_', 1)[0]} " in err
-    if damage.startswith("kernel_size_"):
+    if damage.startswith(("kernel_size_", "pool_steps_")):
         assert f"{stem}: unusable model record" in err
 
 
@@ -851,7 +862,7 @@ def test_sample_file_cut_at_a_sample_boundary_exits_2(workspace, trained, tmp_pa
     assert code == 2
     err = capsys.readouterr().err
     path = data / "passage_00000" / "sensor_s0.f64"
-    assert f"{path}:0: expected {8 * meta['n_samples']} bytes of values, found {8 * kept}" in err
+    assert f"{path}: expected {8 * meta['n_samples']} bytes of values, found {8 * kept}" in err
     assert not (tmp_path / "eval").exists()
 
 
@@ -871,7 +882,7 @@ def test_text_dataset_exits_2(workspace, trained, tmp_path, capsys):
     code = run("eval", "--dataset", str(data), "--checkpoint", str(trained / "model"), "--out", str(tmp_path / "eval"))
     assert code == 2
     text = data / "passage_00002" / "sensor_s0.csv"
-    expected = f"{text}:0: text sample files are no longer read; regenerate the dataset"
+    expected = f"{text}: text sample files are no longer read; regenerate the dataset"
     assert capsys.readouterr().err == f"data error: {expected}\n"
 
 

@@ -299,13 +299,13 @@ def test_load_partial_sample_names_file_and_byte_counts(tmp_path, tiny_passage):
         f.write(b"\x00\x01\x02")
     with pytest.raises(ParseError) as err:
         load_dataset(root)
-    assert str(err.value) == f"{path}:0: expected {need} bytes of values, found {need + 3}"
+    assert str(err.value) == f"{path}: expected {need} bytes of values, found {need + 3}"
 
 
 def test_load_missing_sensor_file(tmp_path, tiny_passage):
     root = save_passage(tiny_passage, tmp_path / "ds").parent
     (root / "tiny" / "sensor_s1.f64").unlink()
-    with pytest.raises(ParseError, match="sensor_s1.f64:0: referenced sensor file missing"):
+    with pytest.raises(ParseError, match="sensor_s1.f64: referenced sensor file missing"):
         load_dataset(root)
 
 
@@ -338,8 +338,8 @@ def test_load_rejects_duplicate_passage_id(tmp_path, tiny_passage):
 
 def test_load_bad_meta_json(tmp_path, tiny_passage):
     root = save_passage(tiny_passage, tmp_path / "ds").parent
-    (root / "tiny" / "meta.json").write_text("{not json")
-    with pytest.raises(ParseError):
+    (root / "tiny" / "meta.json").write_text("{\n not json")
+    with pytest.raises(ParseError, match="meta.json:2: Expecting property name"):
         load_dataset(root)
 
 
@@ -374,7 +374,7 @@ def test_load_refuses_meta_of_wrong_type(tmp_path, tiny_passage, damage):
     meta = json.loads(path.read_text())
     META_DAMAGE[damage](meta)
     path.write_text(json.dumps(meta))
-    with pytest.raises(ParseError, match="meta.json:0: bad metadata"):
+    with pytest.raises(ParseError, match="meta.json: bad metadata"):
         load_dataset(root)
 
 

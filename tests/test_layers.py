@@ -22,7 +22,7 @@ from vader.engine import (
 )
 from vader.engine import layers
 from vader.engine.layers import _band
-from vader.errors import MissingForwardCache, ShapeMismatch
+from vader.errors import ShapeMismatch
 
 RNG = np.random.default_rng(123)
 TOL = 1e-4
@@ -201,7 +201,7 @@ def test_concat_shape_mismatch():
 
 def test_missing_forward_cache():
     layer = Conv(1, 1, 1, 3, name="c")
-    with pytest.raises(MissingForwardCache):
+    with pytest.raises(ValueError, match="needs a forward"):
         layer.backward(None, _x(1, 1, 1, 8))
 
 

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vader.errors import InvalidConfig, LengthMismatch, NonPositiveInput
+from vader.errors import InvalidConfig
 from vader.metrics import (
-    MetricsAccumulator,
+    MatchResult,
+    MatchedPair,
     _plateau_maxima,
     PeakConfig,
     f1,
@@ -18,6 +19,7 @@ from vader.metrics import (
     msa,
     pick_peaks,
     score_series,
+    summarize,
 )
 
 
@@ -192,7 +194,7 @@ def test_match_one_peak_two_labels():
 
 
 def test_match_length_mismatch():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValueError, match="2 labels vs 1 velocities"):
         match_axles([1], [1, 2], [0.05], 200.0)
 
 
@@ -268,7 +270,7 @@ def test_harmonic_mean_values():
     got = harmonic_mean(90.0, 90.0, 99.0, 1.0)
     assert got == pytest.approx(4.0 / (1 / 90 + 1 / 90 + 1 / 99 + 1 / 1.0))
     assert got == pytest.approx(3.8748, abs=1e-3)
-    with pytest.raises(NonPositiveInput):
+    with pytest.raises(ValueError, match="all inputs must be positive"):
         harmonic_mean(90.0, 0.0, 99.0, 1.0)
 
 
@@ -291,43 +293,57 @@ def test_score_series_matches_peaks_at_both_thresholds():
     assert [p.error_cm for p in at_200.pairs] == [0.0, 50.0]
 
 
-def test_accumulator_report(tiny_passage):
-    acc = MetricsAccumulator()
+def test_summarize_report(tiny_passage):
     res = match_axles([100, 200], [100, 205], [0.05, 0.05], 200.0)
     res37 = match_axles([100, 200], [100, 205], [0.05, 0.05], 37.0)
-    acc.add("s0", res, res37)
-    report = acc.report()
+    results = [("s0", res, res37)]
+    report = summarize(results)
     assert report.f1_200 == 100.0
     assert set(report.per_sensor) == {"s0"}
     assert report.per_sensor["s0"]["tp"] == 2
     assert report.mean_spatial_error_cm == pytest.approx(12.5)  # 0 and 5 samples at 5 cm each
     # 10 samples off at 0.02 m/sample -> 20 cm
     far = match_axles([110], [100], [0.02], 200.0)
-    acc.add("s1", far, far)
-    assert acc.report().per_sensor["s1"]["mean_spatial_error_cm"] == pytest.approx(20.0)
-    # the mean does not depend on the order the series arrive in
-    series = [match_axles([100 + d], [100], [0.05], 200.0) for d in (2, 6, 1)]  # 10, 30, 5 cm
-    forward, backward = MetricsAccumulator(), MetricsAccumulator()
-    for res in series:
-        forward.add("s0", res, res)
-    for res in reversed(series):
-        backward.add("s0", res, res)
-    assert forward.report() == backward.report()
-    assert forward.report().mean_spatial_error_cm == pytest.approx(15.0)
+    results.append(("s1", far, far))
+    assert summarize(results).per_sensor["s1"]["mean_spatial_error_cm"] == pytest.approx(20.0)
+    # the mean does not depend on the order the series arrive in: 10, 30 and 5 cm
+    series = [("s0", r, r) for r in (match_axles([100 + d], [100], [0.05], 200.0) for d in (2, 6, 1))]
+    assert summarize(series) == summarize(series[::-1])
+    assert summarize(series).mean_spatial_error_cm == pytest.approx(15.0)
+    # nothing to detect and nothing detected: a perfect F1 and no spatial error
+    empty = summarize([])
+    assert (empty.f1_200, empty.f1_37, empty.per_sensor) == (100.0, 100.0, {})
+    assert empty.mean_spatial_error_cm is None and empty.msa is None
+
+
+def test_summarize_averages_errors_in_result_order():
+    """The total and each sensor average their errors in the order the
+    results come, so that a report's floats follow from that order alone."""
+    errors = {"s0": [1e16, 1.0, 1.0], "s1": [0.1, 0.2, 0.3]}
+    assert np.mean(errors["s0"]) != np.mean(errors["s0"][::-1])  # a float sum that depends on order
+    order = [("s1", 0), ("s0", 0), ("s0", 1), ("s1", 1), ("s0", 2), ("s1", 2)]
+    results = []
+    for sid, i in order:
+        at = MatchResult(tp=1, fp=0, fn=0, pairs=(MatchedPair(100, errors[sid][i]),))
+        results.append((sid, at, at))
+    report = summarize(results)
+    assert report.mean_spatial_error_cm == float(np.mean([errors[sid][i] for sid, i in order]))
+    for sid, values in errors.items():
+        assert report.per_sensor[sid]["mean_spatial_error_cm"] == float(np.mean(values))
+        assert report.per_sensor[sid]["tp"] == len(values)
 
 
 def test_no_matched_pair_has_no_spatial_error():
     """A sensor that matched nothing has no spatial error, per sensor and
     overall; it does not score a perfect MSA."""
-    acc = MetricsAccumulator()
     nothing = match_axles([], [100, 205], [0.05, 0.05], 200.0)
-    acc.add("s1", nothing, match_axles([], [100, 205], [0.05, 0.05], 37.0))
-    report = acc.report()
+    results = [("s1", nothing, match_axles([], [100, 205], [0.05, 0.05], 37.0))]
+    report = summarize(results)
     assert report.f1_200 == 0.0
     assert report.mean_spatial_error_cm is None and report.msa is None
     assert report.per_sensor["s1"]["msa"] is None
     hit = match_axles([100], [100, 205], [0.05, 0.05], 200.0)
-    acc.add("s0", hit, hit)
-    report = acc.report()
+    results.append(("s0", hit, hit))
+    report = summarize(results)
     assert report.msa == 100.0 and report.per_sensor["s0"]["msa"] == 100.0
     assert report.per_sensor["s1"]["mean_spatial_error_cm"] is None

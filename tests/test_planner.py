@@ -25,6 +25,11 @@ def test_mrf_values():
 def test_mrf_overflow():
     with pytest.raises(InvalidConfig, match=r"receptive field 9\*10\^64 exceeds 2\^63-1"):
         mrf(9, 10, 64)
+    # refused after the first product beyond 2^63-1, without building 2^(10^23)
+    with pytest.raises(InvalidConfig, match=r"receptive field 3\*2\^100000000000000000000000 exceeds"):
+        mrf(3, 2, 10**23)
+    with pytest.raises(InvalidConfig, match=r"receptive field 3\*2\^100000000000000000000000 exceeds"):
+        HyperParams(InputKind.RAW, 3, 2, 10**23)
 
 
 def test_object_size_values():

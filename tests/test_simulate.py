@@ -16,7 +16,7 @@ from vader.simulate import (
 
 def test_single_axle_zero_noise_matches_forward_model():
     bridge = BridgeConfig(sensor_positions=(8.0,), fundamental_frequency=6.0, damping_ratio=0.04)
-    train = TrainConfig(axle_offsets=(0.0,), speed=40.0)
+    train = TrainConfig(axle_offsets=(0.0,), speed=40.0, load_scale=(1.0,))
     p = generate_passage(bridge, train, noise_std=0.0, seed=0)
     ch = p.channels[0]
     t0 = 8.0 / 40.0
@@ -45,7 +45,7 @@ def test_label_sum_matches_axles(tiny_passage):
 
 def test_seed_determinism():
     bridge = BridgeConfig()
-    train = TrainConfig(axle_offsets=(0.0, 4.0), speed=35.0)
+    train = TrainConfig(axle_offsets=(0.0, 4.0), speed=35.0, load_scale=(1.0, 1.0))
     a = generate_passage(bridge, train, noise_std=0.1, seed=9)
     b = generate_passage(bridge, train, noise_std=0.1, seed=9)
     c = generate_passage(bridge, train, noise_std=0.1, seed=10)
@@ -68,7 +68,7 @@ def test_velocity_in_meters_per_sample(tiny_passage):
 
 def test_energy_locality_zero_noise():
     bridge = BridgeConfig(sensor_positions=(6.0,), fundamental_frequency=6.0)
-    train = TrainConfig(axle_offsets=(0.0, 80.0), speed=30.0)
+    train = TrainConfig(axle_offsets=(0.0, 80.0), speed=30.0, load_scale=(1.0, 1.0))
     p = generate_passage(bridge, train, noise_std=0.0, seed=0)
     ch = p.channels[0]
     fs = ch.sample_rate
@@ -91,7 +91,7 @@ def test_energy_locality_zero_noise():
 
 def test_invalid_configs(tmp_path):
     nan, inf = float("nan"), float("inf")
-    one_axle = TrainConfig((0.0,), 30.0)
+    one_axle = TrainConfig((0.0,), 30.0, (1.0,))
     for bridge in (
         dict(damping_ratio=1.5),
         dict(sensor_positions=(99.0,)),
@@ -106,11 +106,13 @@ def test_invalid_configs(tmp_path):
         with pytest.raises(InvalidConfig):
             BridgeConfig(**bridge)
     for train in (
-        dict(axle_offsets=(0.0, 1.0), speed=30.0),  # spacing < 2 m
-        dict(axle_offsets=(0.0, 4.0), speed=-1.0),
-        dict(axle_offsets=(0.0, 4.0), speed=nan),
-        dict(axle_offsets=(0.0, inf), speed=30.0),
+        dict(axle_offsets=(0.0, 1.0), speed=30.0, load_scale=(1.0, 1.0)),  # spacing < 2 m
+        dict(axle_offsets=(0.0, 4.0), speed=-1.0, load_scale=(1.0, 1.0)),
+        dict(axle_offsets=(0.0, 4.0), speed=nan, load_scale=(1.0, 1.0)),
+        dict(axle_offsets=(0.0, inf), speed=30.0, load_scale=(1.0, 1.0)),
         dict(axle_offsets=(0.0,), speed=30.0, load_scale=(nan,)),
+        dict(axle_offsets=(0.0, 4.0), speed=30.0, load_scale=()),  # one factor per axle
+        dict(axle_offsets=(0.0, 4.0), speed=30.0, load_scale=(1.0,)),
     ):
         with pytest.raises(InvalidConfig):
             TrainConfig(**train)
