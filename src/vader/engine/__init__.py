@@ -12,7 +12,6 @@ from .layers import (
     ReLU,
     Sigmoid,
     TileFreq,
-    TransposedConvTime,
     groupnorm_groups,
     zero_invalid,
 )

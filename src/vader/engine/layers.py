@@ -41,9 +41,10 @@ times for a 3-row one), in exchange for one well-shaped product instead of
 one thin, memory-bound one per frequency tap. Because the block's rows run
 (channel, shift), as the ``(O, C, 1, kt)`` weight's do, a stride-1 one-row
 kernel's band is a view of the weight: a forward pass copies no weight.
-``TransposedConvTime`` correlates with a sub-kernel of ``stride * c_out``
-output channels, one group per output time phase, and interleaves the
-phases (sub-pixel convolution; Shi et al. 2016). That sub-kernel is the
+A ``Conv`` at ``stride > 1`` is the decoder's transposed convolution,
+upsampling time by ``stride``: it correlates with a sub-kernel of ``stride *
+c_out`` output channels, one group per output time phase, and interleaves
+the phases (sub-pixel convolution; Shi et al. 2016). That sub-kernel is the
 weight zero-extended in time to a multiple of ``stride`` taps and cut into
 ``stride``-wide rows: row ``m`` holds shift ``m``'s taps, one per phase, in
 reverse phase order. The forward cache holds it and the layer's input. The
@@ -320,22 +321,24 @@ def _correlate(x, w, freq_pads, time_pads, stride=1, bias=None):
 
 
 class Conv(Layer):
-    """Stride-1 convolution, 'same' on time (odd kernels), 'same' or 'valid'
-    on frequency."""
+    """Convolution, 'same' on time, 'same' or 'valid' on frequency, which it
+    never strides. At ``stride`` 1 (kind ``conv``) the time kernel is odd; at
+    ``stride > 1`` (kind ``transposed_conv``) the layer is the decoder's
+    transposed convolution, upsampling time by ``stride``, and its time
+    kernel may be even."""
 
-    kind = "conv"
-    #: Time upsampling factor; only TransposedConvTime sets it above 1.
-    stride = 1
-
-    def __init__(self, c_in, c_out, kf, kt, freq_padding="same", name="conv"):
-        if self.stride == 1 and kt % 2 != 1:
+    def __init__(self, c_in, c_out, kf, kt, freq_padding="same", stride=1):
+        if stride < 1:
+            raise ValueError(f"stride must be >= 1, got {stride}")
+        if stride == 1 and kt % 2 != 1:
             raise ValueError(f"time kernel extent must be odd, got {kt}")
         if freq_padding not in ("same", "valid"):
             raise ValueError(freq_padding)
-        self.c_in, self.c_out, self.kf, self.kt = c_in, c_out, kf, kt
+        self.kind = "conv" if stride == 1 else "transposed_conv"
+        self.c_in, self.c_out, self.kf, self.kt, self.stride = c_in, c_out, kf, kt, stride
         self.freq_padding = freq_padding
-        self.weight = Param(f"{name}.weight", np.zeros((c_out, c_in, kf, kt)))
-        self.bias = Param(f"{name}.bias", np.zeros(c_out))
+        self.weight = Param("weight", np.zeros((c_out, c_in, kf, kt)))
+        self.bias = Param("bias", np.zeros(c_out))
         self._freq_pads = ((kf - 1) // 2, kf // 2) if freq_padding == "same" else (0, 0)
         # Time tap j takes input column c to output column stride*c + crop - j,
         # as correlating the zero-stuffed input padded by `crop` would. With
@@ -343,7 +346,7 @@ class Conv(Layer):
         # output phase stride - 1 - J % stride at shift J // stride - crop //
         # stride: the sub-pixel kernel is the extended weight cut into
         # stride-wide rows. With stride 1 the shifts are the 'same' padding's.
-        s = self.stride
+        s = stride
         crop = (kt + s - 2) // 2
         self._lead = s - 1 - crop % s
         n = -(-(self._lead + kt) // s)
@@ -358,12 +361,13 @@ class Conv(Layer):
         return [self.weight, self.bias]
 
     def config(self):
-        return {
+        cfg = {
             "c_in": self.c_in,
             "c_out": self.c_out,
             "kernel": [self.kf, self.kt],
             "freq_padding": self.freq_padding,
         }
+        return cfg if self.stride == 1 else {**cfg, "stride": self.stride}
 
     def _kernel(self, dtype):
         """The weight as the ``(stride * c_out, c_in, kf, n_shifts)`` kernel of
@@ -416,23 +420,6 @@ class Conv(Layer):
         return [_correlate(dy_phases, k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), *pads)]
 
 
-class TransposedConvTime(Conv):
-    """Transposed convolution upsampling the time axis by ``stride``;
-    frequency is processed stride-1 with 'same' padding. Time kernels may
-    be even."""
-
-    kind = "transposed_conv"
-
-    def __init__(self, c_in, c_out, kf, kt, stride, name="tconv"):
-        if stride < 2:
-            raise ValueError(f"stride must be >= 2, got {stride}")
-        self.stride = stride
-        super().__init__(c_in, c_out, kf, kt, name=name)
-
-    def config(self):
-        return {**super().config(), "stride": self.stride}
-
-
 class MaxPool(Layer):
     """Max pooling; time extent must divide the padded input, frequency is
     ceil-padded with the dtype minimum."""
@@ -483,12 +470,12 @@ class GroupNorm(Layer):
 
     kind = "group_norm"
 
-    def __init__(self, channels, groups, eps=1e-5, name="gn"):
+    def __init__(self, channels, groups, eps=1e-5):
         if channels % groups:
             raise ValueError(f"channels {channels} not divisible by groups {groups}")
         self.channels, self.groups, self.eps = channels, groups, eps
-        self.gamma = Param(f"{name}.gamma", np.ones(channels))
-        self.beta = Param(f"{name}.beta", np.zeros(channels))
+        self.gamma = Param("gamma", np.ones(channels))
+        self.beta = Param("beta", np.zeros(channels))
 
     def params(self):
         return [self.gamma, self.beta]
@@ -657,7 +644,10 @@ class Network:
         self.spec: dict = {}
 
     def add(self, name: str, layer: Layer, inputs) -> int:
+        """Append node ``name``; its parameters take the network's dtype and
+        the node's name in front of their own (``<name>.weight``)."""
         for p in layer.params():
+            p.name = f"{name}.{p.name}"
             p.value = p.value.astype(self.dtype)
             p.grad = None  # allocated in the network's dtype at its first read
         self.nodes.append(Node(name, layer, list(inputs)))
@@ -684,11 +674,14 @@ class Network:
         """The copy of an ``(N, C, F, T)`` input of any dtype that
         :meth:`forward` runs on: in the network's dtype, zero beyond
         ``valid`` (default ``T``) and zero-padded to ``time_multiple``; with
-        the valid lengths. Raises NonFiniteInput for a valid input value
+        the valid lengths. Raises ShapeMismatch for an input that is not 4-D
+        or has no time samples, and NonFiniteInput for a valid input value
         that is not finite in the network's dtype."""
         x = np.asarray(x)
         if x.ndim != 4:
             raise ShapeMismatch(f"expected (N, C, F, T) input, got shape {x.shape}")
+        if x.shape[-1] == 0:
+            raise ShapeMismatch(f"input {x.shape} has no time samples")
         if valid is None:
             valid = np.full(x.shape[0], x.shape[-1], dtype=np.int64)
         else:

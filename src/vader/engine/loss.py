@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidConfig, ShapeMismatch
+from ..errors import InvalidConfig
 from .layers import PROB_EPS
 
 
@@ -38,16 +38,16 @@ def focal_loss(probs, labels, cfg: LossConfig, mask=None):
     p = np.asarray(probs, dtype=np.float64)
     y = np.asarray(labels)
     if p.shape != y.shape:
-        raise ShapeMismatch(f"probs {p.shape} vs labels {y.shape}")
+        raise ValueError(f"probs {p.shape} vs labels {y.shape}")
     if mask is None:
         mask = np.ones_like(p)
     else:
         mask = np.asarray(mask, dtype=np.float64)
         if mask.shape != p.shape:
-            raise ShapeMismatch(f"probs {p.shape} vs mask {mask.shape}")
+            raise ValueError(f"probs {p.shape} vs mask {mask.shape}")
     total = mask.sum()
     if total <= 0:
-        raise ShapeMismatch("mask selects no samples")
+        raise ValueError("mask selects no samples")
 
     pos = y.astype(bool)
     pc = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeMismatch
-
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-7
@@ -31,7 +29,7 @@ def adam_step(store: ParamStore, learning_rate: float) -> None:
     for p, m, v in zip(store.params, store.m, store.v):
         g = p.grad
         if g.shape != p.value.shape:
-            raise ShapeMismatch(f"{p.name}: grad {g.shape} vs value {p.value.shape}")
+            raise ValueError(f"{p.name}: grad {g.shape} vs value {p.value.shape}")
         m *= b1
         m += (1.0 - b1) * g
         v *= b2

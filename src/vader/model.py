@@ -37,7 +37,6 @@ from .engine import (
     ReLU,
     Sigmoid,
     TileFreq,
-    TransposedConvTime,
     groupnorm_groups,
     load_checkpoint,
     read_manifest,
@@ -85,30 +84,25 @@ class _Builder:
     def __init__(self, net: Network, kernel_size: int):
         self.net = net
         self.k = kernel_size
-        self.counter = 0
 
     def _name(self, label: str) -> str:
-        self.counter += 1
-        return f"{self.counter:03d}_{label}"
+        return f"{len(self.net.nodes) + 1:03d}_{label}"
 
-    def conv(self, src, c_in, c_out, freq_bins, label, kf=None, kt=None, freq_padding="same"):
+    def conv(self, src, c_in, c_out, freq_bins, label, kf=None, kt=None, freq_padding="same", stride=1):
         kf = min(self.k, freq_bins) if kf is None else kf
         kt = self.k if kt is None else kt
-        name = self._name(label)
-        return self.net.add(name, Conv(c_in, c_out, kf, kt, freq_padding, name=name), [src])
+        return self.net.add(self._name(label), Conv(c_in, c_out, kf, kt, freq_padding, stride), [src])
 
     def conv_block(self, src, c_in, c_out, freq_bins, label, groups=None):
         """conv + ReLU + group norm."""
         c = self.conv(src, c_in, c_out, freq_bins, f"{label}_conv")
         r = self.net.add(self._name(f"{label}_relu"), ReLU(), [c])
         g = groups if groups is not None else groupnorm_groups(c_out)
-        name = self._name(f"{label}_gn")
-        return self.net.add(name, GroupNorm(c_out, g, name=name), [r])
+        return self.net.add(self._name(f"{label}_gn"), GroupNorm(c_out, g), [r])
 
     def _conv_gn_relu(self, src, c_in, c_out, freq_bins, label, kf=None, kt=None):
         c = self.conv(src, c_in, c_out, freq_bins, f"{label}_conv", kf=kf, kt=kt)
-        name = self._name(f"{label}_gn")
-        g = self.net.add(name, GroupNorm(c_out, groupnorm_groups(c_out), name=name), [c])
+        g = self.net.add(self._name(f"{label}_gn"), GroupNorm(c_out, groupnorm_groups(c_out)), [c])
         return self.net.add(self._name(f"{label}_relu"), ReLU(), [g])
 
     def residual_block(self, src, c_in, c_out, freq_bins, label):
@@ -160,9 +154,7 @@ def build_vader(cfg: VaderConfig, dtype=np.float32) -> Network:
     cur = b.residual_block(cur, prev_w, widths[p], freq, "bottleneck")
 
     for level in range(p - 1, -1, -1):
-        name = b._name(f"dec{level}_up")
-        up_conv = TransposedConvTime(widths[level + 1], widths[level], min(k, freq), k, stride=m, name=name)
-        up = net.add(name, up_conv, [cur])
+        up = b.conv(cur, widths[level + 1], widths[level], freq, f"dec{level}_up", stride=m)
         skip, skip_freq = skips[level]
         if skip_freq > 1:
             skip = net.add(b._name(f"dec{level}_skipmax"), MaxPool(skip_freq, 1), [skip])
@@ -214,7 +206,7 @@ def max_kernel_time_span(network: Network) -> int:
     for i, node in enumerate(network.nodes):
         c = max(coverage[j] for j in node.inputs)
         layer = node.layer
-        if isinstance(layer, Conv):  # TransposedConvTime included
+        if isinstance(layer, Conv):
             widest = max(widest, layer.kt * c)
             c //= layer.stride
         elif isinstance(layer, MaxPool):

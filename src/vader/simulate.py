@@ -16,6 +16,7 @@ period.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -93,6 +94,10 @@ class TrainConfig:
 
 #: Extra recording time after the last crossing, seconds.
 TAIL_SECONDS = 0.8
+#: Samples in the longest passage ``generate_dataset`` draws: 2^23, about
+#: four times a one-hour record at 600 Hz (2.16 M samples) and 64 MiB per
+#: float64 channel.
+MAX_PASSAGE_SAMPLES = 1 << 23
 
 
 def generate_passage(
@@ -159,13 +164,16 @@ class DatasetConfig:
     bridge: BridgeConfig = field(default_factory=BridgeConfig)
 
     def __post_init__(self):
-        """Refuse a non-finite range bound or noise level, or a reversed range."""
+        """Refuse a non-finite range bound or noise level, a reversed range, or
+        a speed range that reaches down to 0."""
         for name in ("speed_range", "spacing_range", "load_range", "frequency_range", "noise_std"):
             value = getattr(self, name)
             if not np.all(np.isfinite(value)):
                 raise InvalidConfig(f"{name} must be finite, got {value}")
             if name.endswith("_range") and value[0] > value[1]:
                 raise InvalidConfig(f"{name} low bound {value[0]} exceeds high bound {value[1]}")
+        if not self.speed_range[0] > 0:
+            raise InvalidConfig(f"speed_range low bound must be > 0, got {self.speed_range[0]}")
 
 
 def sample_train(rng, axle_count: int, cfg: DatasetConfig) -> TrainConfig:
@@ -188,8 +196,9 @@ def generate_dataset(
     """Draw ``n_passages`` i.i.d. passages and write them in the canonical
     directory format. Per-passage randomness is derived from the seed and
     the passage index, so any generation order gives the same files. A
-    passage count below 1 or a non-finite weight is refused before the
-    first passage is drawn, and every passage is generated and validated
+    passage count below 1, a non-finite weight, or settings under which a
+    passage could exceed ``MAX_PASSAGE_SAMPLES`` samples are refused before
+    the first passage is drawn, and every passage is generated and validated
     before the first is saved, so a refused draw, or a passage that
     ``load_dataset`` would refuse (ValidationError), writes nothing."""
     if n_passages < 1:
@@ -203,6 +212,14 @@ def generate_dataset(
     if not (np.all(probs >= 0) and 0 < probs.sum() < np.inf):
         raise InvalidConfig(f"distribution weights must be finite, >= 0 and sum > 0, got {probs.tolist()}")
     probs = probs / probs.sum()
+    # the longest passage the draws allow, in float: inf where it overflows
+    axles = counts[-1] if counts[-1] <= sys.float_info.max else np.inf
+    train_length = config.bridge.span + (axles - 1) * config.spacing_range[1]
+    longest = (train_length / config.speed_range[0] + TAIL_SECONDS) * config.bridge.sample_rate
+    if not longest <= MAX_PASSAGE_SAMPLES:
+        raise InvalidConfig(
+            f"the longest passage drawn could have {longest:.4g} samples, more than {MAX_PASSAGE_SAMPLES}"
+        )
 
     out_dir = Path(out_dir)
     passages = []

@@ -335,6 +335,7 @@ OUT_OF_RANGE = {
     ),
     "train_kernel_size_0": (["train", "--kernel-size", "0"], "kernel_size must be >= 1, got 0"),
     "train_pool_size_1": (["train", "--pool-size", "1"], "pool_size must be >= 2, got 1"),
+    "train_base_width_0": (["train", "--base-width", "0"], "base_width must be >= 1, got 0"),
     "plan_kernel_sizes_repeated": (["plan", "--kernel-sizes", "3,3"], "kernel_sizes gives 3 more than once"),
     "plan_pool_sizes_repeated": (["plan", "--pool-sizes", "2,3,2"], "pool_sizes gives 2 more than once"),
     "plan_pool_steps_repeated": (["plan", "--pool-steps", "4,4"], "pool_steps gives 4 more than once"),
@@ -347,6 +348,13 @@ OUT_OF_RANGE = {
     ),
     "train_kernel_size_huge": (
         ["train", "--kernel-size", "99999999999999999999999"], "receptive field 99999999999999999999999*2^4 exceeds"
+    ),
+    # refused before the first draw: a passage could hold more samples than any record needs
+    "synth_fs_huge": (["synth", "--fs", "1e300"], "could have 7.62e+300 samples, more than 8388608"),
+    "synth_fs_1e8": (["synth", "--fs", "1e8"], "could have 7.62e+08 samples, more than 8388608"),
+    "synth_spacing_huge": (["synth", "--spacing-range", "3:1e300"], "could have 4.5e+302 samples, more than 8388608"),
+    "synth_axle_count_huge": (
+        ["synth", "--distribution", "99999999999999999999999:1"], "could have 2.4e+25 samples, more than 8388608"
     ),
 }
 
@@ -548,6 +556,7 @@ CHECKPOINT_DAMAGE = {
         stem.with_suffix(".json").read_text()[:200]
     ),
     "not_json": lambda stem: stem.with_suffix(".json").write_bytes(b"\x89PNG not a manifest"),
+    "no_format": lambda stem: _edit_manifest(stem, lambda m: m.pop("format")),
     "no_model": lambda stem: _edit_manifest(stem, lambda m: m.pop("model")),
     "no_params": lambda stem: _edit_manifest(stem, lambda m: m.pop("params")),
     "bad_model": lambda stem: _edit_manifest(stem, lambda m: m["model"].update(input_kind="audio")),
@@ -599,6 +608,8 @@ def test_malformed_checkpoint_exits_2(workspace, trained, tmp_path, capsys, dama
         assert "retrain" in err
     if damage in ("nan_bin", "inf_bin"):
         assert "is not finite in float32" in err
+    if damage == "no_format":
+        assert "not a checkpoint manifest" in err
     if damage.startswith(("seed_", "dtype_", "step_", "has_adam_")):
         assert f"manifest {damage.rsplit('_', 1)[0]} " in err
     if damage.startswith(("kernel_size_", "pool_steps_")):
@@ -627,6 +638,15 @@ def test_config_value_outside_choices_is_usage_error(workspace, tmp_path, capsys
         argv += ["--split", str(workspace / "split.json")]
     assert run(*argv) == 1
     assert "invalid choice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_line_without_equals_is_usage_error(workspace, tmp_path, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs = 3\nverbose\n")
+    out = tmp_path / "train"
+    assert _train(workspace, out, config=cfg) == 1
+    assert f"{cfg}:2: expected 'key = value', got 'verbose'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -73,10 +73,13 @@ def test_focal_gradient_zero_on_masked():
 
 
 def test_focal_shape_checks():
-    with pytest.raises(ShapeMismatch):
+    """Arguments that disagree are library misuse, ValueError."""
+    with pytest.raises(ValueError, match=r"probs \(3,\) vs labels \(4,\)"):
         focal_loss(np.zeros(3), np.zeros(4), LossConfig())
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match=r"probs \(3,\) vs mask \(4,\)"):
         focal_loss(np.zeros(3), np.zeros(3), LossConfig(), np.zeros(4))
+    with pytest.raises(ValueError, match="mask selects no samples"):
+        focal_loss(np.zeros(3), np.zeros(3), LossConfig(), np.zeros(3))
 
 
 def test_loss_config_validation():
@@ -128,7 +131,7 @@ def test_adam_quadratic_descent():
 def test_adam_shape_mismatch():
     store, params = _store_with([[1.0, 2.0]])
     params[0].grad = np.zeros(3)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match=r"grad \(3,\) vs value \(2,\)"):
         adam_step(store, 0.001)
 
 

@@ -16,7 +16,6 @@ from vader.engine import (
     ReLU,
     Sigmoid,
     TileFreq,
-    TransposedConvTime,
     groupnorm_groups,
     zero_invalid,
 )
@@ -40,38 +39,38 @@ def _full(xs):
 
 
 def test_conv_grad_1d():
-    layer = Conv(3, 4, 1, 9, name="c")
+    layer = Conv(3, 4, 1, 9)
     layer.init(RNG)
     assert fd_layer_check(layer, [_x(2, 3, 1, 30)]) <= TOL
 
 
 def test_conv_grad_2d_same():
-    layer = Conv(2, 3, 8, 5, freq_padding="same", name="c")
+    layer = Conv(2, 3, 8, 5, freq_padding="same")
     layer.init(RNG)
     assert fd_layer_check(layer, [_x(2, 2, 8, 12)]) <= TOL
 
 
 def test_conv_grad_2d_valid_freq():
-    layer = Conv(2, 1, 6, 1, freq_padding="valid", name="c")
+    layer = Conv(2, 1, 6, 1, freq_padding="valid")
     layer.init(RNG)
     assert fd_layer_check(layer, [_x(2, 2, 6, 10)]) <= TOL
 
 
 def test_conv_grad_pointwise():
-    layer = Conv(5, 2, 1, 1, name="c")
+    layer = Conv(5, 2, 1, 1)
     layer.init(RNG)
     assert fd_layer_check(layer, [_x(1, 5, 2, 17)]) <= TOL
 
 
 def test_transposed_conv_grad():
     for stride in (2, 3):
-        layer = TransposedConvTime(3, 2, 1, 5, stride=stride, name="t")
+        layer = Conv(3, 2, 1, 5, stride=stride)
         layer.init(RNG)
         assert fd_layer_check(layer, [_x(2, 3, 1, 12)]) <= TOL
 
 
 def test_transposed_conv_grad_2d():
-    layer = TransposedConvTime(2, 2, 3, 5, stride=2, name="t")
+    layer = Conv(2, 2, 3, 5, stride=2)
     layer.init(RNG)
     assert fd_layer_check(layer, [_x(1, 2, 4, 10)]) <= TOL
 
@@ -84,12 +83,12 @@ def test_maxpool_grad():
 
 
 def test_groupnorm_grad():
-    layer = GroupNorm(6, 2, name="g")
+    layer = GroupNorm(6, 2)
     assert fd_layer_check(layer, [_x(2, 6, 1, 11)]) <= TOL
 
 
 def test_groupnorm_grad_masked():
-    layer = GroupNorm(4, 1, name="g")
+    layer = GroupNorm(4, 1)
     x = _x(2, 4, 1, 12)
     valid = np.array([9, 12])
     zero_invalid(x, valid)
@@ -117,7 +116,7 @@ def test_reduce_tile_grad():
 
 
 def test_identity_convolution():
-    layer = Conv(1, 1, 1, 1, name="id")
+    layer = Conv(1, 1, 1, 1)
     layer.weight.value[...] = 1.0
     x = _x(2, 1, 1, 40)
     y, _, _ = layer.forward([x], _full([x]), want_cache=False)
@@ -129,21 +128,21 @@ def test_pool_then_transposed_restores_length():
         T = 12 * m
         x = _x(1, 2, 1, T)
         pooled, _, _ = MaxPool(1, m).forward([x], _full([x]), False)
-        up = TransposedConvTime(2, 2, 1, m + 1, stride=m, name="t")
+        up = Conv(2, 2, 1, m + 1, stride=m)
         up.init(RNG)
         y, _, _ = up.forward([pooled], [np.array([T // m])], False)
         assert y.shape[-1] == T
 
 
 def test_groupnorm_constant_group_is_zero():
-    layer = GroupNorm(2, 1, name="g")
+    layer = GroupNorm(2, 1)
     x = np.full((1, 2, 1, 50), 3.7)
     y, _, _ = layer.forward([x], _full([x]), False)
     assert np.allclose(y, 0.0, atol=1e-3)
 
 
 def test_groupnorm_statistics():
-    layer = GroupNorm(8, 2, name="g")
+    layer = GroupNorm(8, 2)
     x = _x(3, 8, 1, 256) * 4.0 + 1.5
     y, _, _ = layer.forward([x], _full([x]), False)
     per_group = y.reshape(3, 2, 4 * 256)
@@ -157,7 +156,7 @@ def test_groupnorm_float32_statistics_match_float64(offset):
     float64 mean and variance, to 2**-16 of the spread (the mean's bound
     grows with its distance from zero, in standard deviations). The offset
     input is where E[x^2] - mean^2 would cancel."""
-    layer = GroupNorm(8, 2, name="g")
+    layer = GroupNorm(8, 2)
     for p in layer.params():
         p.value = p.value.astype(np.float32)
     rng = np.random.default_rng(5)
@@ -200,14 +199,14 @@ def test_concat_shape_mismatch():
 
 
 def test_missing_forward_cache():
-    layer = Conv(1, 1, 1, 3, name="c")
+    layer = Conv(1, 1, 1, 3)
     with pytest.raises(ValueError, match="needs a forward"):
         layer.backward(None, _x(1, 1, 1, 8))
 
 
 def test_one_row_band_is_the_weight():
     """A stride-1 one-row kernel is multiplied as the weight itself, not a copy."""
-    layer = Conv(3, 4, 1, 9, name="c")
+    layer = Conv(3, 4, 1, 9)
     band = _band(layer._kernel(layer.weight.value.dtype), 1, layer._freq_pads)
     assert band.shape == (4, 3 * 9)
     assert np.shares_memory(band, layer.weight.value)
@@ -235,18 +234,26 @@ SUBPIXEL_CASES = [(s, kt) for s in range(1, 6) for kt in (*range(1, 10), 17) if 
 
 @pytest.mark.parametrize("stride, kt", SUBPIXEL_CASES, ids=[f"s{s}-k{kt}" for s, kt in SUBPIXEL_CASES])
 def test_subpixel_kernel_matches_per_tap_loop(stride, kt):
-    if stride == 1:
-        layer = Conv(2, 3, 2, kt, name="c")
-    else:
-        layer = TransposedConvTime(2, 3, 2, kt, stride=stride, name="t")
+    layer = Conv(2, 3, 2, kt, stride=stride)
     layer.init(RNG)
     ref, lo = _ref_subpixel_kernel(layer.weight.value, stride)
     assert np.array_equal(layer._kernel(np.float64), ref)
     assert layer._time_pads == (lo, ref.shape[-1] - 1 - lo)
 
 
+def test_conv_stride_and_kernel_rules():
+    """Stride 1 is a convolution with an odd time kernel, a higher stride the
+    transposed convolution, which also takes an even one; below 1 is refused."""
+    assert (Conv(2, 3, 1, 4, stride=2).kind, Conv(2, 3, 1, 5).kind) == ("transposed_conv", "conv")
+    assert Conv(2, 3, 1, 4, stride=2).config()["stride"] == 2 and "stride" not in Conv(2, 3, 1, 5).config()
+    with pytest.raises(ValueError, match="time kernel extent must be odd, got 4"):
+        Conv(2, 3, 1, 4)
+    with pytest.raises(ValueError, match="stride must be >= 1, got 0"):
+        Conv(2, 3, 1, 5, stride=0)
+
+
 def test_zero_upstream_gradient_gives_zero_param_grads():
-    layer = Conv(2, 3, 1, 5, name="c")
+    layer = Conv(2, 3, 1, 5)
     layer.init(RNG)
     x = _x(1, 2, 1, 16)
     y, _, cache = layer.forward([x], _full([x]), True)
@@ -258,10 +265,10 @@ def test_zero_upstream_gradient_gives_zero_param_grads():
 @pytest.mark.parametrize(
     "make, F",
     [
-        (lambda: Conv(1, 2, 1, 3, name="c"), 1),
-        (lambda: Conv(2, 3, 3, 3, name="c"), 4),
-        (lambda: TransposedConvTime(1, 2, 1, 4, stride=2, name="t"), 1),
-        (lambda: TransposedConvTime(2, 3, 3, 3, stride=3, name="t"), 4),
+        (lambda: Conv(1, 2, 1, 3), 1),
+        (lambda: Conv(2, 3, 3, 3), 4),
+        (lambda: Conv(1, 2, 1, 4, stride=2), 1),
+        (lambda: Conv(2, 3, 3, 3, stride=3), 4),
     ],
     ids=["conv-1d", "conv-2d", "tconv-1d", "tconv-2d"],
 )
@@ -283,13 +290,13 @@ def test_network_valid_propagation_batch_equals_single():
     """Padded batches replicate per-sample forwards exactly (see also the
     model-level test on the full detector)."""
     net = Network(dtype=np.float64, time_multiple=2)
-    c = Conv(1, 3, 1, 5, name="c")
-    g = GroupNorm(3, 1, name="g")
+    c = Conv(1, 3, 1, 5)
+    g = GroupNorm(3, 1)
     i_c = net.add("c", c, [-1])
     i_r = net.add("r", ReLU(), [i_c])
     i_g = net.add("g", g, [i_r])
     i_p = net.add("p", MaxPool(1, 2), [i_g])
-    t = TransposedConvTime(3, 1, 1, 3, stride=2, name="t")
+    t = Conv(3, 1, 1, 3, stride=2)
     net.add("t", t, [i_p])
     net.init_params(0)
     a = _x(18)
@@ -308,7 +315,7 @@ def test_network_valid_propagation_batch_equals_single():
 def test_forward_leaves_caller_input_unchanged():
     """The padded tail is zeroed in a private copy, not in the caller's array."""
     net = Network(dtype=np.float32)
-    net.add("c", Conv(1, 1, 1, 3, name="c"), [-1])
+    net.add("c", Conv(1, 1, 1, 3), [-1])
     net.init_params(0)
     x = np.ones((1, 1, 1, 8), np.float32)
     y = net.forward(x, valid=[4])
@@ -320,10 +327,10 @@ def test_forward_leaves_caller_input_unchanged():
 
 #: One layer of every kind, with the (channels, frequency rows) of its inputs.
 KIND_CASES = {
-    "conv": (lambda: Conv(3, 4, 1, 1, name="c"), [(3, 5)]),  # at batch 1 its plane is a view of x
-    "transposed_conv": (lambda: TransposedConvTime(3, 2, 3, 4, stride=2, name="t"), [(3, 5)]),
+    "conv": (lambda: Conv(3, 4, 1, 1), [(3, 5)]),  # at batch 1 its plane is a view of x
+    "transposed_conv": (lambda: Conv(3, 2, 3, 4, stride=2), [(3, 5)]),
     "max_pool": (lambda: MaxPool(2, 2), [(3, 5)]),
-    "group_norm": (lambda: GroupNorm(4, 2, name="g"), [(4, 5)]),
+    "group_norm": (lambda: GroupNorm(4, 2), [(4, 5)]),
     "relu": (lambda: ReLU(), [(3, 5)]),
     "sigmoid": (lambda: Sigmoid(), [(3, 5)]),
     "concat": (lambda: Concat(), [(3, 5), (2, 5)]),
@@ -333,11 +340,14 @@ KIND_CASES = {
 
 
 def test_kind_cases_cover_every_layer_kind():
-    kinds, todo = set(), list(layers.Layer.__subclasses__())
+    """Every kind a layer can report has a case: a class's own ``kind``, and
+    Conv's two, which its stride chooses."""
+    kinds, todo = {Conv(1, 1, 1, 1, stride=s).kind for s in (1, 2)}, list(layers.Layer.__subclasses__())
     while todo:
         cls = todo.pop()
         todo.extend(cls.__subclasses__())
-        kinds.add(cls.kind)
+        if cls is not Conv:
+            kinds.add(cls.kind)
     assert kinds == set(KIND_CASES)
 
 
@@ -363,7 +373,7 @@ def test_direct_forward_leaves_inputs_unchanged(kind, n, want_cache):
 
 @pytest.mark.parametrize(
     "make, dead",
-    [(ReLU, (0,)), (lambda: GroupNorm(4, 2, name="g"), (0,)), (Add, (0,)), (Add, (1,))],
+    [(ReLU, (0,)), (lambda: GroupNorm(4, 2), (0,)), (Add, (0,)), (Add, (1,))],
     ids=["relu", "group_norm", "add_first", "add_second"],
 )
 def test_dead_input_takes_the_output(make, dead):
@@ -384,12 +394,12 @@ def test_uncached_forward_overwrites_only_dead_inputs(n):
     inputs, equals the cached forward bit for bit."""
     net = Network(dtype=np.float64)
     i0 = net.add("r0", ReLU(), [-1])  # the network input is read again by c1
-    i1 = net.add("c1", Conv(1, 4, 1, 1, name="c1"), [-1])
+    i1 = net.add("c1", Conv(1, 4, 1, 1), [-1])
     i2 = net.add("r2", ReLU(), [i1])  # i1 is read again by g3 and a4
-    i3 = net.add("g3", GroupNorm(4, 2, name="g3"), [i1])
+    i3 = net.add("g3", GroupNorm(4, 2), [i1])
     i4 = net.add("a4", Add(), [i2, i1])
     i5 = net.add("a5", Add(), [i3, i4])
-    i6 = net.add("c6", Conv(4, 1, 1, 3, name="c6"), [i5])
+    i6 = net.add("c6", Conv(4, 1, 1, 3), [i5])
     net.add("a7", Add(), [i0, i6])
     net.init_params(0)
     for layer in (net.nodes[i1].layer, net.nodes[i6].layer):
@@ -404,9 +414,9 @@ def test_transposed_backward_reuses_forward_kernel(monkeypatch):
     """Backward takes the sub-pixel kernel from the forward cache: one build
     per forward-backward pair."""
     built = []
-    kernel = TransposedConvTime._kernel
-    monkeypatch.setattr(TransposedConvTime, "_kernel", lambda self, dtype: built.append(dtype) or kernel(self, dtype))
-    layer = TransposedConvTime(3, 2, 1, 5, stride=2, name="t")
+    kernel = Conv._kernel
+    monkeypatch.setattr(Conv, "_kernel", lambda self, dtype: built.append(dtype) or kernel(self, dtype))
+    layer = Conv(3, 2, 1, 5, stride=2)
     layer.init(RNG)
     x = _x(2, 3, 1, 12)
     y, _, cache = layer.forward([x], _full([x]), True)
@@ -446,7 +456,7 @@ def test_forward_releases_dead_activations():
     net = Network(dtype=np.float64)
     prev = -1
     for i in range(24):
-        prev = net.add(f"c{i}", Conv(2, 2, 1, 3, name=f"c{i}"), [prev])
+        prev = net.add(f"c{i}", Conv(2, 2, 1, 3), [prev])
         prev = net.add(f"r{i}", ReLU(), [prev])
     net.init_params(0)
     x = RNG.normal(size=(1, 2, 1, 20000))
@@ -511,16 +521,16 @@ def _reference(layer, x, dy):
 
 
 REFERENCE_CASES = {
-    "conv_k1": lambda: Conv(3, 4, 1, 1, name="c"),
-    "conv_k3": lambda: Conv(3, 4, 1, 3, name="c"),
-    "conv_k9": lambda: Conv(2, 5, 1, 9, name="c"),
-    "conv_f3_same": lambda: Conv(2, 3, 3, 5, "same", name="c"),
-    "conv_f4_same": lambda: Conv(2, 3, 4, 3, "same", name="c"),
-    "conv_f3_valid": lambda: Conv(2, 3, 3, 3, "valid", name="c"),
-    "conv_f5_valid_head": lambda: Conv(3, 1, 5, 1, "valid", name="c"),
+    "conv_k1": lambda: Conv(3, 4, 1, 1),
+    "conv_k3": lambda: Conv(3, 4, 1, 3),
+    "conv_k9": lambda: Conv(2, 5, 1, 9),
+    "conv_f3_same": lambda: Conv(2, 3, 3, 5, "same"),
+    "conv_f4_same": lambda: Conv(2, 3, 4, 3, "same"),
+    "conv_f3_valid": lambda: Conv(2, 3, 3, 3, "valid"),
+    "conv_f5_valid_head": lambda: Conv(3, 1, 5, 1, "valid"),
     **{
         f"tconv_s{s}_k{kt}_f{kf}": (
-            lambda s=s, kt=kt, kf=kf: TransposedConvTime(3, 2, kf, kt, stride=s, name="t")
+            lambda s=s, kt=kt, kf=kf: Conv(3, 2, kf, kt, stride=s)
         )
         for s in (2, 3, 4, 5)
         for kt in (1, 2, 3, 4, 5, 9, 17)
@@ -533,11 +543,11 @@ REFERENCE_CASES = {
 #: leaves out: one-row kernels, whose rows ride along as batch columns, and
 #: the spectrogram input convolution (kf 9 over 16 rows, 'same').
 ROW_CASES = {
-    "conv_k3_f1_rows5": (lambda: Conv(3, 4, 1, 3, name="c"), 5),
-    "conv_k1_f1_rows5": (lambda: Conv(3, 4, 1, 1, name="c"), 5),
-    "tconv_s2_k5_f1_rows5": (lambda: TransposedConvTime(3, 2, 1, 5, stride=2, name="t"), 5),
-    "tconv_s3_k4_f1_rows5": (lambda: TransposedConvTime(3, 2, 1, 4, stride=3, name="t"), 5),
-    "conv_f9_same_rows16": (lambda: Conv(6, 4, 9, 9, "same", name="c"), 16),
+    "conv_k3_f1_rows5": (lambda: Conv(3, 4, 1, 3), 5),
+    "conv_k1_f1_rows5": (lambda: Conv(3, 4, 1, 1), 5),
+    "tconv_s2_k5_f1_rows5": (lambda: Conv(3, 2, 1, 5, stride=2), 5),
+    "tconv_s3_k4_f1_rows5": (lambda: Conv(3, 2, 1, 4, stride=3), 5),
+    "conv_f9_same_rows16": (lambda: Conv(6, 4, 9, 9, "same"), 16),
 }
 
 
@@ -604,7 +614,7 @@ def test_conv_transient_does_not_grow_with_series():
     grows by its output alone, not by the ``kt * F * C`` block rows, nor by
     a padded copy of its input, for every added column."""
     C, O, F = 6, 16, 16
-    layer = Conv(C, O, 9, 9, name="c")
+    layer = Conv(C, O, 9, 9)
     layer.init(np.random.default_rng(0))
     tile = layers.BLOCK // (9 * F * C)  # output columns per tile
     peaks = []
@@ -634,7 +644,7 @@ def test_conv_block_is_capped_in_elements():
     kernel-sized arrays (the flipped kernel's band, the kernel gradient's
     band and one tile's product)."""
     C, O, kt, T = 256, 128, 9, 6000
-    layer = Conv(C, O, 1, kt, name="c")
+    layer = Conv(C, O, 1, kt)
     Network().add("c", layer, [-1])  # float32 parameters
     layer.init(np.random.default_rng(0))
     assert C * kt * T > layers.BLOCK

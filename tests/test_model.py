@@ -380,3 +380,25 @@ def test_input_beyond_float32_is_refused():
     x[60] = np.nan
     with pytest.raises(NonFiniteInput, match="nan"):
         infer(net, x)
+
+
+#: Network inputs of the wrong shape, each with the refusal's message.
+BAD_SHAPES = {
+    "no_time_samples": ((1, 1, 1, 0), r"input \(1, 1, 1, 0\) has no time samples"),
+    "not_4d": ((1, 100), r"expected \(N, C, F, T\) input, got shape \(1, 100\)"),
+    "two_channels": ((1, 2, 1, 100), "input has 2 channels, kernel expects 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SHAPES))
+def test_input_of_wrong_shape_is_refused(case):
+    """A raw detector refuses, as ShapeMismatch, an input that is not 4-D,
+    has no time samples or has other channels than its first convolution;
+    an empty series given to ``infer`` is refused the same way."""
+    shape, message = BAD_SHAPES[case]
+    net = build_vader(_cfg(k=5, m=2, p=2, base=4))
+    with pytest.raises(ShapeMismatch, match=message):
+        net.forward(np.zeros(shape))
+    if case == "no_time_samples":
+        with pytest.raises(ShapeMismatch, match=message):
+            infer(net, np.zeros(0))

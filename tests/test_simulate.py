@@ -127,9 +127,12 @@ def test_invalid_configs(tmp_path):
     ):
         with pytest.raises(InvalidConfig, match="must be finite"):
             DatasetConfig(**config)
+    for speed_range in ((0.0, 5.0), (-5.0, 5.0)):
+        with pytest.raises(InvalidConfig, match="speed_range low bound must be > 0"):
+            DatasetConfig(speed_range=speed_range)
     # refused before the first passage is drawn, so nothing is written
     out = tmp_path / "d"
-    for n, distribution in ((2, {8: nan}), (2, {8: inf}), (0, {8: 1.0}), (-1, {8: 1.0})):
+    for n, distribution in ((2, {8: nan}), (2, {8: inf}), (0, {8: 1.0}), (-1, {8: 1.0}), (2, {10**400: 1.0})):
         with pytest.raises(InvalidConfig):
             generate_dataset(n, distribution, out)
         assert not out.exists()
